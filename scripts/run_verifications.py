@@ -2,21 +2,22 @@
 """Run the full verification battery and print a one-line summary per claim.
 
 Covers every certificate family: the symbolic minor identity for orders
-2..8, the reduced-case and lemma suites, the specialization values, the
-rank-one equality (exact and float), the accretive suite, and the complex
-diagnostic.  Exits nonzero if any claim fails.
+2..DEFAULT_SYMBOLIC_CAP (10), the reduced-case and lemma suites, the
+specialization values, the rank-one equality (exact and float), the
+accretive suite, and the complex diagnostic.  Exits nonzero if any claim fails.
 """
 
 import sys
 
 from minorcert import cli
+from minorcert.identity import DEFAULT_SYMBOLIC_CAP
 
 
 def main() -> int:
     batches = [
         *(
             ["verify", "johnson", "--mode", "symbolic", "--n", str(n)]
-            for n in range(2, 9)
+            for n in range(2, DEFAULT_SYMBOLIC_CAP + 1)
         ),
         ["verify", "johnson", "--mode", "numeric", "--n", "12", "--trials", "100"],
         ["verify", "lemmas", "--n", "8", "--trials", "50"],

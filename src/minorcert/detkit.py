@@ -1,22 +1,33 @@
 """Determinant engines over any integral-domain scalar.
 
-``det_cofactor`` is the brute-force oracle (Laplace expansion, order <= 7).
-``det_bareiss`` is the production engine: one-step fraction-free elimination
-whose every intermediate division is exact over an integral domain, so one
-code path serves ints, rationals and polynomials; floating matrices run the
-same sweep with magnitude pivoting.  ``det_condensation`` iterates the 2x2
-condensation recurrence
+Two production engines:
+
+- ``det_bareiss`` serves ints, rationals and floats, and the polynomial
+  lemma certificates: one-step fraction-free elimination whose every
+  intermediate division is exact over an integral domain (floating matrices
+  run the same sweep with magnitude pivoting).
+- ``leading_row_minors`` serves the symbolic Johnson certificate over
+  Z[b1..bk]: the division-free memoized row expansion, which returns several
+  minors on the same leading rows from one pass and never divides, so its
+  intermediate results are sub-minors and stay small where Bareiss swells.
+
+``det_cofactor`` (Laplace expansion, order <= 7) and ``det_condensation``
+are oracles.  Condensation iterates the 2x2 recurrence
 
     det(M_{k+1} block) * interior = m11*m22 - m12*m21
 
 and rescues any entry whose interior divisor vanishes by calling Bareiss on
-the corresponding block, so it returns the true determinant on every input.
-``adjugate`` (cofactor transpose, computed minor by minor so it stays exact
-on singular and polynomial matrices) and the all-ones quadratic form
-``s_functional`` sit on top.
+the corresponding block, so it returns the true determinant on every input;
+Bareiss itself is the oracle for the row expansion.  ``adjugate`` (cofactor
+transpose, computed minor by minor so it stays exact on singular and
+polynomial matrices) and the all-ones quadratic form ``s_functional`` sit on
+top of Bareiss.  ``DET_ALGOS`` lists the square-matrix engines that
+``bench det`` times.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .matrix import Matrix, max_abs
 from .ring import exact_div, is_floating
@@ -29,6 +40,7 @@ __all__ = [
     "det_bareiss",
     "det_cofactor",
     "det_condensation",
+    "leading_row_minors",
     "s_functional",
 ]
 
@@ -151,6 +163,60 @@ def det_condensation(a: Matrix):
         prev, cur = cur, nxt
         k += 1
     return cur[0][0]
+
+
+def leading_row_minors(a: Matrix, column_sets) -> list:
+    """Division-free memoized row expansion (Gentleman & Johnson 1976).
+
+    For each target set S of 0-based column indices, returns
+    det(rows 0..|S|-1, columns S) in the order of ``column_sets``; an empty S
+    gives 1.  The minors are built level by level with
+
+        D[S] = sum_{p, j = S[p]} (-1)^(|S|-1+p) a[|S|-1][j] D[S - {j}],
+
+    D[{}] = 1, over the subsets of the targets only, keeping just the
+    previous level and skipping zero entries and zero sub-minors.  No ring
+    division is made, so over Z[b1..bk] nothing swells beyond the minors
+    themselves.
+    """
+    rows = a.to_rows()
+    targets = []
+    for s in column_sets:
+        cols = tuple(sorted(s))
+        if len(set(cols)) != len(cols):
+            raise ValueError(f"repeated column in target {cols}")
+        if cols and not (0 <= cols[0] and cols[-1] < a.cols):
+            raise ValueError(f"target {cols} outside a {a.rows}x{a.cols} matrix")
+        if len(cols) > a.rows:
+            raise ValueError(f"target {cols} needs more than {a.rows} rows")
+        targets.append(cols)
+    results = [1] * len(targets)
+    prev = {0: 1}
+    for k in range(1, max(map(len, targets), default=0) + 1):
+        row = rows[k - 1]
+        level = {}
+        for cols in targets:
+            if len(cols) >= k:
+                for sub in combinations(cols, k):
+                    level.setdefault(sum(1 << j for j in sub), sub)
+        cur = {}
+        for mask, sub in level.items():
+            acc = 0
+            for p, j in enumerate(sub):
+                e = row[j]
+                if not e:
+                    continue
+                d = prev[mask ^ (1 << j)]
+                if not d:
+                    continue
+                term = e * d
+                acc = acc - term if (k - 1 + p) % 2 else acc + term
+            cur[mask] = acc
+        prev = cur
+        for t, cols in enumerate(targets):
+            if len(cols) == k:
+                results[t] = cur[sum(1 << j for j in cols)]
+    return results
 
 
 def adjugate(a: Matrix) -> Matrix:

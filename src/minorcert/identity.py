@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .detkit import det_bareiss, s_functional, adjugate
+from .detkit import adjugate, det_bareiss, leading_row_minors, s_functional
 from .matrix import (
     Matrix,
     generic_skew_toeplitz,
@@ -48,7 +48,7 @@ __all__ = [
     "verify_skew_facts",
 ]
 
-DEFAULT_SYMBOLIC_CAP = 8
+DEFAULT_SYMBOLIC_CAP = 10
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -108,14 +108,17 @@ def _status(ok: bool) -> str:
 
 def verify_johnson_symbolic(n: int, max_n: int = DEFAULT_SYMBOLIC_CAP) -> CertificateReport:
     """Certifies det A_m(1,2) + det A_m(2,1) - 2 det A_m(1,1) = 0 (m = n-1)
-    identically in Z[b1..b_{n-1}] for the generic member of A + A^T = 2 J_n."""
+    identically in Z[b1..b_{n-1}] for the generic member of A + A^T = 2 J_n.
+
+    A_m(1,1) and A_m(1,2) share the rows 1..m, so one division-free row
+    expansion of A gives both; A_m(2,1) is the transpose of the block on
+    rows 1..m, columns 2..n of A^T."""
     if not 2 <= n <= max_n:
         raise ValueError(f"order must be in 2..{max_n}, got {n}")
     a = johnson_family(n)
     m = n - 1
-    d12 = det_bareiss(a.block(m, 1, 2))
-    d21 = det_bareiss(a.block(m, 2, 1))
-    d11 = det_bareiss(a.block(m, 1, 1))
+    d11, d12 = leading_row_minors(a, [range(m), range(1, n)])
+    (d21,) = leading_row_minors(a.T, [range(1, n)])
     residual = d12 + d21 - 2 * d11
     return CertificateReport(
         claim=f"johnson_symbolic_n{n}",

@@ -326,12 +326,11 @@ def verify_adjugate_accretive(a: Matrix, tol: float = 1e-8) -> CertificateReport
     )
 
 
-def verify_accretive_inequality(a: Matrix, tol: float = 1e-8) -> AccretiveWitness:
+def verify_accretive_inequality(a: Matrix) -> AccretiveWitness:
     """Evaluates the minor inequality on an accretive instance and returns
     the witness.  A tiny negative product under the square root (roundoff on
     a true zero) is clamped to zero and the clamp magnitude recorded.  The
-    cofactor identifications tying the four minors to the corner entries of
-    the adjugate are asserted on the instance."""
+    caller judges the margin against its own tolerance."""
     if not a.is_square or a.rows < 2:
         raise ValueError("needs a square matrix of order >= 2")
     if not psd_check(_sym_part(a)):
@@ -349,18 +348,6 @@ def verify_accretive_inequality(a: Matrix, tol: float = 1e-8) -> AccretiveWitnes
         product = 0.0
     lhs = math.sqrt(product)
     rhs = abs((d12 + d21) / 2.0)
-    adj = adjugate(a)
-    sign = -1.0 if n % 2 == 0 else 1.0  # (-1)^{1+n}
-    for got, want in (
-        (adj[n - 1, n - 1], d11),
-        (adj[0, 0], d22),
-        (adj[0, n - 1], sign * d12),
-        (adj[n - 1, 0], sign * d21),
-    ):
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            raise ArithmeticError(
-                "cofactor identification failed; determinant engines disagree"
-            )
     return AccretiveWitness(
         label=f"accretive_inequality_n{n}",
         matrix=a,
@@ -410,7 +397,7 @@ def accretive_suite(
         a = random_accretive(stream, n, boundary=boundary)
         det_rep = verify_det_positive(a, tol=1e-9)
         adj_rep = verify_adjugate_accretive(a, tol=tol)
-        witness = verify_accretive_inequality(a, tol=tol)
+        witness = verify_accretive_inequality(a)
         margin_scale = max(1.0, witness.lhs + witness.rhs)
         margin_ok = witness.margin >= -tol * margin_scale
         checks = {

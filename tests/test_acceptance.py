@@ -13,6 +13,7 @@ import pytest
 from minorcert import cli
 from minorcert.detkit import det_bareiss, det_cofactor, det_condensation
 from minorcert.identity import (
+    DEFAULT_SYMBOLIC_CAP,
     bt_suite,
     rankone_suite,
     specialization_certificate,
@@ -37,7 +38,7 @@ def _cli_json(tmp_path, name, argv):
 
 def test_criterion_1_symbolic_johnson_certificates(tmp_path):
     t0 = time.perf_counter()
-    for k in range(2, 9):
+    for k in range(2, DEFAULT_SYMBOLIC_CAP + 1):
         rc, docs = _cli_json(
             tmp_path, f"johnson{k}.json",
             ["verify", "johnson", "--mode", "symbolic", "--n", str(k)],
@@ -47,7 +48,8 @@ def test_criterion_1_symbolic_johnson_certificates(tmp_path):
         assert docs[0]["residual"] == "0"
     elapsed = time.perf_counter() - t0
     assert elapsed <= 60.0, f"symbolic suite took {elapsed:.1f}s"
-    _announce(1, f"johnson symbolic verified for n=2..8 in {elapsed:.2f}s (exact)")
+    _announce(1, f"johnson symbolic verified for n=2..{DEFAULT_SYMBOLIC_CAP} "
+                 f"in {elapsed:.2f}s (exact)")
 
 
 def test_criterion_2_reduced_case_certificates(tmp_path):

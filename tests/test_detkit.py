@@ -7,12 +7,14 @@ from minorcert.detkit import (
     det_bareiss,
     det_cofactor,
     det_condensation,
+    leading_row_minors,
     s_functional,
 )
 from minorcert.matrix import (
     Matrix,
     generic_skew_toeplitz,
     identity,
+    johnson_family,
     lower_shift,
     ones,
 )
@@ -175,6 +177,76 @@ def test_det_dispatcher():
     assert det(HAND_EXAMPLE, algo="condensation") == -3
     with pytest.raises(ValueError):
         det(HAND_EXAMPLE, algo="lu")
+
+
+def _whole(a):
+    (d,) = leading_row_minors(a, [range(a.cols)])
+    return d
+
+
+def test_row_expansion_matches_cofactor_and_bareiss_on_random_integers():
+    for t in range(30):
+        stream = substream(309, t)
+        n = 1 + t % 9
+        a = random_int_matrix(stream, n)
+        d = det_bareiss(a)
+        assert _whole(a) == d
+        if n <= 7:
+            assert det_cofactor(a) == d
+
+
+def test_row_expansion_matches_cofactor_and_bareiss_on_random_polynomials():
+    for t in range(12):
+        stream = substream(310, t)
+        n = 1 + t % 6
+        a = random_poly_matrix(stream, n, nvars=3)
+        d = det_bareiss(a)
+        assert _whole(a) == d == det_cofactor(a)
+
+
+def test_row_expansion_with_zero_entries():
+    a = Matrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+    assert _whole(a) == -6
+    assert _whole(zeros_like(4)) == 0
+    assert _whole(ones(3)) == 0
+    assert _whole(generic_skew_toeplitz(3)) == 0
+
+
+def test_row_expansion_several_targets_of_different_sizes():
+    stream = substream(311, 0)
+    a = Matrix(5, 7, [stream.randint(-9, 9) for _ in range(35)])
+    targets = [(0, 1, 2, 3, 4), (6, 2, 0), (1,), (5, 6), (2, 4, 6), (6, 2, 0)]
+    got = leading_row_minors(a, targets)
+    rows = a.to_rows()
+    for cols, d in zip(targets, got):
+        cols = sorted(cols)
+        block = Matrix.from_rows([[rows[i][j] for j in cols] for i in range(len(cols))])
+        assert d == det_cofactor(block)
+
+
+def test_row_expansion_empty_target_is_one():
+    assert leading_row_minors(HAND_EXAMPLE, [()]) == [1]
+    assert leading_row_minors(HAND_EXAMPLE, [(), (0, 1, 2)]) == [1, -3]
+    assert leading_row_minors(HAND_EXAMPLE, []) == []
+
+
+def test_row_expansion_rejects_bad_targets():
+    for bad in ([(0, 0)], [(0, 3)], [(-1, 0)]):
+        with pytest.raises(ValueError):
+            leading_row_minors(HAND_EXAMPLE, bad)
+    with pytest.raises(ValueError):
+        leading_row_minors(Matrix(2, 3, [1] * 6), [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_row_expansion_gives_the_johnson_minors_of_bareiss(n):
+    a = johnson_family(n)
+    m = n - 1
+    d11, d12 = leading_row_minors(a, [range(m), range(1, n)])
+    (d21,) = leading_row_minors(a.T, [range(1, n)])
+    assert d11 == det_bareiss(a.block(m, 1, 1))
+    assert d12 == det_bareiss(a.block(m, 1, 2))
+    assert d21 == det_bareiss(a.block(m, 2, 1))
 
 
 def test_nonsquare_rejected():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from minorcert.detkit import adjugate, det_bareiss, s_functional
 from minorcert.identity import (
+    DEFAULT_SYMBOLIC_CAP,
     bt_suite,
     johnson_numeric_suite,
     lemmas_suite,
@@ -51,11 +52,12 @@ def test_johnson_symbolic_small_orders(n):
 
 
 def test_johnson_rejects_out_of_range():
+    cap = DEFAULT_SYMBOLIC_CAP
     with pytest.raises(ValueError):
         verify_johnson_symbolic(1)
     with pytest.raises(ValueError):
-        verify_johnson_symbolic(9)
-    assert verify_johnson_symbolic(9, max_n=9).verified
+        verify_johnson_symbolic(cap + 1)
+    assert verify_johnson_symbolic(cap).verified
 
 
 def test_johnson_symbolic_certificate_holds_at_random_rational_points():
