@@ -3,7 +3,6 @@ determinant identities of Toeplitz-type and accretive matrices."""
 
 from .detkit import (
     adjugate,
-    det,
     det_bareiss,
     det_cofactor,
     det_condensation,
@@ -11,8 +10,6 @@ from .detkit import (
     s_functional,
 )
 from .identity import (
-    CertificateReport,
-    minor_scaling_check,
     specialization_certificate,
     verify_bt,
     verify_johnson_symbolic,
@@ -22,7 +19,6 @@ from .identity import (
 )
 from .matrix import (
     Matrix,
-    ToeplitzSpec,
     generic_skew_toeplitz,
     identity as identity_matrix,
     johnson_family,
@@ -30,7 +26,6 @@ from .matrix import (
     matrix_from_json,
     matrix_to_json,
     ones,
-    toeplitz_build,
 )
 from .numaccretive import (
     AccretiveWitness,
@@ -38,12 +33,12 @@ from .numaccretive import (
     psd_check,
     remark45_repro,
     search_complex_violation,
-    sqrt_psd,
     sym_eig,
     verify_accretive_inequality,
     verify_adjugate_accretive,
     verify_det_positive,
 )
+from .report import CertificateReport
 from .ring import ExactDivisionError, MultiPoly, variables
 
 __version__ = "0.1.0"
@@ -54,10 +49,8 @@ __all__ = [
     "ExactDivisionError",
     "Matrix",
     "MultiPoly",
-    "ToeplitzSpec",
     "accretive_factorize",
     "adjugate",
-    "det",
     "det_bareiss",
     "det_cofactor",
     "det_condensation",
@@ -68,16 +61,13 @@ __all__ = [
     "lower_shift",
     "matrix_from_json",
     "matrix_to_json",
-    "minor_scaling_check",
     "ones",
     "psd_check",
     "remark45_repro",
     "s_functional",
     "search_complex_violation",
     "specialization_certificate",
-    "sqrt_psd",
     "sym_eig",
-    "toeplitz_build",
     "variables",
     "verify_accretive_inequality",
     "verify_adjugate_accretive",

@@ -21,131 +21,93 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from . import identity as idmod
 from . import numaccretive as accmod
-from .detkit import COFACTOR_CAP, DET_ALGOS, det
+from .detkit import COFACTOR_CAP, DET_ALGOS
 from .matrix import Matrix, matrix_from_json, matrix_to_json
 from .ring import scalar_text
 from .rng import random_int_matrix, random_poly_matrix, substream
 
-__all__ = ["DEFAULT_SEED", "RunConfig", "load_matrix", "main", "run", "save_report"]
+__all__ = ["DEFAULT_SEED", "load_matrix", "main", "run", "save_report"]
 
 DEFAULT_SEED = 123456789
 
 
-@dataclass
-class RunConfig:
-    command: str
-    subcommand: str
-    n: int = 8
-    dim: int = 6
-    m: int = 7
-    order: int = 5
-    mode: str = "symbolic"
-    scalar: str = "rat"
-    algo: str = "bareiss"
-    trials: int = 50
-    iters: int = 10000
-    seed: int = DEFAULT_SEED
-    tol: float | None = None
-    max_n: int = idmod.DEFAULT_SYMBOLIC_CAP
-    init: str = "random"
-    out: str | None = None
-    fmt: str = "json"
+def run(args: argparse.Namespace):
+    """Dispatches validated arguments; returns (payload, all_verified)."""
+    return _HANDLERS[(args.command, args.subcommand)](args)
 
 
-def run(cfg: RunConfig):
-    """Dispatches a validated config; returns (payload, all_verified)."""
-    handler = _HANDLERS[(cfg.command, cfg.subcommand)]
-    return handler(cfg)
+def _seeded(reports, seed):
+    """Sorts reports by claim and stamps the run's seed on every one."""
+    reports = [replace(r, seed=seed) for r in sorted(reports, key=lambda r: r.claim)]
+    return reports, all(r.verified for r in reports)
 
 
-def _with_seed(reports, seed):
-    out = []
-    for r in reports:
-        out.append(
-            idmod.CertificateReport(
-                claim=r.claim,
-                status=r.status,
-                residual=r.residual,
-                instance=r.instance,
-                seed=seed if r.seed is None else r.seed,
-                tolerance=r.tolerance,
-            )
-        )
-    return out
-
-
-def _verify_johnson(cfg: RunConfig):
-    if cfg.mode == "symbolic":
-        reports = [idmod.verify_johnson_symbolic(cfg.n, max_n=cfg.max_n)]
+def _verify_johnson(args):
+    if args.mode == "symbolic":
+        reports = [idmod.verify_johnson_symbolic(args.n, max_n=args.max_n)]
     else:
         reports = idmod.johnson_numeric_suite(
-            cfg.n, cfg.trials, cfg.seed, tol=cfg.tol or 1e-9
+            args.n, args.trials, args.seed, tol=args.tol
         )
-    reports = _with_seed(sorted(reports, key=lambda r: r.claim), cfg.seed)
-    return reports, all(r.verified for r in reports)
+    return _seeded(reports, args.seed)
 
 
-def _verify_lemmas(cfg: RunConfig):
-    reports = _with_seed(idmod.lemmas_suite(cfg.n, cfg.trials, cfg.seed), cfg.seed)
-    return reports, all(r.verified for r in reports)
+def _verify_lemmas(args):
+    return _seeded(idmod.lemmas_suite(args.n, args.trials, args.seed), args.seed)
 
 
-def _verify_bt(cfg: RunConfig):
+def _verify_bt(args):
     reports = idmod.bt_suite(
-        cfg.dim, cfg.trials, cfg.seed, scalar=cfg.scalar, tol=cfg.tol or 1e-8
+        args.dim, args.trials, args.seed, scalar=args.scalar, tol=args.tol
     )
-    reports = _with_seed(sorted(reports, key=lambda r: r.claim), cfg.seed)
-    return reports, all(r.verified for r in reports)
+    return _seeded(reports, args.seed)
 
 
-def _verify_specialization(cfg: RunConfig):
-    reports = _with_seed([idmod.specialization_certificate(cfg.m)], cfg.seed)
-    return reports, all(r.verified for r in reports)
+def _verify_specialization(args):
+    return _seeded([idmod.specialization_certificate(args.m)], args.seed)
 
 
-def _verify_accretive(cfg: RunConfig):
-    reports = accmod.accretive_suite(
-        cfg.dim, cfg.trials, cfg.seed, tol=cfg.tol or 1e-8
-    )
-    reports = _with_seed(sorted(reports, key=lambda r: r.claim), cfg.seed)
-    return reports, all(r.verified for r in reports)
+def _verify_accretive(args):
+    reports = accmod.accretive_suite(args.dim, args.trials, args.seed, tol=args.tol)
+    return _seeded(reports, args.seed)
 
 
-def _repro_remark45(cfg: RunConfig):
+def _repro_remark45(args):
     return [accmod.remark45_repro()], True
 
 
-def _search_complex(cfg: RunConfig):
+def _search_complex(args):
     witnesses = accmod.search_complex_violation(
-        cfg.dim, cfg.iters, cfg.seed, init=cfg.init, tol=cfg.tol or 1e-6
+        args.dim, args.iters, args.seed, init=args.init, tol=args.tol
     )
     return witnesses, True
 
 
-def _bench_det(cfg: RunConfig):
+def _bench_det(args):
     rows = []
-    fn = DET_ALGOS[cfg.algo]
-    for t in range(cfg.trials):
-        stream = substream(cfg.seed, 4000 + t)
-        if cfg.scalar == "poly":
-            a = random_poly_matrix(stream, cfg.order)
+    fn = DET_ALGOS[args.algo]
+    for t in range(args.trials):
+        stream = substream(args.seed, 4000 + t)
+        if args.scalar == "poly":
+            a = random_poly_matrix(stream, args.order)
         else:
-            a = random_int_matrix(stream, cfg.order)
+            a = random_int_matrix(stream, args.order)
         t0 = time.perf_counter_ns()
         value = fn(a)
         nanos = time.perf_counter_ns() - t0
         digest = hashlib.sha256(scalar_text(value).encode()).hexdigest()[:16]
         rows.append(
             {
-                "algo": cfg.algo,
-                "order": cfg.order,
+                "algo": args.algo,
+                "order": args.order,
                 "trial": t,
                 "nanos": nanos,
                 "det_hash": digest,
@@ -258,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-n", type=int, default=idmod.DEFAULT_SYMBOLIC_CAP,
                    help="cap for the symbolic certificate")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-9)
 
     p = vsub.add_parser("lemmas", parents=[common],
                         help="reduced cases, skew facts, rank-one expansion")
@@ -270,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=5)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--scalar", choices=["rat", "real"], default="rat")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-8)
 
     p = vsub.add_parser("specialization", parents=[common],
                         help="exact values at b1 = 1, bk = 0")
@@ -280,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="accretive determinant/adjugate/inequality suite")
     p.add_argument("--dim", type=int, default=6)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-8)
 
     repro = top.add_parser("repro", help="reproduce hard-coded diagnostics")
     rsub = repro.add_subparsers(dest="subcommand", required=True)
@@ -294,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--init", choices=["random", "remark45"], default="random")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-6)
 
     bench = top.add_parser("bench", help="benchmark harness")
     bsub = bench.add_subparsers(dest="subcommand", required=True)
@@ -307,51 +269,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> RunConfig:
-    cfg = RunConfig(command=args.command, subcommand=args.subcommand)
-    for field in ("n", "dim", "m", "order", "mode", "scalar", "algo", "trials",
-                  "iters", "seed", "tol", "max_n", "init", "out", "fmt"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    key = (cfg.command, cfg.subcommand)
+def _validate(parser: argparse.ArgumentParser, args) -> None:
+    key = (args.command, args.subcommand)
     if key == ("verify", "johnson"):
-        if cfg.n < 2:
+        if args.n < 2:
             parser.error("--n must be at least 2 (the identity needs order >= 2)")
-        if cfg.mode == "symbolic" and cfg.n > cfg.max_n:
-            parser.error(f"--n exceeds the symbolic cap {cfg.max_n}; raise --max-n")
-    elif key == ("verify", "lemmas") and cfg.n < 3:
+        if args.mode == "symbolic" and args.n > args.max_n:
+            parser.error(f"--n exceeds the symbolic cap {args.max_n}; raise --max-n")
+    elif key == ("verify", "lemmas") and args.n < 3:
         parser.error("--n must be at least 3")
-    elif key in (("verify", "bt"), ("verify", "accretive")) and cfg.dim < 2:
+    elif key in (("verify", "bt"), ("verify", "accretive")) and args.dim < 2:
         parser.error("--dim must be at least 2")
-    elif key == ("verify", "specialization") and cfg.m < 2:
+    elif key == ("verify", "specialization") and args.m < 2:
         parser.error("--m must be at least 2")
     elif key == ("search", "complex"):
-        if cfg.dim < 2:
+        if args.dim < 2:
             parser.error("--dim must be at least 2")
-        if cfg.init == "remark45" and cfg.dim != 4:
+        if args.init == "remark45" and args.dim != 4:
             parser.error("--init remark45 requires --dim 4")
     elif key == ("bench", "det"):
-        if cfg.order < 1:
+        if args.order < 1:
             parser.error("--order must be at least 1")
-        if cfg.algo == "cofactor" and cfg.order > COFACTOR_CAP:
+        if args.algo == "cofactor" and args.order > COFACTOR_CAP:
             parser.error(f"--order is capped at {COFACTOR_CAP} for the cofactor oracle")
-    if cfg.trials < 0 or cfg.iters < 0:
+    if getattr(args, "trials", 0) < 0 or getattr(args, "iters", 0) < 0:
         parser.error("--trials/--iters must be non-negative")
-    return cfg
+    if not 0 <= getattr(args, "tol", 0) < math.inf:
+        parser.error("--tol must be a finite non-negative number")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _validate(parser, args)
+    _validate(parser, args)
     try:
-        payload, ok = run(cfg)
+        payload, ok = run(args)
     except accmod.ConvergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = _render(payload, cfg.fmt)
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    text = _render(payload, args.fmt)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

@@ -3,13 +3,14 @@
 Two production engines:
 
 - ``det_bareiss`` serves ints, rationals and floats, and the polynomial
-  lemma certificates: one-step fraction-free elimination whose every
+  skew-adjugate facts: one-step fraction-free elimination whose every
   intermediate division is exact over an integral domain (floating matrices
   run the same sweep with magnitude pivoting).
-- ``leading_row_minors`` serves the symbolic Johnson certificate over
-  Z[b1..bk]: the division-free memoized row expansion, which returns several
-  minors on the same leading rows from one pass and never divides, so its
-  intermediate results are sub-minors and stay small where Bareiss swells.
+- ``leading_row_minors`` serves the symbolic Johnson certificate and the
+  reduced case over Z[b1..bk]: the division-free memoized row expansion,
+  which returns several minors on the same leading rows from one pass and
+  never divides, so its intermediate results are sub-minors and stay small
+  where Bareiss swells.
 
 ``det_cofactor`` (Laplace expansion, order <= 7) and ``det_condensation``
 are oracles.  Condensation iterates the 2x2 recurrence
@@ -36,7 +37,6 @@ __all__ = [
     "COFACTOR_CAP",
     "DET_ALGOS",
     "adjugate",
-    "det",
     "det_bareiss",
     "det_cofactor",
     "det_condensation",
@@ -244,13 +244,6 @@ def s_functional(x: Matrix):
     for e in adjugate(x).entries():
         acc = acc + e
     return acc
-
-
-def det(a: Matrix, algo: str = "bareiss"):
-    try:
-        return DET_ALGOS[algo](a)
-    except KeyError:
-        raise ValueError(f"unknown determinant algorithm {algo!r}") from None
 
 
 DET_ALGOS = {

@@ -14,7 +14,7 @@ of reports with deterministic, label-sorted claims.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 from typing import Any
 
@@ -23,22 +23,21 @@ from .matrix import (
     Matrix,
     generic_skew_toeplitz,
     identity as identity_matrix,
+    is_skew_symmetric,
     johnson_family,
     lower_shift,
-    matrix_to_json,
     ones,
     outer,
 )
-from .ring import MultiPoly, is_floating, scalar_text
-from .rng import SplitMix64, random_int_matrix, substream
+from .report import CertificateReport, verdict
+from .ring import is_floating, scalar_text
+from .rng import random_int_matrix, random_skew_int, substream
 
 __all__ = [
     "DEFAULT_SYMBOLIC_CAP",
-    "CertificateReport",
     "bt_suite",
     "johnson_numeric_suite",
     "lemmas_suite",
-    "minor_scaling_check",
     "rankone_suite",
     "specialization_certificate",
     "verify_bt",
@@ -49,59 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_SYMBOLIC_CAP = 10
-
-VERIFIED = "verified"
-REFUTED = "refuted"
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of one verification claim.
-
-    ``residual`` is the text of a polynomial (exact claims, verified means it
-    is "0") or a float magnitude (numeric claims, verified means it is within
-    ``tolerance``).  ``instance`` describes the input or its construction
-    parameters; ``seed`` is set whenever randomness was involved.
-    """
-
-    claim: str
-    status: str
-    residual: str | float
-    instance: Any = None
-    seed: int | None = None
-    tolerance: float | None = None
-
-    @property
-    def verified(self) -> bool:
-        return self.status == VERIFIED
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "status": self.status,
-            "residual": _jsonable(self.residual),
-            "instance": _jsonable(self.instance),
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
-
-
-def _jsonable(x):
-    if isinstance(x, Matrix):
-        return matrix_to_json(x)
-    if isinstance(x, (MultiPoly, Fraction)):
-        return scalar_text(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
-def _status(ok: bool) -> str:
-    return VERIFIED if ok else REFUTED
 
 
 # -- the main symbolic certificate ---------------------------------------
@@ -122,7 +68,7 @@ def verify_johnson_symbolic(n: int, max_n: int = DEFAULT_SYMBOLIC_CAP) -> Certif
     residual = d12 + d21 - 2 * d11
     return CertificateReport(
         claim=f"johnson_symbolic_n{n}",
-        status=_status(residual == 0),
+        status=verdict(residual == 0),
         residual=scalar_text(residual),
         instance={"n": n, "nvars": n - 1},
     )
@@ -132,20 +78,24 @@ def verify_reduced_case(n: int) -> CertificateReport:
     """Certifies the parity-reduced identity on the skew blocks K = B_m(1,1),
     C = B_m(1,2) of the generic skew Toeplitz B (m = n-1): det C = det K for
     even m, and s(C) = s(K) together with s(K)^2 = s(C)^2 for odd m (the two
-    squares are formed independently from each factor)."""
+    squares are formed independently from each factor).
+
+    K and C share the rows 1..m, so one row expansion of B gives both
+    determinants; for odd m a second one of J_n + B gives det(J + K) and
+    det(J + C), and s(X) = det(J + X) - det(X) by the rank-one expansion."""
     if n < 3:
         raise ValueError(f"reduced case needs order >= 3, got {n}")
-    b = generic_skew_toeplitz(n)
     m = n - 1
-    k_blk = b.block(m, 1, 1)
-    c_blk = b.block(m, 1, 2)
+    blocks = [range(m), range(1, n)]
+    det_k, det_c = leading_row_minors(generic_skew_toeplitz(n), blocks)
     if m % 2 == 0:
-        residual = det_bareiss(c_blk) - det_bareiss(k_blk)
+        residual = det_c - det_k
         ok = residual == 0
         instance = {"m": m, "parity": "even"}
     else:
-        s_k = s_functional(k_blk)
-        s_c = s_functional(c_blk)
+        det_jk, det_jc = leading_row_minors(johnson_family(n), blocks)
+        s_k = det_jk - det_k
+        s_c = det_jc - det_c
         residual = s_c - s_k
         square_residual = s_k * s_k - s_c * s_c
         ok = residual == 0 and square_residual == 0
@@ -156,7 +106,7 @@ def verify_reduced_case(n: int) -> CertificateReport:
         }
     return CertificateReport(
         claim=f"reduced_case_n{n}",
-        status=_status(ok),
+        status=verdict(ok),
         residual=scalar_text(residual),
         instance=instance,
     )
@@ -172,21 +122,20 @@ def verify_rank_one_expansion(x: Matrix, t, tol: float = 1e-9) -> CertificateRep
     m = x.rows
     lhs = det_bareiss(x + t * ones(m))
     residual = lhs - det_bareiss(x) - t * s_functional(x)
+    tolerance = None
     if is_floating(residual):
-        scale = max(1.0, abs(lhs))
-        ok = abs(residual) <= tol * scale
-        return CertificateReport(
-            claim=f"rankone_expansion_m{m}",
-            status=_status(ok),
-            residual=abs(residual),
-            instance={"m": m, "t": _jsonable(t)},
-            tolerance=tol,
-        )
+        residual = abs(residual)
+        ok = residual <= tol * max(1.0, abs(lhs))
+        tolerance = tol
+    else:
+        ok = residual == 0
+        residual = scalar_text(residual)
     return CertificateReport(
         claim=f"rankone_expansion_m{m}",
-        status=_status(residual == 0),
-        residual=scalar_text(residual),
-        instance={"m": m, "t": _jsonable(t)},
+        status=verdict(ok),
+        residual=residual,
+        instance={"m": m, "t": t},
+        tolerance=tolerance,
     )
 
 
@@ -197,7 +146,7 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     if not y.is_square:
         raise ValueError("skew facts need a square matrix")
     m = y.rows
-    if any(y[i, j] != -y[j, i] for i in range(m) for j in range(i, m)):
+    if not is_skew_symmetric(y):
         raise ValueError("input is not skew-symmetric")
     adj = adjugate(y)
     sign = 1 if m % 2 else -1
@@ -216,7 +165,7 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     instance["adjugate_transpose_identity"] = bool(transpose_ok)
     return CertificateReport(
         claim=f"skew_facts_m{m}",
-        status=_status(ok),
+        status=verdict(ok),
         residual=residual,
         instance=instance,
     )
@@ -280,7 +229,7 @@ def specialization_certificate(m: int) -> CertificateReport:
         residual = scalar_text((s_c - expected_s) + (s_k - expected_s))
     return CertificateReport(
         claim=f"specialization_m{m}",
-        status=_status(ok),
+        status=verdict(ok),
         residual=residual,
         instance=checks,
     )
@@ -289,59 +238,6 @@ def specialization_certificate(m: int) -> CertificateReport:
 def _specialized_k(m: int) -> Matrix:
     shift = lower_shift(m)
     return shift.T - shift
-
-
-def minor_scaling_check(a: Matrix, w, blocks) -> CertificateReport:
-    """Certifies the diagonal-congruence scaling relation on contiguous
-    blocks: with B = D^{-1} A D^{-1}, D = diag(w), the determinant of each
-    block of B times the row and column weight products recovers the
-    corresponding block determinant of A."""
-    if not a.is_square:
-        raise ValueError("scaling check needs a square matrix")
-    n = a.rows
-    if len(w) != n:
-        raise ValueError(f"weight vector must have length {n}")
-    if any(not wi for wi in w):
-        raise ValueError("weights must be nonzero")
-    floating = any(is_floating(x) for x in list(a.entries()) + list(w))
-    if floating:
-        scaled = [[a[i, j] / (w[i] * w[j]) for j in range(n)] for i in range(n)]
-    else:
-        scaled = [
-            [Fraction(a[i, j]) / (Fraction(w[i]) * Fraction(w[j])) for j in range(n)]
-            for i in range(n)
-        ]
-    b = Matrix.from_rows(scaled)
-    worst = 0.0
-    ok = True
-    checked = []
-    for (r, i, j) in blocks:
-        row_prod = math.prod(w[i - 1:i - 1 + r]) if floating else math.prod(
-            (Fraction(x) for x in w[i - 1:i - 1 + r]), start=Fraction(1)
-        )
-        col_prod = math.prod(w[j - 1:j - 1 + r]) if floating else math.prod(
-            (Fraction(x) for x in w[j - 1:j - 1 + r]), start=Fraction(1)
-        )
-        lhs = det_bareiss(b.block(r, i, j)) * row_prod * col_prod
-        rhs = det_bareiss(a.block(r, i, j))
-        diff = lhs - rhs
-        checked.append([r, i, j])
-        if floating:
-            rel = abs(diff) / max(1.0, abs(rhs))
-            worst = max(worst, rel)
-            ok = ok and rel <= 1e-9
-        else:
-            ok = ok and diff == 0
-            if diff != 0:
-                worst = float("inf")
-    residual = worst if floating else ("0" if ok else "nonzero")
-    return CertificateReport(
-        claim=f"minor_scaling_n{n}",
-        status=_status(ok),
-        residual=residual,
-        instance={"n": n, "blocks": checked},
-        tolerance=1e-9 if floating else None,
-    )
 
 
 def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
@@ -366,7 +262,7 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
             1.0, max(abs(x) for x in skew.entries())
         ):
             raise ValueError("first argument is not skew-symmetric")
-    elif any(skew[i, j] != -skew[j, i] for i in range(n) for j in range(i, n)):
+    elif not is_skew_symmetric(skew):
         raise ValueError("first argument is not skew-symmetric")
     if all(not x for x in w):
         raise ValueError("weight vector must be nonzero")
@@ -377,7 +273,7 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
     d22 = det_bareiss(a.block(m, 2, 2))
     d12 = det_bareiss(a.block(m, 1, 2))
     d21 = det_bareiss(a.block(m, 2, 1))
-    instance = {"n": n, "alpha": _jsonable(alpha), "w": _jsonable(list(w))}
+    instance = {"n": n, "alpha": alpha, "w": list(w)}
     if floating:
         lhs = math.sqrt(max(d11 * d22, 0.0))
         rhs = abs((d12 + d21) / 2.0)
@@ -385,7 +281,7 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
         residual = abs(lhs - rhs)
         return CertificateReport(
             claim=f"bt_n{n}",
-            status=_status(residual <= tol * scale),
+            status=verdict(residual <= tol * scale),
             residual=residual,
             instance=instance,
             tolerance=tol,
@@ -394,7 +290,7 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
     residual = Fraction(d11) * Fraction(d22) - half_sum * half_sum
     return CertificateReport(
         claim=f"bt_n{n}",
-        status=_status(residual == 0),
+        status=verdict(residual == 0),
         residual=scalar_text(residual),
         instance=instance,
     )
@@ -433,7 +329,7 @@ def johnson_numeric_suite(
         reports.append(
             CertificateReport(
                 claim=f"johnson_numeric_t{t:03d}",
-                status=_status(residual <= tol * scale),
+                status=verdict(residual <= tol * scale),
                 residual=residual,
                 instance={"n": n, "b": b},
                 seed=seed,
@@ -451,15 +347,7 @@ def rankone_suite(trials: int, seed: int, order: int = 5) -> list[CertificateRep
         x = random_int_matrix(stream, order)
         t_val = stream.randint(-5, 5)
         rep = verify_rank_one_expansion(x, t_val)
-        reports.append(
-            CertificateReport(
-                claim=f"rankone_expansion_t{t:03d}",
-                status=rep.status,
-                residual=rep.residual,
-                instance=rep.instance,
-                seed=seed,
-            )
-        )
+        reports.append(replace(rep, claim=f"rankone_expansion_t{t:03d}", seed=seed))
     return reports
 
 
@@ -491,13 +379,7 @@ def bt_suite(
         stream = substream(seed, 2000 + t)
         n = stream.randint(2, dim)
         if scalar == "rat":
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = stream.randint(-4, 4)
-                    rows[i][j] = v
-                    rows[j][i] = -v
-            skew = Matrix.from_rows(rows)
+            skew = random_skew_int(stream, n, bound=4)
             alpha = stream.randint(-5, 5)
             w = [stream.randint(-4, 4) for _ in range(n)]
         else:
@@ -515,14 +397,5 @@ def bt_suite(
         if all(not x for x in w):
             w[0] = 1.0 if scalar == "real" else 1
         rep = verify_bt(skew, alpha, w, tol=tol)
-        reports.append(
-            CertificateReport(
-                claim=f"bt_{scalar}_t{t:03d}",
-                status=rep.status,
-                residual=rep.residual,
-                instance=rep.instance,
-                seed=seed,
-                tolerance=rep.tolerance,
-            )
-        )
+        reports.append(replace(rep, claim=f"bt_{scalar}_t{t:03d}", seed=seed))
     return reports

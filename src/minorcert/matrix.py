@@ -1,7 +1,7 @@
 """Dense matrices over any scalar kind, with the structured constructors used
-throughout the toolkit: Toeplitz matrices from their diagonal constants, the
-all-ones/identity/shift matrices, the generic skew-symmetric Toeplitz family
-over Z[b1..b_{n-1}], and contiguous-block extraction.
+throughout the toolkit: the all-ones/identity/shift matrices, the generic
+skew-symmetric Toeplitz family over Z[b1..b_{n-1}] and the Johnson family
+built on it, and contiguous-block extraction.
 
 Contiguous blocks use the 1-based A_r(i, j) convention (the r x r submatrix
 whose top-left corner sits at row i, column j); raw entry access ``A[i, j]``
@@ -10,14 +10,12 @@ stays 0-based like everything else in Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import MultiPoly, variables
 
 __all__ = [
     "Matrix",
-    "ToeplitzSpec",
     "generic_skew_toeplitz",
     "identity",
     "is_skew_symmetric",
@@ -25,11 +23,9 @@ __all__ = [
     "lower_shift",
     "matrix_from_json",
     "matrix_to_json",
-    "matvec",
     "max_abs",
     "ones",
     "outer",
-    "toeplitz_build",
     "zeros",
 ]
 
@@ -186,30 +182,6 @@ class Matrix:
             )
 
 
-@dataclass(frozen=True)
-class ToeplitzSpec:
-    """Order n plus the 2n-1 diagonal constants c_{-(n-1)}..c_{n-1}; the built
-    matrix has a_{ij} = c_{j-i}."""
-
-    n: int
-    diags: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "diags", tuple(self.diags))
-        if self.n < 1:
-            raise ValueError("order must be at least 1")
-        if len(self.diags) != 2 * self.n - 1:
-            raise ValueError(
-                f"diags: expected {2 * self.n - 1} constants, got {len(self.diags)}"
-            )
-
-
-def toeplitz_build(spec: ToeplitzSpec) -> Matrix:
-    n = spec.n
-    d = spec.diags
-    return Matrix(n, n, [d[j - i + n - 1] for i in range(n) for j in range(n)])
-
-
 def zeros(rows: int, cols: int | None = None) -> Matrix:
     cols = rows if cols is None else cols
     return Matrix(rows, cols, [0] * (rows * cols))
@@ -267,18 +239,6 @@ def is_skew_symmetric(a: Matrix) -> bool:
 def outer(u, v=None) -> Matrix:
     v = u if v is None else v
     return Matrix(len(u), len(v), [x * y for x in u for y in v])
-
-
-def matvec(a: Matrix, x) -> list:
-    if a.cols != len(x):
-        raise ValueError(f"cannot apply {a.rows}x{a.cols} to a vector of {len(x)}")
-    out = []
-    for i in range(a.rows):
-        acc = 0
-        for j in range(a.cols):
-            acc = acc + a[i, j] * x[j]
-        out.append(acc)
-    return out
 
 
 def max_abs(a: Matrix):

@@ -2,10 +2,10 @@
 
 A real matrix is accretive when its symmetric part (A + A^T)/2 is positive
 semidefinite, strictly accretive when that part is positive definite.  This
-module provides the numeric machinery (cyclic Jacobi eigensolver, PSD checks
-and square roots, the congruence factorization A = H^{1/2}(I + S)H^{1/2} with
-S skew), the verifiers for determinant positivity, adjugate accretivity and
-the contiguous-minor inequality
+module provides the numeric machinery (cyclic Jacobi eigensolver, PSD check,
+the congruence factorization A = H^{1/2}(I + S)H^{1/2} with S skew), the
+verifiers for determinant positivity, adjugate accretivity and the
+contiguous-minor inequality
 
     sqrt(det A_{n-1}(1,1) det A_{n-1}(2,2))
         >= |(det A_{n-1}(1,2) + det A_{n-1}(2,1)) / 2|,
@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .detkit import adjugate, det_bareiss
-from .identity import VERIFIED, CertificateReport, _jsonable, _status
 from .matrix import Matrix, identity as identity_matrix, matrix_to_json, max_abs
+from .report import CertificateReport, jsonable, verdict
 from .rng import SplitMix64, substream
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "remark45_matrix",
     "remark45_repro",
     "search_complex_violation",
-    "sqrt_psd",
     "sym_eig",
     "verify_accretive_inequality",
     "verify_adjugate_accretive",
@@ -79,10 +78,10 @@ class AccretiveWitness:
             "label": self.label,
             "matrix": matrix_to_json(self.matrix),
             "minors": {
-                "d11": _jsonable(d11),
-                "d22": _jsonable(d22),
-                "d12": _jsonable(d12),
-                "d21": _jsonable(d21),
+                "d11": jsonable(d11),
+                "d22": jsonable(d22),
+                "d12": jsonable(d12),
+                "d21": jsonable(d21),
             },
             "lhs": self.lhs,
             "rhs": self.rhs,
@@ -168,16 +167,6 @@ def psd_check(h: Matrix, tol: float = 1e-10) -> bool:
     return lam_min >= -tol * max(1.0, lam_max)
 
 
-def sqrt_psd(h: Matrix, tol: float = 1e-10) -> Matrix:
-    """Symmetric PSD square root via the eigendecomposition; eigenvalues in
-    the -tol noise band are clamped to zero."""
-    if not psd_check(h, tol):
-        raise ValueError("matrix is not positive semidefinite")
-    eig = sym_eig(h)
-    root = _assemble(eig, [math.sqrt(max(v, 0.0)) for v in eig.values])
-    return _symmetrize(root)
-
-
 def _assemble(eig: EigenResult, diag_values) -> Matrix:
     q = eig.vectors
     n = q.rows
@@ -185,10 +174,6 @@ def _assemble(eig: EigenResult, diag_values) -> Matrix:
         n, n, [q[i, j] * diag_values[j] for i in range(n) for j in range(n)]
     )
     return scaled @ q.T
-
-
-def _symmetrize(a: Matrix) -> Matrix:
-    return (a + a.T) / 2.0
 
 
 def _sym_part(a: Matrix) -> Matrix:
@@ -241,8 +226,8 @@ def accretive_factorize(a: Matrix, tol: float = 1e-10):
     lam_min, lam_max = eig.values[0], eig.values[-1]
     if lam_max <= 0 or lam_min <= tol * lam_max:
         raise ValueError("symmetric part is not strictly positive definite")
-    h_sqrt = _symmetrize(_assemble(eig, [math.sqrt(v) for v in eig.values]))
-    h_isqrt = _symmetrize(_assemble(eig, [1.0 / math.sqrt(v) for v in eig.values]))
+    h_sqrt = _sym_part(_assemble(eig, [math.sqrt(v) for v in eig.values]))
+    h_isqrt = _sym_part(_assemble(eig, [1.0 / math.sqrt(v) for v in eig.values]))
     s = h_isqrt @ skew @ h_isqrt
     skew_res = max_abs(s + s.T)
     eye = identity_matrix(n).map(float)
@@ -255,7 +240,7 @@ def accretive_factorize(a: Matrix, tol: float = 1e-10):
     ok = skew_res <= 1e-9 and recon_res <= 1e-8 and inv_res <= 1e-8
     report = CertificateReport(
         claim=f"accretive_factorization_n{n}",
-        status=_status(ok),
+        status=verdict(ok),
         residual=max(skew_res, recon_res, inv_res),
         instance={
             "n": n,
@@ -290,7 +275,7 @@ def verify_det_positive(a: Matrix, tol: float = 1e-9) -> CertificateReport:
     if strict:
         _, s, _ = accretive_factorize(a)
         neg_s2 = -(s @ s)
-        nu = sorted((max(v, 0.0) for v in sym_eig(_symmetrize(neg_s2)).values), reverse=True)
+        nu = sorted((max(v, 0.0) for v in sym_eig(_sym_part(neg_s2)).values), reverse=True)
         prod = 1.0
         for i in range(0, n - 1, 2):
             prod *= 1.0 + (nu[i] + nu[i + 1]) / 2.0
@@ -300,7 +285,7 @@ def verify_det_positive(a: Matrix, tol: float = 1e-9) -> CertificateReport:
         ok = ok and d > 0 and rel <= 1e-6
     return CertificateReport(
         claim=f"det_positive_n{n}",
-        status=_status(ok),
+        status=verdict(ok),
         residual=residual,
         instance=instance,
         tolerance=tol,
@@ -319,7 +304,7 @@ def verify_adjugate_accretive(a: Matrix, tol: float = 1e-8) -> CertificateReport
     residual = max(0.0, -lam_min / max(1.0, lam_max))
     return CertificateReport(
         claim=f"adjugate_accretive_n{a.rows}",
-        status=_status(residual <= tol),
+        status=verdict(residual <= tol),
         residual=residual,
         instance={"n": a.rows, "lambda_min": lam_min, "lambda_max": lam_max},
         tolerance=tol,
@@ -423,7 +408,7 @@ def accretive_suite(
         reports.append(
             CertificateReport(
                 claim=f"accretive_t{t:03d}",
-                status=_status(ok),
+                status=verdict(ok),
                 residual=worst,
                 instance=checks,
                 seed=seed,

@@ -1,0 +1,69 @@
+"""The certificate report: the outcome of one verification claim, and its
+JSON form, which is the byte-level contract of the ``verify`` commands.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any
+
+from .matrix import Matrix, matrix_to_json
+from .ring import MultiPoly, scalar_text
+
+__all__ = ["REFUTED", "VERIFIED", "CertificateReport", "jsonable", "verdict"]
+
+VERIFIED = "verified"
+REFUTED = "refuted"
+
+
+@dataclass(frozen=True)
+class CertificateReport:
+    """Outcome of one verification claim.
+
+    ``residual`` is the text of a polynomial (exact claims, verified means it
+    is "0") or a float magnitude (numeric claims, verified means it is within
+    ``tolerance``).  ``instance`` describes the input or its construction
+    parameters; ``seed`` is set whenever randomness was involved.
+    """
+
+    claim: str
+    status: str
+    residual: str | float
+    instance: Any = None
+    seed: int | None = None
+    tolerance: float | None = None
+
+    @property
+    def verified(self) -> bool:
+        return self.status == VERIFIED
+
+    def to_json(self) -> dict:
+        return {
+            "claim": self.claim,
+            "status": self.status,
+            "residual": jsonable(self.residual),
+            "instance": jsonable(self.instance),
+            "seed": self.seed,
+            "tolerance": self.tolerance,
+        }
+
+
+def verdict(ok: bool) -> str:
+    return VERIFIED if ok else REFUTED
+
+
+def jsonable(x):
+    """JSON form of a report value: matrices in the wire format, exact
+    scalars as canonical text, complex numbers as [re, im] pairs."""
+    if isinstance(x, Matrix):
+        return matrix_to_json(x)
+    if isinstance(x, (MultiPoly, Fraction)):
+        return scalar_text(x)
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    return x

@@ -20,9 +20,6 @@ __all__ = [
     "MultiPoly",
     "exact_div",
     "is_floating",
-    "poly_eval",
-    "poly_is_zero",
-    "poly_mul",
     "scalar_text",
     "variables",
 ]
@@ -373,18 +370,6 @@ def _pack(nvars: int, exps) -> int:
 def variables(nvars: int) -> tuple[MultiPoly, ...]:
     """The generators b1..bk of Z[b1..bk]."""
     return tuple(MultiPoly.var(i, nvars) for i in range(1, nvars + 1))
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def poly_eval(p: MultiPoly, assignment):
-    return p.evaluate(assignment)
-
-
-def poly_is_zero(p: MultiPoly) -> bool:
-    return p.is_zero
 
 
 def is_floating(x) -> bool:

@@ -7,15 +7,14 @@ Independent substreams come from mixing a stream index into the master seed
 with the same finalizer, so claim k always sees the same stream regardless of
 execution order or parallelism.
 
-Also hosts the seeded instance samplers (integer, rational, polynomial and
-skew matrices) shared by the verification suites, the benchmark harness and
+Also hosts the seeded instance samplers (integer, polynomial and skew
+matrices) shared by the verification suites, the benchmark harness and
 the tests.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .matrix import Matrix
 from .ring import MultiPoly
@@ -23,7 +22,6 @@ from .ring import MultiPoly
 __all__ = [
     "SplitMix64",
     "substream",
-    "random_fraction_matrix",
     "random_int_matrix",
     "random_poly",
     "random_poly_matrix",
@@ -79,19 +77,6 @@ def substream(master_seed: int, index: int) -> SplitMix64:
 
 def random_int_matrix(stream: SplitMix64, n: int, lo: int = -9, hi: int = 9) -> Matrix:
     return Matrix(n, n, [stream.randint(lo, hi) for _ in range(n * n)])
-
-
-def random_fraction_matrix(
-    stream: SplitMix64, n: int, num: int = 6, den: int = 4
-) -> Matrix:
-    return Matrix(
-        n,
-        n,
-        [
-            Fraction(stream.randint(-num, num), stream.randint(1, den))
-            for _ in range(n * n)
-        ],
-    )
 
 
 def random_skew_int(stream: SplitMix64, n: int, bound: int = 5) -> Matrix:

@@ -192,7 +192,38 @@ def test_save_report(tmp_path):
     assert docs[0]["claim"] == "johnson_symbolic_n3"
 
 
-def test_run_config_dispatch():
-    cfg = cli.RunConfig(command="verify", subcommand="johnson", n=3)
-    payload, ok = cli.run(cfg)
-    assert ok and payload[0].verified
+@pytest.mark.parametrize("argv", [
+    ["verify", "johnson", "--n", "4"],
+    ["verify", "johnson", "--mode", "numeric", "--n", "5", "--trials", "3"],
+    ["verify", "lemmas", "--n", "4", "--trials", "2"],
+    ["verify", "bt", "--dim", "3", "--trials", "3", "--scalar", "rat"],
+    ["verify", "bt", "--dim", "3", "--trials", "3", "--scalar", "real"],
+    ["verify", "specialization", "--m", "4"],
+    ["verify", "accretive", "--dim", "3", "--trials", "3"],
+])
+def test_every_verify_report_carries_the_cli_seed(tmp_path, argv):
+    _, raw = run_to_file(tmp_path, "seed.json", argv + ["--seed", "7"])
+    docs = json.loads(raw)
+    assert docs and all(d["seed"] == 7 for d in docs)
+
+
+def test_tol_zero_reaches_the_report(tmp_path):
+    _, raw = run_to_file(
+        tmp_path, "t0.json",
+        ["verify", "johnson", "--mode", "numeric", "--n", "5", "--trials", "3",
+         "--tol", "0"],
+    )
+    assert all(d["tolerance"] == 0.0 for d in json.loads(raw))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "johnson", "--mode", "numeric"],
+    ["verify", "bt", "--scalar", "real"],
+    ["verify", "accretive"],
+    ["search", "complex"],
+])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_out_of_range_tol_is_a_usage_error(argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--tol", tol])
+    assert exc.value.code == 2

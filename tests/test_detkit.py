@@ -2,8 +2,8 @@ import pytest
 from fractions import Fraction
 
 from minorcert.detkit import (
+    DET_ALGOS,
     adjugate,
-    det,
     det_bareiss,
     det_cofactor,
     det_condensation,
@@ -173,10 +173,9 @@ def test_fraction_determinant():
 
 
 def test_det_dispatcher():
-    assert det(HAND_EXAMPLE) == -3
-    assert det(HAND_EXAMPLE, algo="condensation") == -3
-    with pytest.raises(ValueError):
-        det(HAND_EXAMPLE, algo="lu")
+    # `bench det` looks its engine up in this table by name
+    assert sorted(DET_ALGOS) == ["bareiss", "cofactor", "condensation"]
+    assert all(fn(HAND_EXAMPLE) == -3 for fn in DET_ALGOS.values())
 
 
 def _whole(a):

@@ -1,13 +1,12 @@
 import pytest
 from fractions import Fraction
 
-from minorcert.detkit import adjugate, det_bareiss, s_functional
+from minorcert.detkit import adjugate, det_bareiss, leading_row_minors, s_functional
 from minorcert.identity import (
     DEFAULT_SYMBOLIC_CAP,
     bt_suite,
     johnson_numeric_suite,
     lemmas_suite,
-    minor_scaling_check,
     rankone_suite,
     specialization_certificate,
     verify_bt,
@@ -26,7 +25,7 @@ from minorcert.matrix import (
     zeros,
 )
 from minorcert.ring import MultiPoly, variables
-from minorcert.rng import random_fraction_matrix, random_skew_int, substream
+from minorcert.rng import random_skew_int, substream
 
 
 def test_johnson_n2_direct():
@@ -102,6 +101,19 @@ def test_reduced_case_specialized_determinants_are_one():
     c_num = b.block(4, 1, 2).map(lambda p: p.evaluate(point))
     assert det_bareiss(k_num) == 1
     assert det_bareiss(c_num) == 1
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_reduced_case_lemma_s_matches_adjugate_form(n):
+    # the reduced case takes s(X) = det(J + X) - det(X) from two row
+    # expansions; the adjugate form 1^T adj(X) 1 is the independent oracle
+    m = n - 1
+    b = generic_skew_toeplitz(n)
+    blocks = [range(m), range(1, n)]
+    det_k, det_c = leading_row_minors(b, blocks)
+    det_jk, det_jc = leading_row_minors(johnson_family(n), blocks)
+    assert det_jk - det_k == s_functional(b.block(m, 1, 1))
+    assert det_jc - det_c == s_functional(b.block(m, 1, 2))
 
 
 def test_reduced_case_rejects_small_order():
@@ -216,31 +228,6 @@ def test_specialization_matches_generic_blocks():
 def test_specialization_rejects_small():
     with pytest.raises(ValueError):
         specialization_certificate(1)
-
-
-def test_minor_scaling_trivial_weights():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    rep = minor_scaling_check(a, [1, 1], [(1, 1, 1), (1, 2, 2)])
-    assert rep.verified
-
-
-def test_minor_scaling_identity_example():
-    rep = minor_scaling_check(identity(3), [1, 2, 3], [(2, 1, 1)])
-    assert rep.verified
-
-
-def test_minor_scaling_random_rational():
-    for t in range(30):
-        stream = substream(606, t)
-        a = random_fraction_matrix(stream, 5)
-        w = [stream.randint(1, 5) for _ in range(5)]
-        blocks = [(4, 1, 1), (4, 2, 2), (4, 1, 2), (4, 2, 1)]
-        assert minor_scaling_check(a, w, blocks).verified
-
-
-def test_minor_scaling_rejects_zero_weight():
-    with pytest.raises(ValueError):
-        minor_scaling_check(identity(2), [1, 0], [(1, 1, 1)])
 
 
 def test_bt_trivial_all_ones():

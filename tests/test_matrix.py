@@ -3,7 +3,6 @@ from fractions import Fraction
 
 from minorcert.matrix import (
     Matrix,
-    ToeplitzSpec,
     generic_skew_toeplitz,
     identity,
     is_skew_symmetric,
@@ -13,35 +12,11 @@ from minorcert.matrix import (
     matrix_to_json,
     ones,
     outer,
-    toeplitz_build,
     zeros,
 )
 from minorcert.numaccretive import remark45_matrix
 from minorcert.ring import MultiPoly, variables
 from minorcert.rng import random_int_matrix, substream
-
-
-def test_toeplitz_build_small():
-    spec = ToeplitzSpec(2, (3, 1, 2))
-    assert toeplitz_build(spec) == Matrix.from_rows([[1, 2], [3, 1]])
-    assert toeplitz_build(ToeplitzSpec(3, (1,) * 5)) == ones(3)
-
-
-def test_toeplitz_spec_validation():
-    with pytest.raises(ValueError):
-        ToeplitzSpec(3, (1, 2, 3))
-    with pytest.raises(ValueError):
-        ToeplitzSpec(0, ())
-
-
-def test_toeplitz_shift_invariance_exhaustive():
-    stream = substream(31, 0)
-    n = 6
-    diags = tuple(stream.randint(-9, 9) for _ in range(2 * n - 1))
-    a = toeplitz_build(ToeplitzSpec(n, diags))
-    for i in range(n - 1):
-        for j in range(n - 1):
-            assert a[i, j] == a[i + 1, j + 1]
 
 
 def test_generic_skew_toeplitz_small():
@@ -96,7 +71,7 @@ def test_johnson_family_specializes_to_numeric_rebuild():
 
 def test_block_examples():
     assert identity(3).block(2, 1, 2) == Matrix.from_rows([[0, 0], [1, 0]])
-    a = toeplitz_build(ToeplitzSpec(4, tuple(range(-3, 4))))
+    a = johnson_family(4)
     for r in range(1, 4):
         assert a.block(r, 1, 1) == a.block(r, 2, 2)
     b = generic_skew_toeplitz(4)

@@ -12,7 +12,6 @@ from minorcert.numaccretive import (
     remark45_matrix,
     remark45_repro,
     search_complex_violation,
-    sqrt_psd,
     sym_eig,
     verify_accretive_inequality,
     verify_adjugate_accretive,
@@ -61,20 +60,6 @@ def test_psd_check():
     assert psd_check(identity(3).map(float))
     assert not psd_check(_diag([1.0, -1.0]))
     assert psd_check(ones(4).map(float))  # rank one, spectrum {4, 0, 0, 0}
-
-
-def test_sqrt_psd():
-    assert max_abs(sqrt_psd(identity(2).map(float)) - identity(2).map(float)) < 1e-12
-    s = sqrt_psd(_diag([4.0, 9.0]))
-    assert max_abs(s - _diag([2.0, 3.0])) < 1e-12
-    for t in range(5):
-        stream = substream(809, t)
-        g = Matrix(5, 5, [stream.gauss() for _ in range(25)])
-        h = g.T @ g
-        r = sqrt_psd(h)
-        assert max_abs(r @ r - h) <= 1e-8 * max(1.0, max_abs(h))
-    with pytest.raises(ValueError):
-        sqrt_psd(_diag([1.0, -1.0]))
 
 
 def test_factorize_trivial_skew_plus_identity():
