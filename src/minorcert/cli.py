@@ -276,8 +276,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--n must be at least 2 (the identity needs order >= 2)")
         if args.mode == "symbolic" and args.n > args.max_n:
             parser.error(f"--n exceeds the symbolic cap {args.max_n}; raise --max-n")
-    elif key == ("verify", "lemmas") and args.n < 3:
-        parser.error("--n must be at least 3")
+    elif key == ("verify", "lemmas"):
+        cap = idmod.DEFAULT_SYMBOLIC_CAP
+        if not 3 <= args.n <= cap:
+            parser.error(f"--n must be in 3..{cap} (the symbolic cap)")
     elif key in (("verify", "bt"), ("verify", "accretive")) and args.dim < 2:
         parser.error("--dim must be at least 2")
     elif key == ("verify", "specialization") and args.m < 2:

@@ -1,29 +1,29 @@
 """Determinant engines over any integral-domain scalar.
 
-Two production engines:
+One production engine per scalar world:
 
-- ``det_bareiss`` serves ints, rationals and floats, and the polynomial
-  skew-adjugate facts: one-step fraction-free elimination whose every
-  intermediate division is exact over an integral domain (floating matrices
-  run the same sweep with magnitude pivoting).
-- ``leading_row_minors`` serves the symbolic Johnson certificate and the
-  reduced case over Z[b1..bk]: the division-free memoized row expansion,
-  which returns several minors on the same leading rows from one pass and
-  never divides, so its intermediate results are sub-minors and stay small
-  where Bareiss swells.
+- ``det_bareiss`` serves numbers (ints, rationals, floats, complex):
+  one-step fraction-free elimination whose every intermediate division is
+  exact over an integral domain (floating matrices run the same sweep with
+  magnitude pivoting).
+- ``leading_row_minors`` serves every polynomial determinant and adjugate
+  of the certificates over Z[b1..bk]: the division-free memoized row
+  expansion, which returns several minors on the same leading rows from one
+  pass and never divides, so its intermediate results are sub-minors and
+  stay small where Bareiss swells.
 
-``det_cofactor`` (Laplace expansion, order <= 7) and ``det_condensation``
-are oracles.  Condensation iterates the 2x2 recurrence
+``adjugate`` (cofactor transpose, exact on singular matrices) picks between
+the two by the kind of its entries; the all-ones quadratic form
+``s_functional`` and the four contiguous minors ``contiguous_minors`` sit
+on top.  ``det_cofactor`` (Laplace expansion, order <= 7) and
+``det_condensation`` are oracles, and Bareiss is the oracle for the row
+expansion on polynomials.  Condensation iterates the 2x2 recurrence
 
     det(M_{k+1} block) * interior = m11*m22 - m12*m21
 
 and rescues any entry whose interior divisor vanishes by calling Bareiss on
-the corresponding block, so it returns the true determinant on every input;
-Bareiss itself is the oracle for the row expansion.  ``adjugate`` (cofactor
-transpose, computed minor by minor so it stays exact on singular and
-polynomial matrices) and the all-ones quadratic form ``s_functional`` sit on
-top of Bareiss.  ``DET_ALGOS`` lists the square-matrix engines that
-``bench det`` times.
+the corresponding block, so it returns the true determinant on every input.
+``DET_ALGOS`` lists the square-matrix engines that ``bench det`` times.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ from __future__ import annotations
 from itertools import combinations
 
 from .matrix import Matrix, max_abs
-from .ring import exact_div, is_floating
+from .ring import MultiPoly, exact_div, is_floating
 
 __all__ = [
     "COFACTOR_CAP",
     "DET_ALGOS",
     "adjugate",
+    "contiguous_minors",
     "det_bareiss",
     "det_cofactor",
     "det_condensation",
@@ -221,7 +222,12 @@ def leading_row_minors(a: Matrix, column_sets) -> list:
 
 def adjugate(a: Matrix) -> Matrix:
     """Transpose of the cofactor matrix: adj(A)_{ij} = (-1)^{i+j} det of A
-    with row j and column i deleted; satisfies A adj(A) = det(A) I."""
+    with row j and column i deleted; satisfies A adj(A) = det(A) I.
+
+    Each row j of cofactors comes from the n minors of A without row j:
+    one row expansion for polynomial entries, where Bareiss would divide
+    and swell, and one Bareiss determinant per minor for numbers, where the
+    row expansion would walk every column subset."""
     _require_square(a)
     n = a.rows
     if n == 0:
@@ -229,21 +235,35 @@ def adjugate(a: Matrix) -> Matrix:
     if n == 1:
         return Matrix(1, 1, [1])
     rows = a.to_rows()
-    out = []
-    for i in range(n):
-        for j in range(n):
-            sub = [r[:i] + r[i + 1:] for p, r in enumerate(rows) if p != j]
-            minor = det_bareiss(Matrix.from_rows(sub))
-            out.append(-minor if (i + j) % 2 else minor)
+    polynomial = any(isinstance(x, MultiPoly) for x in a.entries())
+    drop_one = [[c for c in range(n) if c != i] for i in range(n)]
+    out = [None] * (n * n)
+    for j in range(n):
+        rest = rows[:j] + rows[j + 1:]
+        if polynomial:
+            minors = leading_row_minors(Matrix.from_rows(rest), drop_one)
+        else:
+            minors = [
+                det_bareiss(Matrix.from_rows([r[:i] + r[i + 1:] for r in rest]))
+                for i in range(n)
+            ]
+        for i, minor in enumerate(minors):
+            out[i * n + j] = -minor if (i + j) % 2 else minor
     return Matrix(n, n, out)
 
 
 def s_functional(x: Matrix):
     """Sum of all adjugate entries (the all-ones quadratic form of adj(X))."""
-    acc = 0
-    for e in adjugate(x).entries():
-        acc = acc + e
-    return acc
+    return sum(adjugate(x).entries())
+
+
+def contiguous_minors(a: Matrix):
+    """The four contiguous (n-1)-minors (d11, d22, d12, d21) of a square A,
+    dij = det A_{n-1}(i, j), the block whose top-left entry is A[i, j]
+    (1-based), by Bareiss."""
+    m = a.rows - 1
+    corners = ((1, 1), (2, 2), (1, 2), (2, 1))
+    return tuple(det_bareiss(a.block(m, i, j)) for i, j in corners)
 
 
 DET_ALGOS = {

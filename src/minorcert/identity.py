@@ -18,7 +18,13 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Any
 
-from .detkit import adjugate, det_bareiss, leading_row_minors, s_functional
+from .detkit import (
+    adjugate,
+    contiguous_minors,
+    det_bareiss,
+    leading_row_minors,
+    s_functional,
+)
 from .matrix import (
     Matrix,
     generic_skew_toeplitz,
@@ -153,13 +159,11 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     transpose_ok = adj.T == sign * adj
     instance: dict[str, Any] = {"m": m, "parity": "odd" if m % 2 else "even"}
     if m % 2 == 0:
-        s_val = 0
-        for e in adj.entries():
-            s_val = s_val + e
+        s_val = sum(adj.entries())
         ok = transpose_ok and s_val == 0
         residual = scalar_text(s_val)
     else:
-        d = det_bareiss(y)
+        (d,) = leading_row_minors(y, [range(m)])
         ok = transpose_ok and d == 0
         residual = scalar_text(d)
     instance["adjugate_transpose_identity"] = bool(transpose_ok)
@@ -202,9 +206,7 @@ def specialization_certificate(m: int) -> CertificateReport:
         u = [1 if i % 2 == 0 else 0 for i in range(m)]
         adj_k = adjugate(k_mat)
         adj_k_ok = adj_k == outer(u)
-        s_k = 0
-        for e in adj_k.entries():
-            s_k = s_k + e
+        s_k = sum(adj_k.entries())
         det_k_tail = det_bareiss(k_mat.block(m - 1, 2, 2))
         ok = (
             det_c == 1
@@ -268,11 +270,7 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
         raise ValueError("weight vector must be nonzero")
     half_alpha = alpha / 2 if floating else Fraction(alpha) / 2
     a = skew + half_alpha * outer(list(w))
-    m = n - 1
-    d11 = det_bareiss(a.block(m, 1, 1))
-    d22 = det_bareiss(a.block(m, 2, 2))
-    d12 = det_bareiss(a.block(m, 1, 2))
-    d21 = det_bareiss(a.block(m, 2, 1))
+    d11, d22, d12, d21 = contiguous_minors(a)
     instance = {"n": n, "alpha": alpha, "w": list(w)}
     if floating:
         lhs = math.sqrt(max(d11 * d22, 0.0))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detkit import adjugate, det_bareiss
+from .detkit import adjugate, contiguous_minors, det_bareiss
 from .matrix import Matrix, identity as identity_matrix, matrix_to_json, max_abs
 from .report import CertificateReport, jsonable, verdict
 from .rng import SplitMix64, substream
@@ -321,11 +321,7 @@ def verify_accretive_inequality(a: Matrix) -> AccretiveWitness:
     if not psd_check(_sym_part(a)):
         raise ValueError("matrix is not accretive")
     n = a.rows
-    m = n - 1
-    d11 = det_bareiss(a.block(m, 1, 1))
-    d22 = det_bareiss(a.block(m, 2, 2))
-    d12 = det_bareiss(a.block(m, 1, 2))
-    d21 = det_bareiss(a.block(m, 2, 1))
+    d11, d22, d12, d21 = contiguous_minors(a)
     product = d11 * d22
     clamp = 0.0
     if product < 0.0:
@@ -468,12 +464,7 @@ def _hermitian_part(a: Matrix) -> Matrix:
 
 
 def _complex_margin_witness(a: Matrix, label: str) -> AccretiveWitness:
-    n = a.rows
-    m = n - 1
-    d11 = det_bareiss(a.block(m, 1, 1))
-    d22 = det_bareiss(a.block(m, 2, 2))
-    d12 = det_bareiss(a.block(m, 1, 2))
-    d21 = det_bareiss(a.block(m, 2, 1))
+    d11, d22, d12, d21 = contiguous_minors(a)
     lhs = math.sqrt(abs(d11 * d22))
     rhs = abs((d12 + d21) / 2.0)
     return AccretiveWitness(

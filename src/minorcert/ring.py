@@ -87,10 +87,6 @@ class MultiPoly:
         return cls(nvars)
 
     @classmethod
-    def one(cls, nvars: int) -> "MultiPoly":
-        return cls.const(1, nvars)
-
-    @classmethod
     def const(cls, c: int, nvars: int) -> "MultiPoly":
         if not isinstance(c, int) or isinstance(c, bool):
             raise TypeError("constant must be int")
@@ -197,19 +193,6 @@ class MultiPoly:
         return MultiPoly._raw(self.nvars, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative int")
-        result = MultiPoly.one(self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):

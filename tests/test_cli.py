@@ -3,6 +3,7 @@ import json
 import pytest
 
 from minorcert import cli
+from minorcert.identity import DEFAULT_SYMBOLIC_CAP
 from minorcert.matrix import Matrix, matrix_to_json
 from minorcert.numaccretive import remark45_matrix
 from fractions import Fraction
@@ -55,6 +56,13 @@ def test_verify_lemmas(tmp_path):
     claims = [d["claim"] for d in docs]
     assert claims == sorted(claims)
     assert "reduced_case_n4" in claims and "skew_facts_m3" in claims
+
+
+@pytest.mark.parametrize("n", [2, DEFAULT_SYMBOLIC_CAP + 1])
+def test_verify_lemmas_order_out_of_range_is_a_usage_error(n):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "lemmas", "--n", str(n)])
+    assert exc.value.code == 2
 
 
 def test_verify_bt_and_specialization(tmp_path):

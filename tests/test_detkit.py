@@ -97,21 +97,52 @@ def test_adjugate_basics():
         adjugate(Matrix(0, 0, []))
 
 
+def _int_and_poly_matrices(seed, n):
+    stream = substream(seed, 0)
+    return [random_int_matrix(stream, n), random_poly_matrix(stream, n, nvars=3)]
+
+
 def test_adjugate_fundamental_identity():
-    stream = substream(303, 0)
-    a = random_int_matrix(stream, 4)
-    d = det_bareiss(a)
-    assert a @ adjugate(a) == d * identity(4)
-    assert adjugate(a) @ a == d * identity(4)
+    for a in _int_and_poly_matrices(303, 4):
+        d = det_bareiss(a)
+        assert a @ adjugate(a) == d * identity(4)
+        assert adjugate(a) @ a == d * identity(4)
 
 
 def test_adjugate_transpose_and_scaling():
-    stream = substream(304, 0)
+    stream = substream(304, 1)
     for n in (2, 3, 4):
-        a = random_int_matrix(stream, n)
-        assert adjugate(a.T) == adjugate(a).T
-        lam = stream.randint(-3, 3)
-        assert adjugate(lam * a) == lam ** (n - 1) * adjugate(a)
+        for a in _int_and_poly_matrices(304, n):
+            assert adjugate(a.T) == adjugate(a).T
+            lam = stream.randint(-3, 3)
+            assert adjugate(lam * a) == lam ** (n - 1) * adjugate(a)
+
+
+def _adjugate_by_minors(a, det):
+    """adj(A)_{ij} = (-1)^{i+j} det(A without row j and column i)."""
+    n = a.rows
+    rows = a.to_rows()
+    out = []
+    for i in range(n):
+        for j in range(n):
+            sub = [r[:i] + r[i + 1:] for p, r in enumerate(rows) if p != j]
+            minor = det(Matrix(n - 1, n - 1, [x for r in sub for x in r]))
+            out.append(-minor if (i + j) % 2 else minor)
+    return Matrix(n, n, out)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_polynomial_adjugate_matches_bareiss_and_cofactor_minors(n):
+    a = random_poly_matrix(substream(312, n), n, nvars=3)
+    adj = adjugate(a)
+    assert adj == _adjugate_by_minors(a, det_bareiss)
+    assert adj == _adjugate_by_minors(a, det_cofactor)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_generic_skew_toeplitz_adjugate_matches_bareiss_minors(m):
+    y = generic_skew_toeplitz(m)
+    assert adjugate(y) == _adjugate_by_minors(y, det_bareiss)
 
 
 def test_s_functional_values():

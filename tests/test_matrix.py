@@ -42,7 +42,7 @@ def test_generic_skew_toeplitz_structure():
 def test_johnson_family_entries():
     a = johnson_family(2)
     b1, = variables(1)
-    one = MultiPoly.one(1)
+    one = MultiPoly.const(1, 1)
     assert a == Matrix.from_rows([[one, 1 + b1], [1 - b1, one]])
 
 

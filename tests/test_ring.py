@@ -176,9 +176,3 @@ def test_rational_agrees_with_integer_arithmetic():
         assert Fraction(a) * Fraction(b) == a * b
     f = Fraction(6, -4)
     assert f.denominator > 0 and f == Fraction(-3, 2)
-
-
-def test_pow():
-    b1, = variables(1)
-    assert b1 ** 0 == 1
-    assert (1 + b1) ** 2 == 1 + 2 * b1 + b1 * b1
