@@ -2,8 +2,8 @@
 """Run the full verification battery and print a one-line summary per claim.
 
 Covers every certificate family: the symbolic minor identity for orders
-2..DEFAULT_SYMBOLIC_CAP (10), the reduced-case and lemma suites, the
-specialization values, the rank-one equality (exact and float), the
+2..DEFAULT_SYMBOLIC_CAP (10), the reduced-case and lemma suites up to the same
+order, the specialization values, the rank-one equality (exact and float), the
 accretive suite, and the complex diagnostic.  Exits nonzero if any claim fails.
 """
 
@@ -20,7 +20,7 @@ def main() -> int:
             for n in range(2, DEFAULT_SYMBOLIC_CAP + 1)
         ),
         ["verify", "johnson", "--mode", "numeric", "--n", "12", "--trials", "100"],
-        ["verify", "lemmas", "--n", "8", "--trials", "50"],
+        ["verify", "lemmas", "--n", str(DEFAULT_SYMBOLIC_CAP), "--trials", "50"],
         *(["verify", "specialization", "--m", str(m)] for m in range(2, 8)),
         ["verify", "bt", "--dim", "6", "--trials", "50", "--scalar", "rat"],
         ["verify", "bt", "--dim", "10", "--trials", "100", "--scalar", "real"],

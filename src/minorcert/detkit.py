@@ -10,7 +10,9 @@ One production engine per scalar world:
   of the certificates over Z[b1..bk]: the division-free memoized row
   expansion, which returns several minors on the same leading rows from one
   pass and never divides, so its intermediate results are sub-minors and
-  stay small where Bareiss swells.
+  stay small where Bareiss swells.  Each minor is one
+  ``ring.sum_of_products`` call: its signed products go into a single
+  accumulator, with no intermediate product or partial sum.
 
 ``adjugate`` (cofactor transpose, exact on singular matrices) picks between
 the two by the kind of its entries; the all-ones quadratic form
@@ -31,7 +33,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .matrix import Matrix, max_abs
-from .ring import MultiPoly, exact_div, is_floating
+from .ring import MultiPoly, exact_div, is_floating, sum_of_products
 
 __all__ = [
     "COFACTOR_CAP",
@@ -176,9 +178,11 @@ def leading_row_minors(a: Matrix, column_sets) -> list:
         D[S] = sum_{p, j = S[p]} (-1)^(|S|-1+p) a[|S|-1][j] D[S - {j}],
 
     D[{}] = 1, over the subsets of the targets only, keeping just the
-    previous level and skipping zero entries and zero sub-minors.  No ring
-    division is made, so over Z[b1..bk] nothing swells beyond the minors
-    themselves.
+    previous level and skipping zero entries and zero sub-minors.  Each D[S]
+    is one ``sum_of_products`` call on its signed pairs, for every scalar
+    kind: over Z[b1..bk] all its products go into one accumulator, with no
+    intermediate product polynomial and no copy of a running sum.  No ring
+    division is made, so nothing swells beyond the minors themselves.
     """
     rows = a.to_rows()
     targets = []
@@ -202,17 +206,15 @@ def leading_row_minors(a: Matrix, column_sets) -> list:
                     level.setdefault(sum(1 << j for j in sub), sub)
         cur = {}
         for mask, sub in level.items():
-            acc = 0
+            pairs = []
             for p, j in enumerate(sub):
                 e = row[j]
                 if not e:
                     continue
                 d = prev[mask ^ (1 << j)]
-                if not d:
-                    continue
-                term = e * d
-                acc = acc - term if (k - 1 + p) % 2 else acc + term
-            cur[mask] = acc
+                if d:
+                    pairs.append((-1 if (k - 1 + p) % 2 else 1, e, d))
+            cur[mask] = sum_of_products(pairs)
         prev = cur
         for t, cols in enumerate(targets):
             if len(cols) == k:

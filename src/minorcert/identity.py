@@ -83,8 +83,9 @@ def verify_johnson_symbolic(n: int, max_n: int = DEFAULT_SYMBOLIC_CAP) -> Certif
 def verify_reduced_case(n: int) -> CertificateReport:
     """Certifies the parity-reduced identity on the skew blocks K = B_m(1,1),
     C = B_m(1,2) of the generic skew Toeplitz B (m = n-1): det C = det K for
-    even m, and s(C) = s(K) together with s(K)^2 = s(C)^2 for odd m (the two
-    squares are formed independently from each factor).
+    even m, and s(C) = s(K) together with s(K)^2 = s(C)^2 for odd m, the
+    square residual taken in the factored form (s(K) - s(C))(s(K) + s(C)) of
+    the proof.
 
     K and C share the rows 1..m, so one row expansion of B gives both
     determinants; for odd m a second one of J_n + B gives det(J + K) and
@@ -103,7 +104,7 @@ def verify_reduced_case(n: int) -> CertificateReport:
         s_k = det_jk - det_k
         s_c = det_jc - det_c
         residual = s_c - s_k
-        square_residual = s_k * s_k - s_c * s_c
+        square_residual = (s_k - s_c) * (s_k + s_c)
         ok = residual == 0 and square_residual == 0
         instance = {
             "m": m,

@@ -21,6 +21,7 @@ __all__ = [
     "exact_div",
     "is_floating",
     "scalar_text",
+    "sum_of_products",
     "variables",
 ]
 
@@ -176,21 +177,9 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._terms or not o._terms:
-            return MultiPoly._raw(self.nvars, {})
-        if self.degree() + o.degree() > _EXP_CAP:
-            raise OverflowError("product degree exceeds the 15-bit exponent cap")
-        a, b = self._terms, o._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        get = out.get
-        bitems = list(b.items())
-        for ka, ca in a.items():
-            for kb, cb in bitems:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        return MultiPoly._raw(self.nvars, {k: v for k, v in out.items() if v})
+        return MultiPoly._raw(
+            self.nvars, _product_sum(self.nvars, ((1, self._terms, o._terms),))
+        )
 
     __rmul__ = __mul__
 
@@ -380,6 +369,58 @@ def exact_div(a, b):
     if r:
         raise ExactDivisionError(f"{a} is not divisible by {b}")
     return q
+
+
+def sum_of_products(pairs):
+    """The signed sum of ``sign * a * b`` over ``pairs`` of ``(sign, a, b)``,
+    each sign +1 or -1; an empty sequence gives 0.
+
+    If any factor is a MultiPoly (int factors then act as constants), every
+    product is added term by term into one accumulator keyed by packed
+    monomial, so no product or partial sum is built as a polynomial of its
+    own, and zero coefficients are dropped once, at the end.  Each product
+    passes the same 15-bit degree guard as ``*``.  Numbers get the plain sum
+    from 0, left to right.
+    """
+    pairs = list(pairs)
+    ref = next(
+        (x for _, a, b in pairs for x in (a, b) if isinstance(x, MultiPoly)), None
+    )
+    if ref is None:
+        acc = 0
+        for sign, a, b in pairs:
+            acc = acc - a * b if sign < 0 else acc + a * b
+        return acc
+    triples = []
+    for sign, a, b in pairs:
+        a, b = ref._coerce(a), ref._coerce(b)
+        if a is None or b is None:
+            raise TypeError("a MultiPoly can only be multiplied by a MultiPoly or int")
+        triples.append((sign, a._terms, b._terms))
+    return MultiPoly._raw(ref.nvars, _product_sum(ref.nvars, triples))
+
+
+def _product_sum(nvars: int, triples) -> dict[int, int]:
+    # The one product loop of the ring: sum of sign * a * b over packed term
+    # dicts, accumulated in place and filtered for zeros once.
+    deg_shift = _layout(nvars)[0]
+    out: dict[int, int] = {}
+    get = out.get
+    for sign, a, b in triples:
+        if not a or not b:
+            continue
+        if (max(a) >> deg_shift) + (max(b) >> deg_shift) > _EXP_CAP:
+            raise OverflowError("product degree exceeds the 15-bit exponent cap")
+        if len(a) > len(b):
+            a, b = b, a
+        bitems = list(b.items())
+        for ka, ca in a.items():
+            if sign < 0:
+                ca = -ca
+            for kb, cb in bitems:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
 
 
 def scalar_text(x) -> str:

@@ -18,7 +18,7 @@ from minorcert.matrix import (
     lower_shift,
     ones,
 )
-from minorcert.ring import ExactDivisionError
+from minorcert.ring import ExactDivisionError, MultiPoly
 from minorcert.rng import (
     random_int_matrix,
     random_poly_matrix,
@@ -240,6 +240,16 @@ def test_row_expansion_with_zero_entries():
     assert _whole(zeros_like(4)) == 0
     assert _whole(ones(3)) == 0
     assert _whole(generic_skew_toeplitz(3)) == 0
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_row_expansion_with_a_zero_polynomial_row(r):
+    rows = random_poly_matrix(substream(312, r), 4, nvars=2).to_rows()
+    rows[r] = [MultiPoly.zero(2)] * 4
+    a = Matrix.from_rows(rows)
+    d = _whole(a)
+    assert d == 0 and str(d) == "0"
+    assert leading_row_minors(a, [range(r + 1), range(r)])[0] == 0
 
 
 def test_row_expansion_several_targets_of_different_sizes():

@@ -116,6 +116,25 @@ def test_reduced_case_lemma_s_matches_adjugate_form(n):
     assert det_jc - det_c == s_functional(b.block(m, 1, 2))
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_reduced_case_factored_square_matches_direct_squares(n):
+    # the odd-order square residual is taken as (s_K - s_C)(s_K + s_C); the
+    # direct squares s_K^2 - s_C^2 are the oracle, on s_C as certified and
+    # on a perturbed s_C whose residual is not zero
+    m = n - 1
+    blocks = [range(m), range(1, n)]
+    det_k, det_c = leading_row_minors(generic_skew_toeplitz(n), blocks)
+    det_jk, det_jc = leading_row_minors(johnson_family(n), blocks)
+    s_k = det_jk - det_k
+    s_c = det_jc - det_c
+    perturbed = s_c + variables(n - 1)[0] * s_k + 1
+    for t in (s_c, perturbed):
+        assert (s_k - t) * (s_k + t) == s_k * s_k - t * t
+    assert s_k * s_k - perturbed * perturbed != 0
+    rep = verify_reduced_case(n)
+    assert rep.instance["square_residual"] == str(s_k * s_k - s_c * s_c) == "0"
+
+
 def test_reduced_case_rejects_small_order():
     with pytest.raises(ValueError):
         verify_reduced_case(2)

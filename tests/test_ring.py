@@ -4,13 +4,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from minorcert.detkit import leading_row_minors
+from minorcert.matrix import Matrix
 from minorcert.ring import (
     ExactDivisionError,
     MultiPoly,
     exact_div,
+    sum_of_products,
     variables,
 )
-from minorcert.rng import SplitMix64, random_poly, substream
+from minorcert.rng import SplitMix64, random_poly, random_poly_matrix, substream
 
 
 @st.composite
@@ -83,6 +86,83 @@ def test_exponent_overflow_detected():
     big = MultiPoly(1, {(30000,): 1})
     with pytest.raises(OverflowError):
         big * big
+
+
+def _operator_sum(pairs):
+    # the oracle: one product and one running sum per pair, by operators
+    acc = 0
+    for sign, a, b in pairs:
+        acc = acc - a * b if sign < 0 else acc + a * b
+    return acc
+
+
+def test_sum_of_products_matches_operators_on_random_polynomials():
+    for t in range(20):
+        stream = substream(412, t)
+        a = random_poly_matrix(stream, 4, nvars=3, max_terms=4, max_exp=2)
+        entries = a.entries()
+        pairs = [
+            (1 - 2 * stream.randint(0, 1), entries[2 * i], entries[2 * i + 1])
+            for i in range(1 + t % 8)
+        ]
+        got = sum_of_products(pairs)
+        assert got == _operator_sum(pairs)
+        assert all(c for _, c in got.terms())
+
+
+def test_sum_of_products_mixes_int_constants_into_polynomials():
+    b1, b2 = variables(2)
+    pairs = [(1, 3, b1), (-1, b2, 2), (1, 5, 1), (-1, 0, b1), (1, b1, b1 - b2)]
+    expected = b1 * b1 + 3 * b1 - b1 * b2 - 2 * b2 + 5
+    assert sum_of_products(pairs) == _operator_sum(pairs) == expected
+
+
+def test_sum_of_products_on_numbers_is_the_plain_sum():
+    stream = substream(413, 0)
+    for n in range(8):
+        draw = stream.randint
+        pairs = [(1 - 2 * draw(0, 1), draw(-50, 50), draw(-50, 50)) for _ in range(n)]
+        got = sum_of_products(pairs)
+        assert type(got) is int and got == _operator_sum(pairs)
+    half = Fraction(1, 2)
+    assert sum_of_products([(1, half, 3), (-1, 1, half)]) == 1
+    assert sum_of_products([(-1, 1.5, 2.0)]) == -3.0
+
+
+def test_sum_of_products_cancelling_to_zero():
+    b1, b2 = variables(2)
+    p = (b1 + 2) * (b2 - b1)
+    got = sum_of_products([(1, b1 + 2, b2 - b1), (-1, p, 1), (1, b1, b2), (-1, b2, b1)])
+    assert isinstance(got, MultiPoly) and got == 0 and got.is_zero
+    assert str(got) == "0"
+    assert got.terms() == []
+
+
+def test_sum_of_products_of_no_pairs_is_zero():
+    assert sum_of_products([]) == 0
+
+
+def test_sum_of_products_rejects_mixed_variable_counts():
+    b1, _ = variables(2)
+    with pytest.raises(ValueError):
+        sum_of_products([(1, b1, b1), (1, variables(3)[0], 1)])
+    with pytest.raises(ValueError):
+        sum_of_products([(-1, b1, variables(1)[0])])
+
+
+def test_sum_of_products_rejects_non_integer_factors_of_polynomials():
+    b1, = variables(1)
+    with pytest.raises(TypeError):
+        sum_of_products([(1, b1, Fraction(1, 2))])
+
+
+def test_sum_of_products_guards_every_product_degree():
+    small = MultiPoly(1, {(1,): 1})
+    big = MultiPoly(1, {(20000,): 1})
+    with pytest.raises(OverflowError):
+        sum_of_products([(1, small, small), (1, big, big)])
+    with pytest.raises(OverflowError):
+        leading_row_minors(Matrix.from_rows([[big, 1], [1, big]]), [(0, 1)])
 
 
 @settings(max_examples=60, deadline=None)
