@@ -25,6 +25,7 @@ def main() -> int:
         ["verify", "bt", "--dim", "6", "--trials", "50", "--scalar", "rat"],
         ["verify", "bt", "--dim", "10", "--trials", "100", "--scalar", "real"],
         ["verify", "accretive", "--dim", "8", "--trials", "200"],
+        ["verify", "accretive", "--dim", "12", "--trials", "60"],
         ["repro", "remark45"],
     ]
     worst = 0

@@ -28,9 +28,10 @@ from .matrix import (
     ones,
 )
 from .numaccretive import (
+    Accretive,
     AccretiveWitness,
+    accretive,
     accretive_factorize,
-    psd_check,
     remark45_repro,
     search_complex_violation,
     sym_eig,
@@ -44,11 +45,13 @@ from .ring import ExactDivisionError, MultiPoly, variables
 __version__ = "0.1.0"
 
 __all__ = [
+    "Accretive",
     "AccretiveWitness",
     "CertificateReport",
     "ExactDivisionError",
     "Matrix",
     "MultiPoly",
+    "accretive",
     "accretive_factorize",
     "adjugate",
     "det_bareiss",
@@ -62,7 +65,6 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "ones",
-    "psd_check",
     "remark45_repro",
     "s_functional",
     "search_complex_violation",

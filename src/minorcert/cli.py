@@ -30,11 +30,11 @@ from pathlib import Path
 from . import identity as idmod
 from . import numaccretive as accmod
 from .detkit import COFACTOR_CAP, DET_ALGOS
-from .matrix import Matrix, matrix_from_json, matrix_to_json
+from .matrix import Matrix, matrix_from_json
 from .ring import scalar_text
 from .rng import random_int_matrix, random_poly_matrix, substream
 
-__all__ = ["DEFAULT_SEED", "load_matrix", "main", "run", "save_report"]
+__all__ = ["DEFAULT_SEED", "load_matrix", "main", "run"]
 
 DEFAULT_SEED = 123456789
 
@@ -128,7 +128,7 @@ _HANDLERS = {
 }
 
 
-# -- matrix / report file IO -------------------------------------------------
+# -- matrix input and report rendering ----------------------------------------
 
 def load_matrix(path) -> Matrix:
     """Reads a matrix from the JSON wire format, raising ValueError with the
@@ -140,19 +140,6 @@ def load_matrix(path) -> Matrix:
     return matrix_from_json(doc)
 
 
-def save_matrix(a: Matrix, path) -> None:
-    Path(path).write_text(_dump_json(matrix_to_json(a)))
-
-
-def save_report(reports, path) -> None:
-    """Writes a list of reports/witnesses as a sorted, stable JSON array."""
-    Path(path).write_text(_render(list(reports), "json"))
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _payload_dict(item):
     if hasattr(item, "to_json"):
         return item.to_json()
@@ -162,7 +149,7 @@ def _payload_dict(item):
 def _render(payload, fmt: str) -> str:
     dicts = [_payload_dict(x) for x in payload]
     if fmt == "json":
-        return _dump_json(dicts)
+        return json.dumps(dicts, indent=2, sort_keys=True) + "\n"
     lines = []
     if dicts and "claim" in dicts[0]:
         header = f"{'claim':<36} {'status':<9} {'residual':<26} seed"

@@ -37,7 +37,7 @@ from .matrix import (
 )
 from .report import CertificateReport, verdict
 from .ring import is_floating, scalar_text
-from .rng import random_int_matrix, random_skew_int, substream
+from .rng import random_int_matrix, random_skew, random_skew_int, substream
 
 __all__ = [
     "DEFAULT_SYMBOLIC_CAP",
@@ -121,28 +121,18 @@ def verify_reduced_case(n: int) -> CertificateReport:
 
 # -- supporting identities -----------------------------------------------
 
-def verify_rank_one_expansion(x: Matrix, t, tol: float = 1e-9) -> CertificateReport:
+def verify_rank_one_expansion(x: Matrix, t) -> CertificateReport:
     """Certifies the all-ones rank-one expansion
-    det(X + t*J) = det(X) + t * s(X) on the given instance."""
+    det(X + t*J) = det(X) + t * s(X) exactly on the given instance."""
     if not x.is_square:
         raise ValueError("rank-one expansion needs a square matrix")
     m = x.rows
-    lhs = det_bareiss(x + t * ones(m))
-    residual = lhs - det_bareiss(x) - t * s_functional(x)
-    tolerance = None
-    if is_floating(residual):
-        residual = abs(residual)
-        ok = residual <= tol * max(1.0, abs(lhs))
-        tolerance = tol
-    else:
-        ok = residual == 0
-        residual = scalar_text(residual)
+    residual = det_bareiss(x + t * ones(m)) - det_bareiss(x) - t * s_functional(x)
     return CertificateReport(
         claim=f"rankone_expansion_m{m}",
-        status=verdict(ok),
-        residual=residual,
+        status=verdict(residual == 0),
+        residual=scalar_text(residual),
         instance={"m": m, "t": t},
-        tolerance=tolerance,
     )
 
 
@@ -382,13 +372,7 @@ def bt_suite(
             alpha = stream.randint(-5, 5)
             w = [stream.randint(-4, 4) for _ in range(n)]
         else:
-            rows = [[0.0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = stream.uniform(-2.0, 2.0)
-                    rows[i][j] = v
-                    rows[j][i] = -v
-            skew = Matrix.from_rows(rows)
+            skew = random_skew(n, lambda: stream.uniform(-2.0, 2.0))
             alpha = stream.uniform(-3.0, 3.0)
             w = [stream.uniform(-2.0, 2.0) for _ in range(n)]
         if t % 5 == 0:

@@ -2,8 +2,9 @@
 
 A real matrix is accretive when its symmetric part (A + A^T)/2 is positive
 semidefinite, strictly accretive when that part is positive definite.  This
-module provides the numeric machinery (cyclic Jacobi eigensolver, PSD check,
-the congruence factorization A = H^{1/2}(I + S)H^{1/2} with S skew), the
+module provides the numeric machinery (cyclic Jacobi eigensolver, the
+checked accretive instance that decomposes H once for every verifier, the
+congruence factorization A = H^{1/2}(I + S)H^{1/2} with S skew), the
 verifiers for determinant positivity, adjugate accretivity and the
 contiguous-minor inequality
 
@@ -21,20 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .detkit import adjugate, contiguous_minors, det_bareiss
 from .matrix import Matrix, identity as identity_matrix, matrix_to_json, max_abs
 from .report import CertificateReport, jsonable, verdict
-from .rng import SplitMix64, substream
+from .rng import SplitMix64, random_skew, substream
 
 __all__ = [
+    "Accretive",
     "AccretiveWitness",
     "ConvergenceError",
     "EigenResult",
+    "accretive",
     "accretive_factorize",
     "accretive_suite",
     "hermitian_eigenvalues",
-    "psd_check",
     "random_accretive",
     "remark45_matrix",
     "remark45_repro",
@@ -160,13 +163,6 @@ def sym_eig(h: Matrix, max_sweeps: int = 100) -> EigenResult:
     return EigenResult(values, vectors)
 
 
-def psd_check(h: Matrix, tol: float = 1e-10) -> bool:
-    """True iff lambda_min >= -tol * max(1, lambda_max)."""
-    eig = sym_eig(h)
-    lam_min, lam_max = eig.values[0], eig.values[-1]
-    return lam_min >= -tol * max(1.0, lam_max)
-
-
 def _assemble(eig: EigenResult, diag_values) -> Matrix:
     q = eig.vectors
     n = q.rows
@@ -209,7 +205,43 @@ def inverse(a: Matrix) -> Matrix:
 
 # -- the accretive tool chain ----------------------------------------------
 
-def accretive_factorize(a: Matrix, tol: float = 1e-10):
+@dataclass(frozen=True)
+class Accretive:
+    """A real square matrix A checked to be accretive (built by
+    :func:`accretive`), with its symmetric part H = (A + A^T)/2 and the
+    eigendecomposition of H that every verifier below reuses."""
+
+    matrix: Matrix
+    sym: Matrix
+    eig: EigenResult
+
+    @property
+    def strict(self) -> bool:
+        """H is positive definite, relative to its largest eigenvalue."""
+        lam_min, lam_max = self.eig.values[0], self.eig.values[-1]
+        return lam_max > 0 and lam_min > 1e-10 * lam_max
+
+    @cached_property
+    def factorization(self):
+        """``accretive_factorize(self)``, built at most once per instance."""
+        return accretive_factorize(self)
+
+
+def accretive(a: Matrix) -> Accretive:
+    """Decomposes H = (A + A^T)/2 once and accepts A as accretive when H is
+    positive semidefinite up to a relative tolerance; raises ValueError
+    otherwise (and for a non-square A)."""
+    if not a.is_square:
+        raise ValueError("needs a square matrix")
+    h = _sym_part(a)
+    eig = sym_eig(h)
+    lam_min, lam_max = eig.values[0], eig.values[-1]
+    if not lam_min >= -1e-10 * max(1.0, lam_max):
+        raise ValueError("matrix is not accretive")
+    return Accretive(a, h, eig)
+
+
+def accretive_factorize(acc: Accretive):
     """Congruence factorization A = H^{1/2}(I + S)H^{1/2} of a strictly
     accretive A, with H the symmetric part and S = H^{-1/2} N H^{-1/2} skew.
 
@@ -217,18 +249,13 @@ def accretive_factorize(a: Matrix, tol: float = 1e-10):
     reconstruction, and the symmetric-part identity
     Re((I + S)^{-1}) = (I - S^2)^{-1}.
     """
-    if not a.is_square:
-        raise ValueError("factorization needs a square matrix")
-    n = a.rows
-    h = _sym_part(a)
-    skew = _skew_part(a)
-    eig = sym_eig(h)
-    lam_min, lam_max = eig.values[0], eig.values[-1]
-    if lam_max <= 0 or lam_min <= tol * lam_max:
+    if not acc.strict:
         raise ValueError("symmetric part is not strictly positive definite")
+    a, eig = acc.matrix, acc.eig
+    n = a.rows
     h_sqrt = _sym_part(_assemble(eig, [math.sqrt(v) for v in eig.values]))
     h_isqrt = _sym_part(_assemble(eig, [1.0 / math.sqrt(v) for v in eig.values]))
-    s = h_isqrt @ skew @ h_isqrt
+    s = h_isqrt @ _skew_part(a) @ h_isqrt
     skew_res = max_abs(s + s.T)
     eye = identity_matrix(n).map(float)
     recon = h_sqrt @ (eye + s) @ h_sqrt
@@ -253,33 +280,26 @@ def accretive_factorize(a: Matrix, tol: float = 1e-10):
     return h_sqrt, s, report
 
 
-def verify_det_positive(a: Matrix, tol: float = 1e-9) -> CertificateReport:
+def verify_det_positive(acc: Accretive, tol: float = 1e-9) -> CertificateReport:
     """Certifies det(A) >= -tol * scale for accretive A (scale is
     max(1, |A|_max)^n); for strictly accretive A additionally cross-checks
     det(A) = det(H) * prod_k (1 + mu_k^2), the mu_k^2 being the paired
     eigenvalues of -S^2 from the congruence factorization."""
-    if not a.is_square:
-        raise ValueError("needs a square matrix")
+    a = acc.matrix
     n = a.rows
-    h = _sym_part(a)
-    eig = sym_eig(h)
-    lam_min, lam_max = eig.values[0], eig.values[-1]
-    if lam_min < -1e-10 * max(1.0, lam_max):
-        raise ValueError("matrix is not accretive")
     d = det_bareiss(a)
     scale = max(1.0, max_abs(a)) ** n
     residual = max(0.0, -d / scale)
     ok = residual <= tol
-    strict = lam_max > 0 and lam_min > 1e-10 * lam_max
-    instance = {"n": n, "det": d, "strict": strict}
-    if strict:
-        _, s, _ = accretive_factorize(a)
+    instance = {"n": n, "det": d, "strict": acc.strict}
+    if acc.strict:
+        _, s, _ = acc.factorization
         neg_s2 = -(s @ s)
         nu = sorted((max(v, 0.0) for v in sym_eig(_sym_part(neg_s2)).values), reverse=True)
         prod = 1.0
         for i in range(0, n - 1, 2):
             prod *= 1.0 + (nu[i] + nu[i + 1]) / 2.0
-        model = det_bareiss(h) * prod
+        model = det_bareiss(acc.sym) * prod
         rel = abs(d - model) / max(abs(d), abs(model), 1e-300)
         instance["product_formula_relerr"] = rel
         ok = ok and d > 0 and rel <= 1e-6
@@ -292,35 +312,30 @@ def verify_det_positive(a: Matrix, tol: float = 1e-9) -> CertificateReport:
     )
 
 
-def verify_adjugate_accretive(a: Matrix, tol: float = 1e-8) -> CertificateReport:
+def verify_adjugate_accretive(acc: Accretive, tol: float = 1e-8) -> CertificateReport:
     """Certifies that the adjugate of an accretive matrix is accretive."""
-    if not a.is_square:
-        raise ValueError("needs a square matrix")
-    if not psd_check(_sym_part(a)):
-        raise ValueError("matrix is not accretive")
-    adj = adjugate(a)
-    eig = sym_eig(_sym_part(adj))
+    n = acc.matrix.rows
+    eig = sym_eig(_sym_part(adjugate(acc.matrix)))
     lam_min, lam_max = eig.values[0], eig.values[-1]
     residual = max(0.0, -lam_min / max(1.0, lam_max))
     return CertificateReport(
-        claim=f"adjugate_accretive_n{a.rows}",
+        claim=f"adjugate_accretive_n{n}",
         status=verdict(residual <= tol),
         residual=residual,
-        instance={"n": a.rows, "lambda_min": lam_min, "lambda_max": lam_max},
+        instance={"n": n, "lambda_min": lam_min, "lambda_max": lam_max},
         tolerance=tol,
     )
 
 
-def verify_accretive_inequality(a: Matrix) -> AccretiveWitness:
+def verify_accretive_inequality(acc: Accretive) -> AccretiveWitness:
     """Evaluates the minor inequality on an accretive instance and returns
     the witness.  A tiny negative product under the square root (roundoff on
     a true zero) is clamped to zero and the clamp magnitude recorded.  The
     caller judges the margin against its own tolerance."""
-    if not a.is_square or a.rows < 2:
-        raise ValueError("needs a square matrix of order >= 2")
-    if not psd_check(_sym_part(a)):
-        raise ValueError("matrix is not accretive")
+    a = acc.matrix
     n = a.rows
+    if n < 2:
+        raise ValueError("needs order >= 2")
     d11, d22, d12, d21 = contiguous_minors(a)
     product = d11 * d22
     clamp = 0.0
@@ -351,13 +366,7 @@ def random_accretive(stream: SplitMix64, n: int, boundary: bool = False) -> Matr
     h = g.T @ g
     if not boundary:
         h = h + identity_matrix(n).map(float)
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = stream.uniform(-1.0, 1.0)
-            rows[i][j] = v
-            rows[j][i] = -v
-    a = h + Matrix.from_rows(rows)
+    a = h + random_skew(n, lambda: stream.uniform(-1.0, 1.0))
     return a / max_abs(a)
 
 
@@ -375,10 +384,10 @@ def accretive_suite(
         stream = substream(seed, 3000 + t)
         n = stream.randint(2, dim)
         boundary = t % 4 == 3
-        a = random_accretive(stream, n, boundary=boundary)
-        det_rep = verify_det_positive(a, tol=1e-9)
-        adj_rep = verify_adjugate_accretive(a, tol=tol)
-        witness = verify_accretive_inequality(a)
+        acc = accretive(random_accretive(stream, n, boundary=boundary))
+        det_rep = verify_det_positive(acc, tol=1e-9)
+        adj_rep = verify_adjugate_accretive(acc, tol=tol)
+        witness = verify_accretive_inequality(acc)
         margin_scale = max(1.0, witness.lhs + witness.rhs)
         margin_ok = witness.margin >= -tol * margin_scale
         checks = {
@@ -390,7 +399,7 @@ def accretive_suite(
         }
         ok = det_rep.verified and adj_rep.verified and margin_ok
         if not boundary:
-            _, _, fact_rep = accretive_factorize(a)
+            _, _, fact_rep = acc.factorization
             checks["factorization"] = fact_rep.residual
             ok = ok and fact_rep.verified
         # each component normalized by its own tolerance, so that the report
@@ -489,42 +498,36 @@ def remark45_repro() -> AccretiveWitness:
     return _complex_margin_witness(a, "remark45")
 
 
+def _skew_hermitian(n: int, draw) -> Matrix:
+    """Skew-Hermitian matrix (real skew + i * real symmetric) filled over
+    the upper triangle in row order, the imaginary part drawn first."""
+    rows = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            im = draw()
+            if i == j:
+                rows[i][i] = complex(0.0, im)
+                continue
+            re = draw()
+            rows[i][j] = complex(re, im)
+            rows[j][i] = complex(-re, im)
+    return Matrix.from_rows(rows)
+
+
 def _random_complex_accretive(stream: SplitMix64, n: int) -> Matrix:
     """Complex matrix with (A + A*)/2 = G* G PSD by construction, plus a
-    random skew-Hermitian part (real skew + i * real symmetric)."""
+    random skew-Hermitian part."""
     g = Matrix(
         n, n, [complex(stream.gauss(), stream.gauss()) for _ in range(n * n)]
     )
     gh = Matrix(n, n, [complex(g[j, i]).conjugate() for i in range(n) for j in range(n)])
-    herm = gh @ g
-    rows = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            im = stream.uniform(-2.0, 2.0)
-            if i == j:
-                rows[i][i] = complex(0.0, im)
-                continue
-            re = stream.uniform(-2.0, 2.0)
-            rows[i][j] = complex(re, im)
-            rows[j][i] = complex(-re, im)
-    return herm + Matrix.from_rows(rows)
+    return gh @ g + _skew_hermitian(n, lambda: stream.uniform(-2.0, 2.0))
 
 
 def _perturb_skew_hermitian(stream: SplitMix64, a: Matrix, sigma: float) -> Matrix:
     """Adds a small skew-Hermitian matrix: the conjugate-symmetric part (and
     hence its positive semidefiniteness) is preserved exactly."""
-    n = a.rows
-    rows = [[0j] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            im = sigma * stream.gauss()
-            if i == j:
-                rows[i][i] = complex(0.0, im)
-                continue
-            re = sigma * stream.gauss()
-            rows[i][j] = complex(re, im)
-            rows[j][i] = complex(-re, im)
-    return a + Matrix.from_rows(rows)
+    return a + _skew_hermitian(a.rows, lambda: sigma * stream.gauss())
 
 
 def search_complex_violation(

@@ -110,13 +110,6 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        deg_shift = _layout(self.nvars)[0]
-        return max(self._terms) >> deg_shift
-
     def terms(self):
         """Terms as (exponent-tuple, coeff) pairs in descending graded-lex order."""
         unpack = self._unpack

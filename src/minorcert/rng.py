@@ -25,6 +25,7 @@ __all__ = [
     "random_int_matrix",
     "random_poly",
     "random_poly_matrix",
+    "random_skew",
     "random_skew_int",
 ]
 
@@ -79,14 +80,20 @@ def random_int_matrix(stream: SplitMix64, n: int, lo: int = -9, hi: int = 9) -> 
     return Matrix(n, n, [stream.randint(lo, hi) for _ in range(n * n)])
 
 
-def random_skew_int(stream: SplitMix64, n: int, bound: int = 5) -> Matrix:
+def random_skew(n: int, draw) -> Matrix:
+    """Skew-symmetric matrix whose upper triangle is filled with ``draw()``
+    in row order (zero diagonal)."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = stream.randint(-bound, bound)
+            v = draw()
             rows[i][j] = v
             rows[j][i] = -v
     return Matrix.from_rows(rows)
+
+
+def random_skew_int(stream: SplitMix64, n: int, bound: int = 5) -> Matrix:
+    return random_skew(n, lambda: stream.randint(-bound, bound))
 
 
 def random_poly(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from minorcert import cli
+from minorcert import cli, numaccretive
 from minorcert.identity import DEFAULT_SYMBOLIC_CAP
 from minorcert.matrix import Matrix, matrix_to_json
 from minorcert.numaccretive import remark45_matrix
@@ -174,10 +174,10 @@ def test_load_save_matrix_roundtrip(tmp_path):
             [Fraction(9), Fraction(1, 9), Fraction(-2, 5)],
         ]
     )
-    cli.save_matrix(r, path)
+    path.write_text(json.dumps(matrix_to_json(r)))
     assert cli.load_matrix(path) == r
     c = remark45_matrix()
-    cli.save_matrix(c, path)
+    path.write_text(json.dumps(matrix_to_json(c)))
     assert cli.load_matrix(path) == c
 
 
@@ -189,15 +189,6 @@ def test_load_matrix_errors(tmp_path):
     path.write_text(json.dumps({"rows": 3, "cols": 3, "scalar": "int", "data": [0] * 8}))
     with pytest.raises(ValueError, match="data"):
         cli.load_matrix(path)
-
-
-def test_save_report(tmp_path):
-    from minorcert.identity import verify_johnson_symbolic
-
-    path = tmp_path / "rep.json"
-    cli.save_report([verify_johnson_symbolic(3)], path)
-    docs = json.loads(path.read_text())
-    assert docs[0]["claim"] == "johnson_symbolic_n3"
 
 
 @pytest.mark.parametrize("argv", [
@@ -235,3 +226,15 @@ def test_out_of_range_tol_is_a_usage_error(argv, tol):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--tol", tol])
     assert exc.value.code == 2
+
+
+def test_non_convergence_is_a_usage_error(monkeypatch, capsys):
+    def stuck(h, max_sweeps=100):
+        raise numaccretive.ConvergenceError("Jacobi eigensolver did not converge")
+
+    monkeypatch.setattr(numaccretive, "sym_eig", stuck)
+    rc = cli.main(["verify", "accretive", "--dim", "3", "--trials", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "did not converge" in captured.err

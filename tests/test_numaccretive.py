@@ -2,12 +2,14 @@ import math
 
 import pytest
 
+from minorcert import numaccretive
 from minorcert.matrix import Matrix, identity, max_abs, ones
 from minorcert.numaccretive import (
+    ConvergenceError,
+    accretive,
     accretive_factorize,
     accretive_suite,
     hermitian_eigenvalues,
-    psd_check,
     random_accretive,
     remark45_matrix,
     remark45_repro,
@@ -56,76 +58,89 @@ def test_sym_eig_rejects_asymmetric():
         sym_eig(Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_psd_check():
-    assert psd_check(identity(3).map(float))
-    assert not psd_check(_diag([1.0, -1.0]))
-    assert psd_check(ones(4).map(float))  # rank one, spectrum {4, 0, 0, 0}
+def test_sym_eig_raises_when_out_of_sweeps():
+    h = Matrix.from_rows([[2.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(ConvergenceError):
+        sym_eig(h, max_sweeps=0)
+
+
+def test_accretive_constructor_decides_accretivity_once():
+    acc = accretive(identity(3).map(float))
+    assert acc.strict
+    assert acc.sym == identity(3).map(float)
+    assert [round(v, 12) for v in acc.eig.values] == [1.0, 1.0, 1.0]
+    boundary = accretive(ones(4).map(float))  # rank one, spectrum {4, 0, 0, 0}
+    assert not boundary.strict
+    # symmetric part diag(1, -1) is indefinite
+    for bad in (_diag([1.0, -1.0]), Matrix(2, 3, [1.0] * 6)):
+        with pytest.raises(ValueError):
+            accretive(bad)
 
 
 def test_factorize_trivial_skew_plus_identity():
     s0 = Matrix.from_rows([[0.0, 1.0], [-1.0, 0.0]])
     a = identity(2).map(float) + s0
-    h_sqrt, s, rep = accretive_factorize(a)
+    h_sqrt, s, rep = accretive_factorize(accretive(a))
     assert rep.verified
     assert max_abs(h_sqrt - identity(2).map(float)) < 1e-9
     assert max_abs(s - s0) < 1e-9
 
 
 def test_factorize_rejects_singular_symmetric_part():
+    acc = accretive(Matrix.from_rows([[1.0, 5.0], [-3.0, 1.0]]))
+    assert not acc.strict
     with pytest.raises(ValueError):
-        accretive_factorize(Matrix.from_rows([[1.0, 5.0], [-3.0, 1.0]]))
+        accretive_factorize(acc)
+    with pytest.raises(ValueError):
+        acc.factorization
 
 
 def test_factorize_random_strict():
     for t in range(10):
         stream = substream(810, t)
-        a = random_accretive(stream, 6)
-        _, _, rep = accretive_factorize(a)
+        acc = accretive(random_accretive(stream, 6))
+        _, _, rep = acc.factorization
         assert rep.verified, rep.instance
+        assert acc.factorization is acc.factorization
 
 
 def test_det_positive_eigen_product():
     s0 = Matrix.from_rows([[0.0, 1.0], [-1.0, 0.0]])
     a = identity(2).map(float) + s0
-    rep = verify_det_positive(a)
+    rep = verify_det_positive(accretive(a))
     assert rep.verified
     assert abs(rep.instance["det"] - 2.0) < 1e-12  # det H * (1 + mu^2) = 1 * 2
     assert rep.instance["product_formula_relerr"] <= 1e-6
-    assert verify_det_positive(identity(3).map(float)).verified
+    assert verify_det_positive(accretive(identity(3).map(float))).verified
 
 
 def test_det_positive_random():
     for t in range(20):
         stream = substream(811, t)
         a = random_accretive(stream, 6)
-        rep = verify_det_positive(a)
+        rep = verify_det_positive(accretive(a))
         assert rep.verified
         assert rep.instance["det"] > 0
 
 
-def test_det_positive_rejects_non_accretive():
-    with pytest.raises(ValueError):
-        verify_det_positive(_diag([1.0, -1.0]))
-
-
 def test_adjugate_accretive_cases():
-    assert verify_adjugate_accretive(identity(3).map(float)).verified
-    assert verify_adjugate_accretive(ones(2).map(float)).verified
+    assert verify_adjugate_accretive(accretive(identity(3).map(float))).verified
+    assert verify_adjugate_accretive(accretive(ones(2).map(float))).verified
     for t in range(20):
         stream = substream(812, t)
         a = random_accretive(stream, 5, boundary=t % 2 == 0)
-        assert verify_adjugate_accretive(a).verified
+        assert verify_adjugate_accretive(accretive(a)).verified
 
 
 def test_inequality_rank_one_equality_case():
-    w = verify_accretive_inequality(Matrix.from_rows([[1.0, 2.0], [0.0, 1.0]]))
+    w = verify_accretive_inequality(accretive(Matrix.from_rows([[1.0, 2.0], [0.0, 1.0]])))
     assert w.minors == (1.0, 1.0, 2.0, 0.0)
     assert w.lhs == w.rhs == 1.0
     assert w.margin == 0.0
 
 
 def test_inequality_identity_case():
-    w = verify_accretive_inequality(identity(3).map(float))
+    w = verify_accretive_inequality(accretive(identity(3).map(float)))
     assert w.lhs == 1.0 and w.rhs == 0.0 and w.margin == 1.0
 
 
@@ -134,13 +149,13 @@ def test_inequality_random_margins():
         stream = substream(813, t)
         n = 4 + t % 5
         a = random_accretive(stream, n, boundary=t % 4 == 3)
-        w = verify_accretive_inequality(a)
+        w = verify_accretive_inequality(accretive(a))
         assert w.margin >= -1e-8 * max(1.0, w.lhs + w.rhs)
 
 
-def test_inequality_rejects_non_accretive():
+def test_inequality_needs_order_two():
     with pytest.raises(ValueError):
-        verify_accretive_inequality(_diag([1.0, -1.0]))
+        verify_accretive_inequality(accretive(_diag([1.0])))
 
 
 def test_rank_one_instances_sit_on_the_equality_boundary():
@@ -158,7 +173,7 @@ def test_rank_one_instances_sit_on_the_equality_boundary():
         a = Matrix.from_rows(rows) + (alpha / 2.0) * Matrix(
             n, n, [x * y for x in wvec for y in wvec]
         )
-        w = verify_accretive_inequality(a)
+        w = verify_accretive_inequality(accretive(a))
         assert abs(w.margin) <= 1e-8 * max(1.0, w.lhs + w.rhs)
 
 
@@ -167,6 +182,26 @@ def test_accretive_suite():
     assert all(r.verified for r in reports)
     kinds = {r.instance["kind"] for r in reports}
     assert kinds == {"strict", "boundary"}
+
+
+def test_accretive_suite_decomposes_each_matrix_once(monkeypatch):
+    # per claim: H and the adjugate's symmetric part; per strict claim also
+    # -S^2 in the determinant cross-check, and one factorization that the
+    # cross-check and the suite share
+    calls = {"sym_eig": 0, "accretive_factorize": 0}
+    for name in calls:
+        original = getattr(numaccretive, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(numaccretive, name, counted)
+    trials = 40
+    reports = numaccretive.accretive_suite(8, trials, seed=27)
+    strict = sum(r.instance["kind"] == "strict" for r in reports)
+    assert strict == 30
+    assert calls == {"sym_eig": 2 * trials + strict, "accretive_factorize": strict}
 
 
 def test_remark45_values():
