@@ -64,17 +64,20 @@ def test_sym_eig_raises_when_out_of_sweeps():
         sym_eig(h, max_sweeps=0)
 
 
-def test_accretive_constructor_decides_accretivity_once():
-    acc = accretive(identity(3).map(float))
-    assert acc.strict
-    assert acc.sym == identity(3).map(float)
-    assert [round(v, 12) for v in acc.eig.values] == [1.0, 1.0, 1.0]
+def test_psd_check():
+    assert accretive(identity(3).map(float)).strict
+    with pytest.raises(ValueError):
+        accretive(_diag([1.0, -1.0]))  # symmetric part is indefinite
     boundary = accretive(ones(4).map(float))  # rank one, spectrum {4, 0, 0, 0}
     assert not boundary.strict
-    # symmetric part diag(1, -1) is indefinite
-    for bad in (_diag([1.0, -1.0]), Matrix(2, 3, [1.0] * 6)):
-        with pytest.raises(ValueError):
-            accretive(bad)
+
+
+def test_accretive_constructor_decides_accretivity_once():
+    acc = accretive(identity(3).map(float))
+    assert acc.sym == identity(3).map(float)
+    assert [round(v, 12) for v in acc.eig.values] == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        accretive(Matrix(2, 3, [1.0] * 6))
 
 
 def test_factorize_trivial_skew_plus_identity():
@@ -123,6 +126,11 @@ def test_det_positive_random():
         assert rep.instance["det"] > 0
 
 
+def test_det_positive_rejects_non_accretive():
+    with pytest.raises(ValueError):
+        verify_det_positive(accretive(_diag([1.0, -1.0])))
+
+
 def test_adjugate_accretive_cases():
     assert verify_adjugate_accretive(accretive(identity(3).map(float))).verified
     assert verify_adjugate_accretive(accretive(ones(2).map(float))).verified
@@ -151,6 +159,11 @@ def test_inequality_random_margins():
         a = random_accretive(stream, n, boundary=t % 4 == 3)
         w = verify_accretive_inequality(accretive(a))
         assert w.margin >= -1e-8 * max(1.0, w.lhs + w.rhs)
+
+
+def test_inequality_rejects_non_accretive():
+    with pytest.raises(ValueError):
+        verify_accretive_inequality(accretive(_diag([1.0, -1.0])))
 
 
 def test_inequality_needs_order_two():
