@@ -23,7 +23,6 @@ from .matrix import (
     identity as identity_matrix,
     johnson_family,
     lower_shift,
-    matrix_from_json,
     matrix_to_json,
     ones,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "identity_matrix",
     "johnson_family",
     "lower_shift",
-    "matrix_from_json",
     "matrix_to_json",
     "ones",
     "remark45_repro",

@@ -30,11 +30,10 @@ from pathlib import Path
 from . import identity as idmod
 from . import numaccretive as accmod
 from .detkit import COFACTOR_CAP, DET_ALGOS
-from .matrix import Matrix, matrix_from_json
 from .ring import scalar_text
 from .rng import random_int_matrix, random_poly_matrix, substream
 
-__all__ = ["DEFAULT_SEED", "load_matrix", "main", "run"]
+__all__ = ["DEFAULT_SEED", "main", "run"]
 
 DEFAULT_SEED = 123456789
 
@@ -128,17 +127,7 @@ _HANDLERS = {
 }
 
 
-# -- matrix input and report rendering ----------------------------------------
-
-def load_matrix(path) -> Matrix:
-    """Reads a matrix from the JSON wire format, raising ValueError with the
-    offending field named on malformed input."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"json: {e}") from None
-    return matrix_from_json(doc)
-
+# -- report rendering ---------------------------------------------------------
 
 def _payload_dict(item):
     if hasattr(item, "to_json"):
@@ -298,7 +287,11 @@ def main(argv=None) -> int:
         return 2
     text = _render(payload, args.fmt)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            print(f"error: cannot write --out: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

@@ -18,13 +18,15 @@ One production engine per scalar world:
 the two by the kind of its entries; the all-ones quadratic form
 ``s_functional`` and the four contiguous minors ``contiguous_minors`` sit
 on top.  ``det_cofactor`` (Laplace expansion, order <= 7) and
-``det_condensation`` are oracles, and Bareiss is the oracle for the row
-expansion on polynomials.  Condensation iterates the 2x2 recurrence
+``det_condensation`` (exact scalars only) are oracles, and Bareiss is the
+oracle for the row expansion on polynomials.  Condensation iterates the 2x2
+recurrence
 
     det(M_{k+1} block) * interior = m11*m22 - m12*m21
 
 and rescues any entry whose interior divisor vanishes by calling Bareiss on
-the corresponding block, so it returns the true determinant on every input.
+the corresponding block, so it returns the true determinant on every exact
+input.
 ``DET_ALGOS`` lists the square-matrix engines that ``bench det`` times.
 """
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .matrix import Matrix, max_abs
+from .matrix import Matrix
 from .ring import MultiPoly, exact_div, is_floating, sum_of_products
 
 __all__ = [
@@ -136,13 +138,14 @@ def det_bareiss(a: Matrix):
 
 
 def det_condensation(a: Matrix):
-    """Iterated 2x2 condensation with a Bareiss rescue for zero interiors."""
+    """Iterated 2x2 condensation with a Bareiss rescue for zero interiors;
+    exact scalars only (float or complex entries raise TypeError)."""
     _require_square(a)
+    if _is_floating_matrix(a):
+        raise TypeError("condensation is an exact engine; got float or complex entries")
     n = a.rows
     if n == 0:
         return 1
-    floating = _is_floating_matrix(a)
-    tol = _FLOAT_PIVOT_REL * max_abs(a) if floating else None
     cur = a.to_rows()
     prev = None
     k = 1  # cur[i][j] = det of the k x k block at 1-based (i+1, j+1)
@@ -156,13 +159,10 @@ def det_condensation(a: Matrix):
                     nxt[i][j] = num
                     continue
                 d = prev[i + 1][j + 1]
-                degenerate = abs(d) <= tol if floating else not d
-                if degenerate:
-                    nxt[i][j] = det_bareiss(a.block(k + 1, i + 1, j + 1))
-                elif floating:
-                    nxt[i][j] = num / d
-                else:
+                if d:
                     nxt[i][j] = exact_div(num, d)
+                else:
+                    nxt[i][j] = det_bareiss(a.block(k + 1, i + 1, j + 1))
         prev, cur = cur, nxt
         k += 1
     return cur[0][0]

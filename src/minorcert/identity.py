@@ -34,6 +34,7 @@ from .matrix import (
     lower_shift,
     ones,
     outer,
+    skew_toeplitz,
 )
 from .report import CertificateReport, verdict
 from .ring import is_floating, scalar_text
@@ -299,16 +300,7 @@ def johnson_numeric_suite(
         stream = substream(seed, t)
         n = stream.randint(2, max_n)
         b = [stream.uniform(-2.0, 2.0) for _ in range(n - 1)]
-        data = []
-        for i in range(n):
-            for j in range(n):
-                if j > i:
-                    data.append(1.0 + b[j - i - 1])
-                elif j < i:
-                    data.append(1.0 - b[i - j - 1])
-                else:
-                    data.append(1.0)
-        a = Matrix(n, n, data)
+        a = ones(n) + skew_toeplitz(b)
         m = n - 1
         d12 = det_bareiss(a.block(m, 1, 2))
         d21 = det_bareiss(a.block(m, 2, 1))

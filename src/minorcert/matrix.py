@@ -1,7 +1,8 @@
 """Dense matrices over any scalar kind, with the structured constructors used
-throughout the toolkit: the all-ones/identity/shift matrices, the generic
-skew-symmetric Toeplitz family over Z[b1..b_{n-1}] and the Johnson family
-built on it, and contiguous-block extraction.
+throughout the toolkit: the all-ones/identity/shift matrices, the
+skew-symmetric Toeplitz matrices (generic over Z[b1..b_{n-1}] or numeric)
+and the Johnson family built on them, contiguous-block extraction, and the
+JSON form of the floating witness matrices.
 
 Contiguous blocks use the 1-based A_r(i, j) convention (the r x r submatrix
 whose top-left corner sits at row i, column j); raw entry access ``A[i, j]``
@@ -10,9 +11,7 @@ stays 0-based like everything else in Python.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ring import MultiPoly, variables
+from .ring import variables
 
 __all__ = [
     "Matrix",
@@ -21,11 +20,11 @@ __all__ = [
     "is_skew_symmetric",
     "johnson_family",
     "lower_shift",
-    "matrix_from_json",
     "matrix_to_json",
     "max_abs",
     "ones",
     "outer",
+    "skew_toeplitz",
     "zeros",
 ]
 
@@ -200,24 +199,27 @@ def lower_shift(n: int) -> Matrix:
     return Matrix(n, n, [1 if i == j + 1 else 0 for i in range(n) for j in range(n)])
 
 
+def skew_toeplitz(bs) -> Matrix:
+    """The skew-symmetric Toeplitz matrix of order len(bs) + 1 with
+    superdiagonal values ``bs``: entry b_{j-i} above the diagonal, -b_{i-j}
+    below, and on it the zero ``b1 - b1`` of the entries' own kind."""
+    bs = list(bs)
+    if not bs:
+        raise ValueError("skew Toeplitz needs at least one superdiagonal value")
+    n = len(bs) + 1
+    zero = bs[0] - bs[0]
+    return Matrix(n, n, [
+        bs[j - i - 1] if j > i else -bs[i - j - 1] if j < i else zero
+        for i in range(n)
+        for j in range(n)
+    ])
+
+
 def generic_skew_toeplitz(n: int) -> Matrix:
-    """The generic skew-symmetric Toeplitz matrix over Z[b1..b_{n-1}]: entry
-    b_{j-i} above the diagonal, -b_{i-j} below, 0 on it."""
+    """The generic skew-symmetric Toeplitz matrix over Z[b1..b_{n-1}]."""
     if n < 2:
         raise ValueError("generic skew Toeplitz needs order >= 2")
-    nv = n - 1
-    bs = variables(nv)
-    zero = MultiPoly.zero(nv)
-    data = []
-    for i in range(n):
-        for j in range(n):
-            if j > i:
-                data.append(bs[j - i - 1])
-            elif j < i:
-                data.append(-bs[i - j - 1])
-            else:
-                data.append(zero)
-    return Matrix(n, n, data)
+    return skew_toeplitz(variables(n - 1))
 
 
 def johnson_family(n: int) -> Matrix:
@@ -248,104 +250,26 @@ def max_abs(a: Matrix):
     return max(abs(x) for x in a.entries())
 
 
-# -- JSON wire format ---------------------------------------------------
+# -- witness JSON form ----------------------------------------------------
 #
-# {"rows": n, "cols": n, "scalar": "int|rat|poly|real|complex", "data": [...]}
-# with complex entries as [re, im] pairs, rationals as "p/q" strings and
-# polynomials as their canonical text form (plus a top-level "nvars").
-
-def _scalar_kind(entries) -> str:
-    has = {"complex": False, "float": False, "poly": False, "rat": False}
-    for x in entries:
-        if isinstance(x, complex):
-            has["complex"] = True
-        elif isinstance(x, float):
-            has["float"] = True
-        elif isinstance(x, MultiPoly):
-            has["poly"] = True
-        elif isinstance(x, Fraction):
-            has["rat"] = True
-        elif not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"data: unsupported scalar {type(x).__name__}")
-    if has["poly"] and (has["complex"] or has["float"] or has["rat"]):
-        raise ValueError("data: polynomials cannot mix with non-integer scalars")
-    if (has["complex"] or has["float"]) and has["rat"]:
-        raise ValueError("data: floating entries cannot mix with rationals")
-    if has["complex"]:
-        return "complex"
-    if has["float"]:
-        return "real"
-    if has["poly"]:
-        return "poly"
-    if has["rat"]:
-        return "rat"
-    return "int"
-
+# {"rows": n, "cols": n, "scalar": "real|complex", "data": [...]}, row-major,
+# with complex entries as [re, im] pairs.  Only the floating witnesses of the
+# accretive layer are serialized; exact matrices never leave the program.
 
 def matrix_to_json(a: Matrix) -> dict:
-    kind = _scalar_kind(a.entries())
-    doc = {"rows": a.rows, "cols": a.cols, "scalar": kind}
-    if kind == "int":
-        doc["data"] = list(a.entries())
-    elif kind == "rat":
-        doc["data"] = [str(Fraction(x)) for x in a.entries()]
-    elif kind == "real":
-        doc["data"] = [float(x) for x in a.entries()]
-    elif kind == "complex":
-        doc["data"] = [[complex(x).real, complex(x).imag] for x in a.entries()]
+    """JSON form of a real or complex witness matrix; any other entry kind
+    (and an all-integer matrix) raises ValueError rather than be rounded."""
+    entries = a.entries()
+    if any(isinstance(x, bool) or not isinstance(x, (int, float, complex))
+           for x in entries):
+        raise ValueError("data: only real and complex matrices are serialized")
+    doc = {"rows": a.rows, "cols": a.cols}
+    if any(isinstance(x, complex) for x in entries):
+        doc["scalar"] = "complex"
+        doc["data"] = [[complex(x).real, complex(x).imag] for x in entries]
+    elif any(isinstance(x, float) for x in entries):
+        doc["scalar"] = "real"
+        doc["data"] = [float(x) for x in entries]
     else:
-        nv = {x.nvars for x in a.entries() if isinstance(x, MultiPoly)}
-        if len(nv) != 1:
-            raise ValueError("data: inconsistent variable counts in polynomial matrix")
-        nvars = nv.pop()
-        doc["nvars"] = nvars
-        doc["data"] = [
-            str(x if isinstance(x, MultiPoly) else MultiPoly.const(x, nvars))
-            for x in a.entries()
-        ]
+        raise ValueError("data: an all-integer matrix is not a floating witness")
     return doc
-
-
-def matrix_from_json(doc) -> Matrix:
-    if not isinstance(doc, dict):
-        raise ValueError("document: expected a JSON object")
-    for field in ("rows", "cols", "scalar", "data"):
-        if field not in doc:
-            raise ValueError(f"{field}: missing")
-    rows, cols = doc["rows"], doc["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
-        raise ValueError("rows/cols: expected non-negative integers")
-    kind = doc["scalar"]
-    data = doc["data"]
-    if not isinstance(data, list):
-        raise ValueError("data: expected a list")
-    if len(data) != rows * cols:
-        raise ValueError(f"data: expected {rows * cols} entries, got {len(data)}")
-    if kind == "int":
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in data):
-            raise ValueError("data: expected integer entries")
-        return Matrix(rows, cols, data)
-    if kind == "rat":
-        try:
-            return Matrix(rows, cols, [Fraction(x) for x in data])
-        except (ValueError, TypeError):
-            raise ValueError("data: expected rational 'p/q' entries") from None
-    if kind == "real":
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in data):
-            raise ValueError("data: expected real entries")
-        return Matrix(rows, cols, [float(x) for x in data])
-    if kind == "complex":
-        out = []
-        for x in data:
-            if not isinstance(x, list) or len(x) != 2:
-                raise ValueError("data: expected [re, im] pairs")
-            out.append(complex(x[0], x[1]))
-        return Matrix(rows, cols, out)
-    if kind == "poly":
-        if "nvars" not in doc:
-            raise ValueError("nvars: missing for a polynomial matrix")
-        nvars = doc["nvars"]
-        if not isinstance(nvars, int) or nvars < 0:
-            raise ValueError("nvars: expected a non-negative integer")
-        return Matrix(rows, cols, [MultiPoly.parse(x, nvars) for x in data])
-    raise ValueError(f"scalar: unknown tag {kind!r}")

@@ -38,6 +38,7 @@ __all__ = [
     "accretive_factorize",
     "accretive_suite",
     "hermitian_eigenvalues",
+    "minor_witness",
     "random_accretive",
     "remark45_matrix",
     "remark45_repro",
@@ -327,25 +328,25 @@ def verify_adjugate_accretive(acc: Accretive, tol: float = 1e-8) -> CertificateR
     )
 
 
-def verify_accretive_inequality(acc: Accretive) -> AccretiveWitness:
-    """Evaluates the minor inequality on an accretive instance and returns
-    the witness.  A tiny negative product under the square root (roundoff on
-    a true zero) is clamped to zero and the clamp magnitude recorded.  The
-    caller judges the margin against its own tolerance."""
-    a = acc.matrix
-    n = a.rows
-    if n < 2:
+def minor_witness(a: Matrix, label: str) -> AccretiveWitness:
+    """Evaluates both sides of the minor inequality on a real or complex A
+    of order >= 2.  A complex product d11*d22 goes under the square root by
+    its modulus; a negative real one (roundoff on a true zero) is clamped to
+    zero and the clamp magnitude recorded.  The caller judges the margin
+    against its own tolerance."""
+    if a.rows < 2:
         raise ValueError("needs order >= 2")
     d11, d22, d12, d21 = contiguous_minors(a)
     product = d11 * d22
     clamp = 0.0
-    if product < 0.0:
-        clamp = -product
-        product = 0.0
+    if isinstance(product, complex):
+        product = abs(product)
+    elif product < 0.0:
+        clamp, product = -product, 0.0
     lhs = math.sqrt(product)
     rhs = abs((d12 + d21) / 2.0)
     return AccretiveWitness(
-        label=f"accretive_inequality_n{n}",
+        label=label,
         matrix=a,
         minors=(d11, d22, d12, d21),
         lhs=lhs,
@@ -353,6 +354,11 @@ def verify_accretive_inequality(acc: Accretive) -> AccretiveWitness:
         margin=lhs - rhs,
         clamp=clamp,
     )
+
+
+def verify_accretive_inequality(acc: Accretive) -> AccretiveWitness:
+    """The minor-inequality witness of an accretive instance."""
+    return minor_witness(acc.matrix, f"accretive_inequality_n{acc.matrix.rows}")
 
 
 def random_accretive(stream: SplitMix64, n: int, boundary: bool = False) -> Matrix:
@@ -472,20 +478,6 @@ def _hermitian_part(a: Matrix) -> Matrix:
     )
 
 
-def _complex_margin_witness(a: Matrix, label: str) -> AccretiveWitness:
-    d11, d22, d12, d21 = contiguous_minors(a)
-    lhs = math.sqrt(abs(d11 * d22))
-    rhs = abs((d12 + d21) / 2.0)
-    return AccretiveWitness(
-        label=label,
-        matrix=a,
-        minors=(d11, d22, d12, d21),
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-    )
-
-
 def remark45_repro() -> AccretiveWitness:
     """Re-evaluates the hard-coded complex witness: confirms (A + A*)/2 is
     PSD (to 1e-6 relative) and reports lhs < rhs for the transpose-based
@@ -495,7 +487,7 @@ def remark45_repro() -> AccretiveWitness:
     lam_min, lam_max = min(vals), max(vals)
     if lam_min < -1e-6 * max(lam_max, 1e-300):
         raise ArithmeticError("hard-coded witness lost positive semidefiniteness")
-    return _complex_margin_witness(a, "remark45")
+    return minor_witness(a, "remark45")
 
 
 def _skew_hermitian(n: int, draw) -> Matrix:
@@ -560,7 +552,7 @@ def search_complex_violation(
         else:
             sigma = max(0.02, 0.5 * 0.995 ** it)
             cand = _perturb_skew_hermitian(stream, best, sigma)
-        w = _complex_margin_witness(cand, f"search_d{dim}_i{it:06d}")
+        w = minor_witness(cand, f"search_d{dim}_i{it:06d}")
         scale = max(1.0, w.lhs + w.rhs)
         if w.margin < best_margin:
             best, best_margin = cand, w.margin

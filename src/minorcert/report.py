@@ -54,7 +54,7 @@ def verdict(ok: bool) -> str:
 
 
 def jsonable(x):
-    """JSON form of a report value: matrices in the wire format, exact
+    """JSON form of a report value: matrices in the witness form, exact
     scalars as canonical text, complex numbers as [re, im] pairs."""
     if isinstance(x, Matrix):
         return matrix_to_json(x)

@@ -273,46 +273,6 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {str(self)!r})"
 
-    @classmethod
-    def parse(cls, text: str, nvars: int) -> "MultiPoly":
-        """Inverse of ``str``: reads ``c * b1^e1 b2^e2 + ...``."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty polynomial text")
-        terms: dict[tuple[int, ...], int] = {}
-        for part in s.split(" + "):
-            part = part.strip()
-            exps = [0] * nvars
-            if " * " in part:
-                cs, mons = part.split(" * ", 1)
-                coeff = _parse_int(cs)
-                for mon in mons.split():
-                    if not mon.startswith("b"):
-                        raise ValueError(f"bad monomial {mon!r}")
-                    if "^" in mon:
-                        name, es = mon.split("^", 1)
-                        e = _parse_int(es)
-                    else:
-                        name, e = mon, 1
-                    idx = _parse_int(name[1:])
-                    if not 1 <= idx <= nvars:
-                        raise ValueError(
-                            f"variable b{idx} outside 1..{nvars}"
-                        )
-                    exps[idx - 1] += e
-            else:
-                coeff = _parse_int(part)
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + coeff
-        return cls(nvars, terms)
-
-
-def _parse_int(s: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise ValueError(f"bad integer {s.strip()!r} in polynomial text") from None
-
 
 def _pack(nvars: int, exps) -> int:
     exps = tuple(exps)
@@ -344,20 +304,25 @@ def is_floating(x) -> bool:
 def exact_div(a, b):
     """Exact ring division a/b, raising ExactDivisionError on a remainder.
 
-    Polynomials use leading-term reduction, integers use divmod, rationals
-    and floats use ordinary division (which is exact for a field and merely
-    approximate for floats, as expected on the floating paths).
+    Polynomials use leading-term reduction, integers use divmod and
+    rationals ordinary division.  Floating operands raise TypeError: a float
+    quotient is never exact, so it has no place on the exact paths.  Two
+    plain ints, the bulk of the calls from the integer engines, skip the
+    kind checks.
     """
-    if isinstance(b, int) and not isinstance(b, bool) and b == 1:
+    if type(a) is not int or type(b) is not int:
+        if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
+            raise TypeError("exact division takes exact scalars, not float or complex")
+        if type(b) is int and b == 1:
+            return a
+        if isinstance(a, MultiPoly):
+            return a.exact_div(b)
+        if isinstance(b, MultiPoly):
+            return MultiPoly.const(a, b.nvars).exact_div(b)
+        if isinstance(a, Fraction) or isinstance(b, Fraction):
+            return Fraction(a) / Fraction(b)
+    elif b == 1:
         return a
-    if isinstance(a, MultiPoly):
-        return a.exact_div(b)
-    if isinstance(b, MultiPoly):
-        return MultiPoly.const(a, b.nvars).exact_div(b)
-    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return a / b
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a) / Fraction(b)
     q, r = divmod(a, b)
     if r:
         raise ExactDivisionError(f"{a} is not divisible by {b}")

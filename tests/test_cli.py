@@ -4,9 +4,6 @@ import pytest
 
 from minorcert import cli, numaccretive
 from minorcert.identity import DEFAULT_SYMBOLIC_CAP
-from minorcert.matrix import Matrix, matrix_to_json
-from minorcert.numaccretive import remark45_matrix
-from fractions import Fraction
 
 
 def run_to_file(tmp_path, name, argv):
@@ -165,32 +162,6 @@ def test_text_summary_format(capsys):
     assert "claim" in out and "johnson_symbolic_n3" in out and "verified" in out
 
 
-def test_load_save_matrix_roundtrip(tmp_path):
-    path = tmp_path / "m.json"
-    r = Matrix.from_rows(
-        [
-            [Fraction(1, 2), Fraction(2, 3), Fraction(3)],
-            [Fraction(-1), Fraction(0), Fraction(5, 7)],
-            [Fraction(9), Fraction(1, 9), Fraction(-2, 5)],
-        ]
-    )
-    path.write_text(json.dumps(matrix_to_json(r)))
-    assert cli.load_matrix(path) == r
-    c = remark45_matrix()
-    path.write_text(json.dumps(matrix_to_json(c)))
-    assert cli.load_matrix(path) == c
-
-
-def test_load_matrix_errors(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ValueError, match="json"):
-        cli.load_matrix(path)
-    path.write_text(json.dumps({"rows": 3, "cols": 3, "scalar": "int", "data": [0] * 8}))
-    with pytest.raises(ValueError, match="data"):
-        cli.load_matrix(path)
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "johnson", "--n", "4"],
     ["verify", "johnson", "--mode", "numeric", "--n", "5", "--trials", "3"],
@@ -238,3 +209,14 @@ def test_non_convergence_is_a_usage_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "did not converge" in captured.err
+
+
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_failed_out_write_is_a_usage_error(tmp_path, capsys, target):
+    out = tmp_path / target
+    rc = cli.main(["verify", "specialization", "--m", "3", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out")
+    assert not (tmp_path / "missing").exists()

@@ -18,7 +18,7 @@ from minorcert.numaccretive import (
     verify_accretive_inequality,
     verify_adjugate_accretive,
     verify_det_positive,
-    _complex_margin_witness,
+    minor_witness,
 )
 from minorcert.rng import substream
 
@@ -244,8 +244,21 @@ def test_hand_checked_dim2_violation():
     # 2x2 over C: conjugate-symmetric part is the identity (PSD), yet the
     # transpose-based minors give lhs = 1 < rhs = 10
     a = Matrix.from_rows([[1 + 0j, 10j], [10j, 1 + 0j]])
-    w = _complex_margin_witness(a, "hand")
+    w = minor_witness(a, "hand")
     assert w.lhs == 1.0 and w.rhs == 10.0 and w.margin == -9.0
+    assert w.clamp == 0.0
+
+
+def test_witness_clamps_only_a_negative_real_product():
+    # real: d11 * d22 = -1 is clamped to zero and the clamp recorded
+    w = minor_witness(_diag([1.0, -1.0]), "real")
+    assert w.minors == (1.0, -1.0, 0.0, 0.0)
+    assert w.clamp == 1.0 and w.lhs == 0.0 and w.rhs == 0.0 and w.margin == 0.0
+    # complex: d11 * d22 = (1j)(1j) = -1 is taken by its modulus, no clamp
+    w = minor_witness(Matrix.from_rows([[1j, 0j], [0j, 1j]]), "complex")
+    assert w.clamp == 0.0 and w.lhs == 1.0 and w.rhs == 0.0
+    with pytest.raises(ValueError):
+        minor_witness(_diag([1.0]), "order one")
 
 
 def test_search_finds_dim2_violations():
