@@ -4,7 +4,10 @@
 Covers every certificate family: the symbolic minor identity for orders
 2..DEFAULT_SYMBOLIC_CAP (10), the reduced-case and lemma suites up to the same
 order, the specialization values, the rank-one equality (exact and float), the
-accretive suite, and the complex diagnostic.  Exits nonzero if any claim fails.
+accretive suite, and the complex diagnostic.  The accretive suite also runs
+at order 30, where the strict instances have leading minors far below
+1e-12 that are nonzero and must not be taken for singular.  Exits nonzero
+if any claim fails.
 """
 
 import sys
@@ -26,6 +29,7 @@ def main() -> int:
         ["verify", "bt", "--dim", "10", "--trials", "100", "--scalar", "real"],
         ["verify", "accretive", "--dim", "8", "--trials", "200"],
         ["verify", "accretive", "--dim", "12", "--trials", "60"],
+        ["verify", "accretive", "--dim", "30", "--trials", "12", "--seed", "3"],
         ["repro", "remark45"],
     ]
     worst = 0

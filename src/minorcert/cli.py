@@ -30,7 +30,6 @@ from pathlib import Path
 from . import identity as idmod
 from . import numaccretive as accmod
 from .detkit import COFACTOR_CAP, DET_ALGOS
-from .ring import scalar_text
 from .rng import random_int_matrix, random_poly_matrix, substream
 
 __all__ = ["DEFAULT_SEED", "main", "run"]
@@ -102,7 +101,7 @@ def _bench_det(args):
         t0 = time.perf_counter_ns()
         value = fn(a)
         nanos = time.perf_counter_ns() - t0
-        digest = hashlib.sha256(scalar_text(value).encode()).hexdigest()[:16]
+        digest = hashlib.sha256(str(value).encode()).hexdigest()[:16]
         rows.append(
             {
                 "algo": args.algo,

@@ -5,7 +5,7 @@ One production engine per scalar world:
 - ``det_bareiss`` serves numbers (ints, rationals, floats, complex):
   one-step fraction-free elimination whose every intermediate division is
   exact over an integral domain (floating matrices run the same sweep with
-  magnitude pivoting).
+  magnitude pivoting).  Every kind stops only on an exactly zero pivot.
 - ``leading_row_minors`` serves every polynomial determinant and adjugate
   of the certificates over Z[b1..bk]: the division-free memoized row
   expansion, which returns several minors on the same leading rows from one
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 COFACTOR_CAP = 7
-_FLOAT_PIVOT_REL = 1e-12
 
 
 def _require_square(a: Matrix):
@@ -93,31 +92,29 @@ def _laplace(rows):
 def det_bareiss(a: Matrix):
     """Fraction-free (Bareiss) determinant.
 
-    Exact scalars: first nonzero pivot with row swaps, every division exact
-    (a remainder raises ExactDivisionError, i.e. a ring-contract bug).
-    Floating scalars: magnitude pivoting; a pivot column below
-    1e-12 * max|entry| is treated as singular.
+    Row swaps bring a pivot to the diagonal: the largest magnitude for
+    floating scalars, the first nonzero for exact ones, whose every
+    division is then exact (a remainder raises ExactDivisionError, i.e. a
+    ring-contract bug).  The matrix is singular only when the chosen pivot
+    is exactly zero; the result is then a zero of the entries' own kind.
+    No cutoff applies: the pivots are leading minors, which may be
+    legitimately tiny.
     """
     _require_square(a)
     n = a.rows
     if n == 0:
         return 1
     rows = a.to_rows()
-    if n == 1:
-        return rows[0][0]
     floating = _is_floating_matrix(a)
-    tol = _FLOAT_PIVOT_REL * max(abs(x) for r in rows for x in r) if floating else None
     sign = 1
     prev = 1
     for k in range(n - 1):
         if floating:
             pr = max(range(k, n), key=lambda r: abs(rows[r][k]))
-            if abs(rows[pr][k]) <= tol:
-                return rows[0][0] * 0
         else:
-            pr = next((r for r in range(k, n) if rows[r][k]), None)
-            if pr is None:
-                return 0
+            pr = next((r for r in range(k, n) if rows[r][k]), k)
+        if not rows[pr][k]:
+            return rows[0][0] * 0
         if pr != k:
             rows[k], rows[pr] = rows[pr], rows[k]
             sign = -sign

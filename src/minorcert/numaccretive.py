@@ -408,8 +408,11 @@ def accretive_suite(
             _, _, fact_rep = acc.factorization
             checks["factorization"] = fact_rep.residual
             ok = ok and fact_rep.verified
-        # each component normalized by its own tolerance, so that the report
-        # invariant "verified iff residual <= tolerance" holds exactly
+        # each component normalized by its own tolerance, so a residual above
+        # the tolerance always means "refuted"; the converse fails, since
+        # some checks refute without raising the residual: on strict
+        # instances det > 0 and the product-formula relerr <= 1e-6, and a
+        # factorization skew residual in (1e-9, 1e-8]
         worst = tol * max(
             float(det_rep.residual) / 1e-9,
             float(adj_rep.residual) / tol,

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .matrix import Matrix, matrix_to_json
-from .ring import MultiPoly, scalar_text
+from .ring import MultiPoly
 
 __all__ = ["REFUTED", "VERIFIED", "CertificateReport", "jsonable", "verdict"]
 
@@ -54,12 +53,10 @@ def verdict(ok: bool) -> str:
 
 
 def jsonable(x):
-    """JSON form of a report value: matrices in the witness form, exact
-    scalars as canonical text, complex numbers as [re, im] pairs."""
-    if isinstance(x, Matrix):
-        return matrix_to_json(x)
+    """JSON form of a report value: exact scalars as canonical text,
+    complex numbers as [re, im] pairs."""
     if isinstance(x, (MultiPoly, Fraction)):
-        return scalar_text(x)
+        return str(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, dict):

@@ -20,7 +20,6 @@ __all__ = [
     "MultiPoly",
     "exact_div",
     "is_floating",
-    "scalar_text",
     "sum_of_products",
     "variables",
 ]
@@ -379,16 +378,3 @@ def _product_sum(nvars: int, triples) -> dict[int, int]:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
-
-
-def scalar_text(x) -> str:
-    """Canonical text form of any scalar, used in reports and hashes."""
-    if isinstance(x, MultiPoly):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, complex):
-        return repr(x)
-    return str(x)

@@ -19,7 +19,7 @@ from minorcert.identity import (
     specialization_certificate,
     verify_skew_facts,
 )
-from minorcert.matrix import Matrix, generic_skew_toeplitz, outer
+from minorcert.matrix import Matrix, generic_skew_toeplitz, outer, skew_toeplitz
 from minorcert.numaccretive import accretive_suite, remark45_repro
 from minorcert.rng import random_int_matrix, substream
 
@@ -74,11 +74,11 @@ def test_criterion_3_specialization_values():
         assert rep.verified
         assert rep.instance["s_C"] == expected == rep.instance["s_K"]
         assert rep.instance["adj_K_is_uuT"]
-        from minorcert.identity import _specialized_k
         from minorcert.detkit import adjugate
 
+        k = skew_toeplitz([1] + [0] * (m - 1)).block(m, 1, 1)
         u = [1 if i % 2 == 0 else 0 for i in range(m)]
-        assert adjugate(_specialized_k(m)) == outer(u)
+        assert adjugate(k) == outer(u)
     for m in (2, 4, 6):
         rep = specialization_certificate(m)
         assert rep.verified

@@ -86,6 +86,15 @@ def test_verify_accretive(tmp_path):
     assert all(d["status"] == "verified" for d in docs)
 
 
+def test_verify_accretive_strict_order_24():
+    # a true strict instance whose determinant has pivots below
+    # 1e-12 * max|entry|; a zero determinant would refute it with a
+    # residual far below the tolerance
+    assert cli.main(
+        ["verify", "accretive", "--dim", "24", "--trials", "3", "--seed", "25"]
+    ) == 0
+
+
 def test_repro_remark45(tmp_path):
     rc, raw = run_to_file(tmp_path, "r.json", ["repro", "remark45"])
     assert rc == 0

@@ -20,8 +20,10 @@ from minorcert.matrix import (
     generic_skew_toeplitz,
     identity,
     johnson_family,
+    lower_shift,
     ones,
     outer,
+    skew_toeplitz,
     zeros,
 )
 from minorcert.ring import MultiPoly, variables
@@ -221,8 +223,7 @@ def test_specialization_m3_inverse_vector():
 
 def test_specialization_m5_adjugate_is_uuT():
     shift_pattern = [1, 0, 1, 0, 1]
-    from minorcert.identity import _specialized_k
-    k = _specialized_k(5)
+    k = skew_toeplitz([1, 0, 0, 0, 0]).block(5, 1, 1)
     assert adjugate(k) == outer(shift_pattern)
 
 
@@ -235,13 +236,17 @@ def test_specialization_even_values(m):
 
 
 def test_specialization_matches_generic_blocks():
-    # the hard-coded specialized K equals the evaluated block of the
-    # generic skew family
-    from minorcert.identity import _specialized_k
+    # the numeric skew Toeplitz blocks at b = (1, 0, ..., 0) equal the
+    # evaluated blocks of the generic skew family, and are the tridiagonal
+    # K = L^T - L and C = I - L^2 of the paper
     m = 5
     b = generic_skew_toeplitz(m + 1)
     point = [1] + [0] * (m - 1)
-    assert b.block(m, 1, 1).map(lambda p: p.evaluate(point)) == _specialized_k(m)
+    spec = skew_toeplitz(point)
+    shift = lower_shift(m)
+    for j, expected in ((1, shift.T - shift), (2, identity(m) - shift @ shift)):
+        assert b.block(m, 1, j).map(lambda p: p.evaluate(point)) == spec.block(m, 1, j)
+        assert spec.block(m, 1, j) == expected
 
 
 def test_specialization_rejects_small():

@@ -126,6 +126,26 @@ def test_det_positive_random():
         assert rep.instance["det"] > 0
 
 
+def test_det_positive_keeps_tiny_nonzero_pivots():
+    # the normalized strict instances have leading minors that shrink
+    # geometrically with the order; at order 19 a Bareiss pivot falls below
+    # 1e-12 * max|entry| and must still not count as singular
+    acc = accretive(random_accretive(substream(9, 5), 19))
+    rep = verify_det_positive(acc)
+    assert rep.verified, rep.instance
+    assert rep.instance["det"] > 0
+
+
+def test_order_26_minors_are_not_flushed_to_zero():
+    # d21 and det A of this instance have pivots below 1e-12 * max|entry|;
+    # none of the minors may come back as 0.0
+    acc = accretive(random_accretive(substream(99, 3), 26))
+    witness = verify_accretive_inequality(acc)
+    assert all(d != 0.0 for d in witness.minors), witness.minors
+    assert witness.margin >= -1e-8 * max(1.0, witness.lhs + witness.rhs)
+    assert verify_det_positive(acc).verified
+
+
 def test_det_positive_rejects_non_accretive():
     with pytest.raises(ValueError):
         verify_det_positive(accretive(_diag([1.0, -1.0])))
