@@ -2,8 +2,9 @@
 """Run the full verification battery and print a one-line summary per claim.
 
 Covers every certificate family: the symbolic minor identity for orders
-2..DEFAULT_SYMBOLIC_CAP (10), the reduced-case and lemma suites up to the same
-order, the specialization values, the rank-one equality (exact and float), the
+2..DEFAULT_SYMBOLIC_CAP (10) and at order 11, the documented opt-in above the
+cap (`--max-n 11`, about 4 s), the reduced-case and lemma suites up to the
+cap, the specialization values, the rank-one equality (exact and float), the
 accretive suite, and the complex diagnostic.  The accretive suite also runs
 at order 30, where the strict instances have leading minors far below
 1e-12 that are nonzero and must not be taken for singular.  Exits nonzero
@@ -22,6 +23,7 @@ def main() -> int:
             ["verify", "johnson", "--mode", "symbolic", "--n", str(n)]
             for n in range(2, DEFAULT_SYMBOLIC_CAP + 1)
         ),
+        ["verify", "johnson", "--mode", "symbolic", "--n", "11", "--max-n", "11"],
         ["verify", "johnson", "--mode", "numeric", "--n", "12", "--trials", "100"],
         ["verify", "lemmas", "--n", str(DEFAULT_SYMBOLIC_CAP), "--trials", "50"],
         *(["verify", "specialization", "--m", str(m)] for m in range(2, 8)),

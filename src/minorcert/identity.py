@@ -35,7 +35,7 @@ from .matrix import (
     skew_toeplitz,
 )
 from .report import CertificateReport, verdict
-from .ring import is_floating
+from .ring import MultiPoly, is_floating
 from .rng import random_int_matrix, random_skew, random_skew_int, substream
 
 __all__ = [
@@ -62,14 +62,20 @@ def verify_johnson_symbolic(n: int, max_n: int = DEFAULT_SYMBOLIC_CAP) -> Certif
     identically in Z[b1..b_{n-1}] for the generic member of A + A^T = 2 J_n.
 
     A_m(1,1) and A_m(1,2) share the rows 1..m, so one division-free row
-    expansion of A gives both; A_m(2,1) is the transpose of the block on
-    rows 1..m, columns 2..n of A^T."""
+    expansion of A gives both.  A^T = J - B is A under the ring map
+    b -> -b, and a determinant commutes with a ring map, so A_m(2,1), the
+    transpose of A^T_m(1,2), has det A_m(2,1) = d12(-b).  The symmetry is
+    checked exactly on the matrix first; if it failed, that would be a bug
+    in the family's construction, not a refutation of the claim, so it
+    raises RuntimeError."""
     if not 2 <= n <= max_n:
         raise ValueError(f"order must be in 2..{max_n}, got {n}")
     a = johnson_family(n)
+    if a.T != a.map(MultiPoly.negate_variables):
+        raise RuntimeError(f"order {n}: A^T is not A(-b); the family is malformed")
     m = n - 1
     d11, d12 = leading_row_minors(a, [range(m), range(1, n)])
-    (d21,) = leading_row_minors(a.T, [range(1, n)])
+    d21 = d12.negate_variables()
     residual = d12 + d21 - 2 * d11
     return CertificateReport(
         claim=f"johnson_symbolic_n{n}",

@@ -211,6 +211,20 @@ class MultiPoly:
             acc += t
         return acc
 
+    def negate_variables(self) -> "MultiPoly":
+        """p(-b1, .., -bk), the image under the ring map b -> -b.
+
+        A monomial of total degree d picks up the sign (-1)^d, so the terms
+        of odd total degree change sign and the others stay.  The total
+        degree is the top field of the packed key, so this is one pass over
+        the terms; the map is an involution and keeps the term count.
+        """
+        deg_shift = _layout(self.nvars)[0]
+        return MultiPoly._raw(
+            self.nvars,
+            {k: -c if (k >> deg_shift) & 1 else c for k, c in self._terms.items()},
+        )
+
     def _iter_terms(self):
         unpack = self._unpack
         for k, c in self._terms.items():

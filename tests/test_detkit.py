@@ -292,6 +292,19 @@ def test_row_expansion_gives_the_johnson_minors_of_bareiss(n):
     assert d21 == det_bareiss(a.block(m, 2, 1))
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_d21_from_the_sign_symmetry_matches_the_transpose_expansion(n):
+    # the certificate takes det A_m(2,1) as d12(-b); the oracles are the
+    # direct row expansion of A^T and, up to order 8, Bareiss on the block
+    a = johnson_family(n)
+    m = n - 1
+    _, d12 = leading_row_minors(a, [range(m), range(1, n)])
+    d21 = d12.negate_variables()
+    assert [d21] == leading_row_minors(a.T, [range(1, n)])
+    if n <= 8:
+        assert d21 == det_bareiss(a.block(m, 2, 1))
+
+
 def test_nonsquare_rejected():
     with pytest.raises(ValueError):
         det_bareiss(Matrix(1, 2, [1, 2]))

@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from minorcert import identity as identity_module
 from minorcert.detkit import adjugate, det_bareiss, leading_row_minors, s_functional
 from minorcert.identity import (
     DEFAULT_SYMBOLIC_CAP,
@@ -59,6 +60,18 @@ def test_johnson_rejects_out_of_range():
     with pytest.raises(ValueError):
         verify_johnson_symbolic(cap + 1)
     assert verify_johnson_symbolic(cap).verified
+
+
+def test_johnson_symbolic_raises_when_the_transpose_is_not_a_at_minus_b(monkeypatch):
+    # a malformed family is an internal error, never a verified or refuted report
+    def malformed(n):
+        rows = johnson_family(n).to_rows()
+        rows[0][1] = rows[0][1] + 1
+        return Matrix.from_rows(rows)
+
+    monkeypatch.setattr(identity_module, "johnson_family", malformed)
+    with pytest.raises(RuntimeError, match="A\\^T is not A\\(-b\\)"):
+        verify_johnson_symbolic(4)
 
 
 def test_johnson_symbolic_certificate_holds_at_random_rational_points():

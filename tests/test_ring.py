@@ -226,6 +226,35 @@ def test_exact_division_failures():
         b1.exact_div(MultiPoly.zero(2))
 
 
+def test_negate_variables_is_evaluation_at_the_opposite_point():
+    # oracle: p(-b) at x is p at -x, at integer and at rational points
+    for t in range(8):
+        stream = substream(414, t)
+        a = random_poly_matrix(stream, 3, nvars=3, max_terms=5, max_exp=3, coeff_bound=6)
+        for p in a.entries():
+            q = p.negate_variables()
+            assert q.negate_variables() == p
+            assert len(q.terms()) == len(p.terms())
+            for _ in range(3):
+                x = [stream.randint(-7, 7) for _ in range(3)]
+                assert q.evaluate(x) == p.evaluate([-v for v in x])
+                x = [Fraction(stream.randint(-7, 7), stream.randint(1, 5)) for _ in range(3)]
+                assert q.evaluate(x) == p.evaluate([-v for v in x])
+
+
+def test_negate_variables_flips_exactly_the_odd_degree_terms():
+    b1, b2 = variables(2)
+    p = 3 * b1 * b1 * b2 - b2 + 5 + b1 * b2
+    assert p.negate_variables() == -3 * b1 * b1 * b2 + b2 + 5 + b1 * b2
+    high = MultiPoly(2, {(15, 2): 4, (15, 3): -1})
+    assert high.negate_variables() == MultiPoly(2, {(15, 2): -4, (15, 3): -1})
+    for nvars in (0, 2):
+        zero = MultiPoly.zero(nvars)
+        const = MultiPoly.const(-7, nvars)
+        assert zero.negate_variables() == zero
+        assert const.negate_variables() == const
+
+
 def test_generic_exact_div_dispatch():
     assert exact_div(12, 3) == 4
     assert exact_div(-12, 3) == -4
