@@ -4,11 +4,12 @@
 Covers every certificate family: the symbolic minor identity for orders
 2..DEFAULT_SYMBOLIC_CAP (10) and at order 11, the documented opt-in above the
 cap (`--max-n 11`, about 4 s), the reduced-case and lemma suites up to the
-cap, the specialization values, the rank-one equality (exact and float), the
-accretive suite, and the complex diagnostic.  The accretive suite also runs
-at order 30, where the strict instances have leading minors far below
-1e-12 that are nonzero and must not be taken for singular.  Exits nonzero
-if any claim fails.
+cap, the specialization values for block orders 2..33 (about 0.3 s in all,
+two O(m^4) adjugates per odd order), the rank-one equality (exact and
+float), the accretive suite, and the complex diagnostic.  The accretive
+suite also runs at order 30, where the strict instances have leading minors
+far below 1e-12 that are nonzero and must not be taken for singular.  Exits
+nonzero if any claim fails.
 """
 
 import sys
@@ -26,7 +27,7 @@ def main() -> int:
         ["verify", "johnson", "--mode", "symbolic", "--n", "11", "--max-n", "11"],
         ["verify", "johnson", "--mode", "numeric", "--n", "12", "--trials", "100"],
         ["verify", "lemmas", "--n", str(DEFAULT_SYMBOLIC_CAP), "--trials", "50"],
-        *(["verify", "specialization", "--m", str(m)] for m in range(2, 8)),
+        *(["verify", "specialization", "--m", str(m)] for m in range(2, 34)),
         ["verify", "bt", "--dim", "6", "--trials", "50", "--scalar", "rat"],
         ["verify", "bt", "--dim", "10", "--trials", "100", "--scalar", "real"],
         ["verify", "accretive", "--dim", "8", "--trials", "200"],

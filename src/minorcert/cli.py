@@ -257,8 +257,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"--n must be in 3..{cap} (the symbolic cap)")
     elif key in (("verify", "bt"), ("verify", "accretive")) and args.dim < 2:
         parser.error("--dim must be at least 2")
-    elif key == ("verify", "specialization") and args.m < 2:
-        parser.error("--m must be at least 2")
+    elif key == ("verify", "specialization"):
+        cap = idmod.SPECIALIZATION_CAP
+        if not 2 <= args.m <= cap:
+            parser.error(f"--m must be in 2..{cap}")
     elif key == ("search", "complex"):
         if args.dim < 2:
             parser.error("--dim must be at least 2")
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         payload, ok = run(args)
-    except accmod.ConvergenceError as e:
+    except RuntimeError as e:  # non-convergence included; never a refutation
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = _render(payload, args.fmt)

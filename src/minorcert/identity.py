@@ -40,6 +40,7 @@ from .rng import random_int_matrix, random_skew, random_skew_int, substream
 
 __all__ = [
     "DEFAULT_SYMBOLIC_CAP",
+    "SPECIALIZATION_CAP",
     "bt_suite",
     "johnson_numeric_suite",
     "lemmas_suite",
@@ -53,6 +54,10 @@ __all__ = [
 ]
 
 DEFAULT_SYMBOLIC_CAP = 10
+# Largest block order of ``verify specialization``.  An odd order takes two
+# O(m^4) adjugates; order 63 takes about 0.25 s on a 2-core machine under
+# CPython 3.11, so every order up to the cap stays well under a second.
+SPECIALIZATION_CAP = 64
 
 
 # -- the main symbolic certificate ---------------------------------------
@@ -180,8 +185,10 @@ def specialization_certificate(m: int) -> CertificateReport:
     odd m = 2l+1: det C = 1, C^{-1} 1 = (1,1,2,2,..,l,l,l+1)^T, s(C) = (l+1)^2,
     adj(K) = u u^T with u = (1,0,1,..,0,1)^T, s(K) = (l+1)^2, and the trailing
     principal (m-1)-block of K has determinant 1."""
-    if m < 2:
-        raise ValueError(f"specialization needs block order >= 2, got {m}")
+    if not 2 <= m <= SPECIALIZATION_CAP:
+        raise ValueError(
+            f"specialization needs block order in 2..{SPECIALIZATION_CAP}, got {m}"
+        )
     spec = skew_toeplitz([1] + [0] * (m - 1))
     k_mat = spec.block(m, 1, 1)
     c_mat = spec.block(m, 1, 2)

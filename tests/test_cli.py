@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from minorcert import cli, numaccretive
-from minorcert.identity import DEFAULT_SYMBOLIC_CAP
+from minorcert import cli, identity, numaccretive
+from minorcert.identity import DEFAULT_SYMBOLIC_CAP, SPECIALIZATION_CAP
+from minorcert.matrix import Matrix, johnson_family
 
 
 def run_to_file(tmp_path, name, argv):
@@ -59,6 +60,13 @@ def test_verify_lemmas(tmp_path):
 def test_verify_lemmas_order_out_of_range_is_a_usage_error(n):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "lemmas", "--n", str(n)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("m", [1, SPECIALIZATION_CAP + 1])
+def test_verify_specialization_order_out_of_range_is_a_usage_error(m):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "specialization", "--m", str(m)])
     assert exc.value.code == 2
 
 
@@ -218,6 +226,23 @@ def test_non_convergence_is_a_usage_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "did not converge" in captured.err
+
+
+def test_internal_error_is_a_usage_error(monkeypatch, capsys):
+    # a malformed family makes verify_johnson_symbolic raise RuntimeError;
+    # that is a bug in the tool, never a refutation (status 1)
+    def malformed(n):
+        rows = johnson_family(n).to_rows()
+        rows[0][1] = rows[0][1] + 1
+        return Matrix.from_rows(rows)
+
+    monkeypatch.setattr(identity, "johnson_family", malformed)
+    rc = cli.main(["verify", "johnson", "--mode", "symbolic", "--n", "4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "A^T is not A(-b)" in captured.err
 
 
 @pytest.mark.parametrize("target", ["missing/r.json", "."])

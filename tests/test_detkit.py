@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 
 from minorcert.detkit import (
+    COFACTOR_CAP,
     DET_ALGOS,
     adjugate,
     det_bareiss,
@@ -17,6 +18,8 @@ from minorcert.matrix import (
     johnson_family,
     lower_shift,
     ones,
+    skew_toeplitz,
+    zeros,
 )
 from minorcert.ring import ExactDivisionError, MultiPoly
 from minorcert.rng import (
@@ -143,6 +146,103 @@ def test_polynomial_adjugate_matches_bareiss_and_cofactor_minors(n):
 def test_generic_skew_toeplitz_adjugate_matches_bareiss_minors(m):
     y = generic_skew_toeplitz(m)
     assert adjugate(y) == _adjugate_by_minors(y, det_bareiss)
+
+
+def _check_exact_adjugate(a):
+    """The exact-number adjugate against the per-minor oracles, and
+    A adj(A) = adj(A) A = det(A) I."""
+    n = a.rows
+    adj = adjugate(a)
+    assert adj == _adjugate_by_minors(a, det_bareiss)
+    if n <= COFACTOR_CAP:
+        assert adj == _adjugate_by_minors(a, det_cofactor)
+    d = det_bareiss(a)
+    assert a @ adj == d * identity(n)
+    assert adj @ a == d * identity(n)
+    return adj
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_integer_adjugate_matches_bareiss_and_cofactor_minors(n):
+    for t in range(3):
+        a = random_int_matrix(substream(320, 100 * n + t), n)
+        adj = _check_exact_adjugate(a)
+        # reports render ints and Fractions differently, so ints stay ints
+        assert all(type(x) is int for x in adj.entries())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rational_adjugate_matches_bareiss_and_cofactor_minors(n):
+    stream = substream(321, n)
+    for _ in range(2):
+        a = Matrix(n, n, [Fraction(stream.randint(-9, 9), stream.randint(1, 6))
+                          for _ in range(n * n)])
+        _check_exact_adjugate(a)
+
+
+def _is_rank_one(m):
+    rows = m.to_rows()
+    n = m.rows
+    return any(m.entries()) and all(
+        rows[i][j] * rows[k][l] == rows[i][l] * rows[k][j]
+        for i in range(n) for k in range(n) for j in range(n) for l in range(n)
+    )
+
+
+def _product_of_rank(stream, n, r):
+    """A seeded n x n integer matrix U V of rank at most r (U is n x r)."""
+    u = Matrix(n, r, [stream.randint(-4, 4) for _ in range(n * r)])
+    v = Matrix(r, n, [stream.randint(-4, 4) for _ in range(r * n)])
+    return u @ v
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exact_adjugate_of_rank_n_minus_1_has_rank_one(n):
+    stream = substream(322, n)
+    rows = random_int_matrix(stream, n).to_rows()
+    rows[-1] = list(rows[0])  # a repeated row
+    for a in (_product_of_rank(stream, n, n - 1), Matrix.from_rows(rows)):
+        adj = _check_exact_adjugate(a)
+        assert det_bareiss(a) == 0
+        assert _is_rank_one(adj)
+        assert adjugate(a.map(Fraction)) == adj
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exact_adjugate_of_rank_at_most_n_minus_2_is_zero(n):
+    stream = substream(323, n)
+    candidates = [zeros(n)]
+    if n >= 3:
+        rows = random_int_matrix(stream, n).to_rows()
+        rows[1] = list(rows[0])
+        rows[2] = list(rows[0])  # the same row three times
+        candidates += [_product_of_rank(stream, n, n - 2), Matrix.from_rows(rows)]
+    for a in candidates:
+        assert _check_exact_adjugate(a) == zeros(n)
+        assert adjugate(a.map(Fraction)) == zeros(n)
+
+
+@pytest.mark.parametrize("m", [*range(2, 10), 16, 17, 25])
+def test_specialization_block_adjugates_match_bareiss_minors(m):
+    spec = skew_toeplitz([1] + [0] * (m - 1))
+    for block in (spec.block(m, 1, 1), spec.block(m, 1, 2)):
+        assert adjugate(block) == _adjugate_by_minors(block, det_bareiss)
+
+
+def _bits(m):
+    return [(complex(x).real.hex(), complex(x).imag.hex()) for x in m.entries()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_floating_adjugate_stays_on_the_per_minor_bareiss_path(n):
+    # Cayley-Hamilton is numerically unstable, so float and complex
+    # adjugates must keep the bits of the per-minor Bareiss path
+    stream = substream(324, n)
+    real = Matrix(n, n, [stream.uniform(-2.0, 2.0) for _ in range(n * n)])
+    cplx = Matrix(n, n, [complex(stream.uniform(-2.0, 2.0), stream.uniform(-2.0, 2.0))
+                         for _ in range(n * n)])
+    for a in (real, cplx):
+        assert _bits(adjugate(a)) == _bits(_adjugate_by_minors(a, det_bareiss))
 
 
 def test_s_functional_values():

@@ -5,6 +5,7 @@ from minorcert import identity as identity_module
 from minorcert.detkit import adjugate, det_bareiss, leading_row_minors, s_functional
 from minorcert.identity import (
     DEFAULT_SYMBOLIC_CAP,
+    SPECIALIZATION_CAP,
     bt_suite,
     johnson_numeric_suite,
     lemmas_suite,
@@ -265,6 +266,11 @@ def test_specialization_matches_generic_blocks():
 def test_specialization_rejects_small():
     with pytest.raises(ValueError):
         specialization_certificate(1)
+
+
+def test_specialization_rejects_orders_above_the_cap():
+    with pytest.raises(ValueError, match=f"2..{SPECIALIZATION_CAP}"):
+        specialization_certificate(SPECIALIZATION_CAP + 1)
 
 
 def test_bt_trivial_all_ones():
