@@ -34,7 +34,7 @@ from .matrix import (
     outer,
     skew_toeplitz,
 )
-from .report import CertificateReport, verdict
+from .report import CertificateReport, UndecidedError, verdict
 from .ring import MultiPoly, is_floating
 from .rng import random_int_matrix, random_skew, random_skew_int, substream
 
@@ -241,6 +241,16 @@ def specialization_certificate(m: int) -> CertificateReport:
     )
 
 
+def _require_finite(claim: str, *values) -> None:
+    """A float claim whose minors or residual overflowed (inf) or lost all
+    meaning (nan) is undecided, not refuted."""
+    if not all(math.isfinite(v) for v in values):
+        raise UndecidedError(
+            f"{claim}: float minors or residual not finite "
+            f"({', '.join(repr(v) for v in values)})"
+        )
+
+
 def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
     """Certifies the rank-one symmetric-part equality: with
     A = skew + (alpha/2) w w^T (so A + A^T = alpha w w^T),
@@ -249,7 +259,8 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
 
     exactly over the rationals, or to tolerance for floats.  Weight vectors
     with zero components are legal: the identity is polynomial in the
-    entries, so no limiting argument is needed."""
+    entries, so no limiting argument is needed.  A float minor or residual
+    that is not finite raises UndecidedError."""
     if not skew.is_square:
         raise ValueError("first argument must be a square skew-symmetric matrix")
     n = skew.rows
@@ -276,6 +287,7 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
         rhs = abs((d12 + d21) / 2.0)
         scale = max(1.0, lhs + rhs)
         residual = abs(lhs - rhs)
+        _require_finite(f"bt_n{n}", d11, d22, d12, d21, residual)
         return CertificateReport(
             claim=f"bt_n{n}",
             status=verdict(residual <= tol * scale),
@@ -299,7 +311,9 @@ def johnson_numeric_suite(
     max_n: int, trials: int, seed: int, tol: float = 1e-9
 ) -> list[CertificateReport]:
     """Floating smoke test of the minor identity on random numeric members of
-    the family (b_k uniform in [-2, 2], order drawn from 2..max_n)."""
+    the family (b_k uniform in [-2, 2], order drawn from 2..max_n).  A minor
+    or residual that is not finite (the minors overflow from about order
+    230) raises UndecidedError rather than refuting a true identity."""
     if max_n < 2:
         raise ValueError("max order must be at least 2")
     reports = []
@@ -313,6 +327,9 @@ def johnson_numeric_suite(
         d21 = det_bareiss(a.block(m, 2, 1))
         d11 = det_bareiss(a.block(m, 1, 1))
         residual = abs(d12 + d21 - 2.0 * d11)
+        _require_finite(
+            f"johnson_numeric_t{t:03d} (order {n})", d11, d12, d21, residual
+        )
         scale = max(1.0, abs(d11), abs(d12), abs(d21))
         reports.append(
             CertificateReport(

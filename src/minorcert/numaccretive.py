@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .detkit import adjugate, contiguous_minors, det_bareiss
 from .matrix import Matrix, identity as identity_matrix, matrix_to_json, max_abs
-from .report import CertificateReport, jsonable, verdict
+from .report import CertificateReport, UndecidedError, jsonable, verdict
 from .rng import SplitMix64, random_skew, substream
 
 __all__ = [
@@ -484,12 +484,12 @@ def _hermitian_part(a: Matrix) -> Matrix:
 def remark45_repro() -> AccretiveWitness:
     """Re-evaluates the hard-coded complex witness: confirms (A + A*)/2 is
     PSD (to 1e-6 relative) and reports lhs < rhs for the transpose-based
-    minors."""
+    minors; raises UndecidedError if the Hermitian part is not PSD."""
     a = remark45_matrix()
     vals = hermitian_eigenvalues(_hermitian_part(a))
     lam_min, lam_max = min(vals), max(vals)
     if lam_min < -1e-6 * max(lam_max, 1e-300):
-        raise ArithmeticError("hard-coded witness lost positive semidefiniteness")
+        raise UndecidedError("hard-coded witness lost positive semidefiniteness")
     return minor_witness(a, "remark45")
 
 

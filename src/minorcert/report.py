@@ -10,10 +10,23 @@ from typing import Any
 
 from .ring import MultiPoly
 
-__all__ = ["REFUTED", "VERIFIED", "CertificateReport", "jsonable", "verdict"]
+__all__ = [
+    "REFUTED",
+    "VERIFIED",
+    "CertificateReport",
+    "UndecidedError",
+    "jsonable",
+    "verdict",
+]
 
 VERIFIED = "verified"
 REFUTED = "refuted"
+
+
+class UndecidedError(RuntimeError):
+    """A claim that can be neither verified nor refuted: a float minor or
+    residual that is not finite, or a hard-coded witness that no longer
+    meets its hypothesis.  The CLI exits 2 on it, never 1."""
 
 
 @dataclass(frozen=True)

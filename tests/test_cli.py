@@ -245,6 +245,28 @@ def test_internal_error_is_a_usage_error(monkeypatch, capsys):
     assert "A^T is not A(-b)" in captured.err
 
 
+def test_non_finite_numeric_johnson_is_a_usage_error(capsys):
+    # order-233 float minors overflow to nan: undecided, not refuted
+    rc = cli.main(["verify", "johnson", "--mode", "numeric", "--n", "250",
+                   "--trials", "3", "--seed", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: johnson_numeric_t000")
+    assert "not finite" in captured.err
+
+
+def test_remark45_witness_that_is_not_psd_is_a_usage_error(monkeypatch, capsys):
+    # the negated witness has a negative definite Hermitian part
+    witness = numaccretive.remark45_matrix()
+    monkeypatch.setattr(numaccretive, "remark45_matrix", lambda: witness * -1)
+    rc = cli.main(["repro", "remark45"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lost positive semidefiniteness" in captured.err
+
+
 @pytest.mark.parametrize("target", ["missing/r.json", "."])
 def test_failed_out_write_is_a_usage_error(tmp_path, capsys, target):
     out = tmp_path / target

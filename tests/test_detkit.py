@@ -1,6 +1,10 @@
-import pytest
+import json
 from fractions import Fraction
+from itertools import permutations
 
+import pytest
+
+from minorcert import cli
 from minorcert.detkit import (
     COFACTOR_CAP,
     DET_ALGOS,
@@ -41,6 +45,78 @@ def test_cofactor_oracle_basics():
 def test_cofactor_cap():
     with pytest.raises(ValueError):
         det_cofactor(identity(8))
+
+
+def _leibniz(a):
+    """sum over permutations p of sign(p) * prod_i a[i, p(i)], the sign from
+    the inversion count: an oracle for the oracle that shares no code with it."""
+    n = a.rows
+    rows = a.to_rows()
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+        term = 1
+        for i in range(n):
+            term = term * rows[i][p[i]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", range(COFACTOR_CAP + 1))
+def test_cofactor_matches_leibniz_on_integers(n):
+    for t in range(4):
+        a = random_int_matrix(substream(111, 10 * n + t), n)
+        assert det_cofactor(a) == _leibniz(a)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cofactor_matches_leibniz_on_fractions(n):
+    stream = substream(112, n)
+    a = Matrix(n, n, [Fraction(stream.randint(-9, 9), stream.randint(1, 7))
+                      for _ in range(n * n)])
+    d = det_cofactor(a)
+    assert isinstance(d, (int, Fraction))
+    assert d == _leibniz(a)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_cofactor_matches_leibniz_on_polynomials(n):
+    for t in range(3):
+        a = random_poly_matrix(substream(113, 10 * n + t), n)
+        d, expected = det_cofactor(a), _leibniz(a)
+        assert d == expected
+        assert str(d) == str(expected)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cofactor_matches_leibniz_with_zero_and_repeated_rows(n):
+    stream = substream(114, n)
+    for victim in range(n):
+        rows = random_int_matrix(stream, n).to_rows()
+        rows[victim] = [0] * n
+        zero_row = Matrix.from_rows(rows)
+        assert det_cofactor(zero_row) == _leibniz(zero_row) == 0
+        rows = random_int_matrix(stream, n).to_rows()
+        rows[victim] = list(rows[(victim + 1) % n])
+        repeated = Matrix.from_rows(rows)
+        assert det_cofactor(repeated) == _leibniz(repeated) == 0
+    # a sparse matrix with a zero row keeps zero sub-minors in the memo
+    rows = [[x if x % 3 else 0 for x in r] for r in random_int_matrix(stream, n).to_rows()]
+    rows[-1] = [0] * n
+    sparse = Matrix.from_rows(rows)
+    assert det_cofactor(sparse) == _leibniz(sparse) == 0
+
+
+@pytest.mark.parametrize("scalar,order", [("int", COFACTOR_CAP), ("poly", 6)])
+def test_bench_det_cofactor_and_bareiss_hashes_agree(capsys, scalar, order):
+    hashes = {}
+    for algo in ("cofactor", "bareiss"):
+        rc = cli.main(["bench", "det", "--algo", algo, "--scalar", scalar,
+                       "--order", str(order), "--trials", "4", "--seed", "31"])
+        assert rc == 0
+        hashes[algo] = [r["det_hash"] for r in json.loads(capsys.readouterr().out)]
+    assert len(hashes["cofactor"]) == 4
+    assert hashes["cofactor"] == hashes["bareiss"]
 
 
 def test_bareiss_basics():

@@ -28,8 +28,9 @@ from minorcert.matrix import (
     skew_toeplitz,
     zeros,
 )
+from minorcert.report import UndecidedError
 from minorcert.ring import MultiPoly, variables
-from minorcert.rng import random_skew_int, substream
+from minorcert.rng import random_skew, random_skew_int, substream
 
 
 def test_johnson_n2_direct():
@@ -317,6 +318,22 @@ def test_johnson_numeric_suite():
     assert all(r.verified for r in reports)
     assert all(r.seed == 3 for r in reports)
     assert max(r.instance["n"] for r in reports) > 8  # orders reach beyond the symbolic cap
+
+
+def test_johnson_numeric_overflow_is_undecided():
+    # trial 0 of this run has order 233, whose float minors overflow to nan;
+    # the identity holds there, so it must not be reported as refuted
+    with pytest.raises(UndecidedError, match="johnson_numeric_t000 \\(order 233\\)"):
+        johnson_numeric_suite(250, 3, seed=5)
+
+
+def test_float_bt_overflow_is_undecided():
+    stream = substream(7, 0)
+    skew = random_skew(8, lambda: stream.uniform(-2.0, 2.0))
+    w = [stream.uniform(-2.0, 2.0) for _ in range(8)]
+    assert verify_bt(skew, 1.5, w).verified
+    with pytest.raises(UndecidedError, match="bt_n8"):
+        verify_bt(skew * 1e200, 1.5e200, w)
 
 
 def test_lemmas_suite_composition():
