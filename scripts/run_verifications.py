@@ -6,10 +6,11 @@ Covers every certificate family: the symbolic minor identity for orders
 cap (`--max-n 11`, about 4 s), the reduced-case and lemma suites up to the
 cap, the specialization values for block orders 2..33 (about 0.3 s in all,
 two O(m^4) adjugates per odd order), the rank-one equality (exact and
-float), the accretive suite, and the complex diagnostic.  The accretive
-suite also runs at order 30, where the strict instances have leading minors
-far below 1e-12 that are nonzero and must not be taken for singular.  Exits
-nonzero if any claim fails.
+float), the accretive suite, and the complex diagnostic with its randomized
+search (which stops at 100 witnesses, so each search takes well under a
+second).  The accretive suite also runs at order 30, where the strict
+instances have leading minors far below 1e-12 that are nonzero and must not
+be taken for singular.  Exits nonzero if any claim fails.
 """
 
 import sys
@@ -34,6 +35,8 @@ def main() -> int:
         ["verify", "accretive", "--dim", "12", "--trials", "60"],
         ["verify", "accretive", "--dim", "30", "--trials", "12", "--seed", "3"],
         ["repro", "remark45"],
+        ["search", "complex", "--dim", "4", "--iters", "10000"],
+        ["search", "complex", "--dim", "4", "--init", "remark45"],
     ]
     worst = 0
     for argv in batches:

@@ -229,7 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = ssub.add_parser("complex", parents=[common],
                         help="complex violations of the transpose-based inequality")
     p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--iters", type=int, default=10000)
+    p.add_argument("--iters", type=int, default=10000,
+                   help="upper bound on iterations; the search stops at "
+                        "100 witnesses")
     p.add_argument("--init", choices=["random", "remark45"], default="random")
     p.add_argument("--tol", type=float, default=1e-6)
 

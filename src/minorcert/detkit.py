@@ -118,25 +118,34 @@ def _laplace(rows, cols, memo):
 def det_bareiss(a: Matrix):
     """Fraction-free (Bareiss) determinant.
 
-    Row swaps bring a pivot to the diagonal: the largest magnitude for
-    floating scalars, the first nonzero for exact ones, whose every
-    division is then exact (a remainder raises ExactDivisionError, i.e. a
-    ring-contract bug).  The matrix is singular only when the chosen pivot
-    is exactly zero; the result is then a zero of the entries' own kind.
-    No cutoff applies: the pivots are leading minors, which may be
-    legitimately tiny.
+    Row swaps bring a pivot to the diagonal: for floating scalars the first
+    row of largest magnitude (ties go to the upper row, and a NaN is never
+    preferred to the row already chosen), for exact ones the first nonzero,
+    whose every division is then exact (a remainder raises
+    ExactDivisionError, i.e. a ring-contract bug).  The matrix is singular
+    only when the chosen pivot is exactly zero; the result is then a zero of
+    the entries' own kind.  No cutoff applies: the pivots are leading
+    minors, which may be legitimately tiny.
     """
     _require_square(a)
-    n = a.rows
+    return _bareiss_rows(a.to_rows(), _is_floating_matrix(a))
+
+
+def _bareiss_rows(rows, floating: bool):
+    """``det_bareiss`` on a list of fresh row lists, which it overwrites;
+    ``floating`` picks magnitude pivoting and true division."""
+    n = len(rows)
     if n == 0:
         return 1
-    rows = a.to_rows()
-    floating = _is_floating_matrix(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if floating:
-            pr = max(range(k, n), key=lambda r: abs(rows[r][k]))
+            pr, big = k, abs(rows[k][k])
+            for r in range(k + 1, n):
+                mag = abs(rows[r][k])
+                if mag > big:
+                    pr, big = r, mag
         else:
             pr = next((r for r in range(k, n) if rows[r][k]), k)
         if not rows[pr][k]:
@@ -320,7 +329,7 @@ def adjugate(a: Matrix) -> Matrix:
             minors = leading_row_minors(Matrix.from_rows(rest), drop_one)
         else:
             minors = [
-                det_bareiss(Matrix.from_rows([r[:i] + r[i + 1:] for r in rest]))
+                _bareiss_rows([r[:i] + r[i + 1:] for r in rest], True)
                 for i in range(n)
             ]
         for i, minor in enumerate(minors):
@@ -336,10 +345,19 @@ def s_functional(x: Matrix):
 def contiguous_minors(a: Matrix):
     """The four contiguous (n-1)-minors (d11, d22, d12, d21) of a square A,
     dij = det A_{n-1}(i, j), the block whose top-left entry is A[i, j]
-    (1-based), by Bareiss."""
+    (1-based), by Bareiss.  A matrix with any float or complex entry is
+    floating in all four minors."""
+    _require_square(a)
+    if a.rows < 2:
+        raise ValueError("contiguous minors need order >= 2")
     m = a.rows - 1
-    corners = ((1, 1), (2, 2), (1, 2), (2, 1))
-    return tuple(det_bareiss(a.block(m, i, j)) for i, j in corners)
+    floating = _is_floating_matrix(a)
+    rows = a.to_rows()
+    corners = ((0, 0), (1, 1), (0, 1), (1, 0))
+    return tuple(
+        _bareiss_rows([r[j:j + m] for r in rows[i:i + m]], floating)
+        for i, j in corners
+    )
 
 
 DET_ALGOS = {

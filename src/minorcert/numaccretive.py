@@ -127,11 +127,13 @@ def sym_eig(h: Matrix, max_sweeps: int = 100) -> EigenResult:
         if off <= thresh:
             break
         for p in range(n - 1):
+            wp = w[p]
             for q in range(p + 1, n):
-                apq = w[p][q]
+                wq = w[q]
+                apq = wp[q]
                 if apq == 0.0:
                     continue
-                app, aqq = w[p][p], w[q][q]
+                app, aqq = wp[p], wq[q]
                 theta = (aqq - app) / (2.0 * apq)
                 if abs(theta) > 1e150:
                     t = 1.0 / (2.0 * theta)
@@ -141,19 +143,19 @@ def sym_eig(h: Matrix, max_sweeps: int = 100) -> EigenResult:
                     )
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                for i in range(n):
+                for i, wi in enumerate(w):
                     if i == p or i == q:
                         continue
-                    aip, aiq = w[i][p], w[i][q]
-                    w[i][p] = w[p][i] = c * aip - s * aiq
-                    w[i][q] = w[q][i] = s * aip + c * aiq
-                w[p][p] = app - t * apq
-                w[q][q] = aqq + t * apq
-                w[p][q] = w[q][p] = 0.0
-                for i in range(n):
-                    vip, viq = v[i][p], v[i][q]
-                    v[i][p] = c * vip - s * viq
-                    v[i][q] = s * vip + c * viq
+                    aip, aiq = wi[p], wi[q]
+                    wi[p] = wp[i] = c * aip - s * aiq
+                    wi[q] = wq[i] = s * aip + c * aiq
+                wp[p] = app - t * apq
+                wq[q] = aqq + t * apq
+                wp[q] = wq[p] = 0.0
+                for vi in v:
+                    vip, viq = vi[p], vi[q]
+                    vi[p] = c * vip - s * viq
+                    vi[q] = s * vip + c * viq
     else:
         raise ConvergenceError(
             f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
@@ -536,7 +538,12 @@ def search_complex_violation(
     """Seeded random search (sampling plus skew-Hermitian hill climbing) for
     complex matrices with PSD conjugate-symmetric part that violate the
     transpose-based minor inequality.  Deterministic for a fixed
-    (dim, iters, seed, init); an empty result is a valid outcome."""
+    (dim, iters, seed, init); an empty result is a valid outcome.
+
+    ``iters`` is an upper bound: the search stops once it holds
+    ``max_witnesses`` witnesses.  The list only grows until that cap and
+    the running best only steers later candidates, so no later iteration
+    could change the result."""
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     if init not in ("random", "remark45"):
@@ -548,6 +555,8 @@ def search_complex_violation(
     best: Matrix | None = None
     best_margin = math.inf
     for it in range(iters):
+        if len(witnesses) >= max_witnesses:
+            break
         if it == 0 and init == "remark45":
             cand = remark45_matrix()
         elif best is None or it % 50 == 0:
@@ -559,7 +568,7 @@ def search_complex_violation(
         scale = max(1.0, w.lhs + w.rhs)
         if w.margin < best_margin:
             best, best_margin = cand, w.margin
-        if w.margin < -tol * scale and len(witnesses) < max_witnesses:
+        if w.margin < -tol * scale:
             witnesses.append(w)
     witnesses.sort(key=lambda w: w.margin)
     return witnesses

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,6 +10,7 @@ from minorcert.detkit import (
     COFACTOR_CAP,
     DET_ALGOS,
     adjugate,
+    contiguous_minors,
     det_bareiss,
     det_cofactor,
     det_condensation,
@@ -319,6 +321,79 @@ def test_floating_adjugate_stays_on_the_per_minor_bareiss_path(n):
                          for _ in range(n * n)])
     for a in (real, cplx):
         assert _bits(adjugate(a)) == _bits(_adjugate_by_minors(a, det_bareiss))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_floating_contiguous_minors_keep_the_bits_of_det_bareiss(n):
+    stream = substream(325, n)
+    real = Matrix(n, n, [stream.gauss() for _ in range(n * n)])
+    cplx = Matrix(n, n, [complex(stream.gauss(), stream.gauss()) for _ in range(n * n)])
+    m = n - 1
+    for a in (real, cplx):
+        minors = contiguous_minors(a)
+        blocks = [det_bareiss(a.block(m, i, j)) for i, j in ((1, 1), (2, 2), (1, 2), (2, 1))]
+        assert minors == tuple(blocks)
+        assert _bits(Matrix(1, 4, list(minors))) == _bits(Matrix(1, 4, blocks))
+
+
+def test_contiguous_minors_need_a_square_matrix_of_order_two():
+    with pytest.raises(ValueError):
+        contiguous_minors(Matrix(1, 1, [1.0]))
+    with pytest.raises(ValueError):
+        contiguous_minors(Matrix(2, 3, [1.0] * 6))
+
+
+def _float_bareiss_choosing(rows, choose):
+    """Float Bareiss whose pivot row in column k is ``choose(rows, k)``."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pr = choose(rows, k)
+        if not rows[pr][k]:
+            return rows[0][0] * 0
+        if pr != k:
+            rows[k], rows[pr] = rows[pr], rows[k]
+            sign = -sign
+        pk = rows[k][k]
+        for i in range(k + 1, n):
+            rik = rows[i][k]
+            for j in range(k + 1, n):
+                rows[i][j] = (pk * rows[i][j] - rik * rows[k][j]) / prev
+        prev = pk
+    return -rows[-1][-1] if sign < 0 else rows[-1][-1]
+
+
+def _max_key(rows, k):
+    return max(range(k, len(rows)), key=lambda r: abs(rows[r][k]))
+
+
+def test_float_pivot_ties_go_to_the_first_row():
+    # |1.0| and |-1.0| tie in column 0; the lower row would give a result
+    # one ulp away, so the tie rule shows in the bits
+    rows = [[1.0, -1.0, 0.7], [-1.0, -0.5, -0.5], [0.5, 1.0, -0.1]]
+    last = _float_bareiss_choosing(
+        rows, lambda rs, k: max(reversed(range(k, len(rs))), key=lambda r: abs(rs[r][k]))
+    )
+    d = det_bareiss(Matrix.from_rows(rows))
+    assert d.hex() == _float_bareiss_choosing(rows, _max_key).hex() == (0.375).hex()
+    assert last.hex() != d.hex()
+
+
+def test_float_pivot_keeps_a_leading_nan_in_place():
+    # no magnitude compares greater than NaN, so the NaN row stays the pivot
+    # and no swap flips the sign bit of the NaN result; a pivot search that
+    # skipped the NaN would swap once and return -nan
+    rows = [[math.nan, 1.0, 2.0], [1.0, 3.0, 4.0], [2.0, 5.0, 7.0]]
+    skip_nan = _float_bareiss_choosing(
+        rows,
+        lambda rs, k: max((r for r in range(k, len(rs)) if not math.isnan(rs[r][k])),
+                          key=lambda r: abs(rs[r][k])),
+    )
+    d = det_bareiss(Matrix.from_rows(rows))
+    assert math.isnan(d)
+    assert math.copysign(1.0, d) == math.copysign(1.0, _float_bareiss_choosing(rows, _max_key))
+    assert math.copysign(1.0, skip_nan) != math.copysign(1.0, d)
 
 
 def test_s_functional_values():

@@ -294,6 +294,27 @@ def test_search_determinism():
     assert [w.margin for w in a] == [w.margin for w in b]
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_search_stops_at_the_witness_cap(monkeypatch, seed):
+    calls = []
+
+    def counting(a, label):
+        calls.append(label)
+        return minor_witness(a, label)
+
+    monkeypatch.setattr(numaccretive, "minor_witness", counting)
+    full = search_complex_violation(4, 10000, seed)
+    assert len(full) == 100
+    last = max(int(w.label.rsplit("_i", 1)[1]) for w in full)
+    assert len(calls) == last + 1 < 10000
+    short = search_complex_violation(4, last + 1, seed)
+    assert [w.label for w in short] == [w.label for w in full]
+    assert [w.margin for w in short] == [w.margin for w in full]
+    calls.clear()
+    assert search_complex_violation(4, 10000, seed, max_witnesses=0) == []
+    assert calls == []
+
+
 def test_search_init_remark45():
     found = search_complex_violation(4, 25, seed=1, init="remark45")
     assert any(w.label == "search_d4_i000000" for w in found)
