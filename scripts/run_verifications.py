@@ -5,7 +5,8 @@ Covers every certificate family: the symbolic minor identity for orders
 2..DEFAULT_SYMBOLIC_CAP (10) and at order 11, the documented opt-in above the
 cap (`--max-n 11`, about 4 s), the reduced-case and lemma suites up to the
 cap, the specialization values for block orders 2..33 (about 0.3 s in all,
-two O(m^4) adjugates per odd order), the rank-one equality (exact and
+two O(m^4) adjugates per odd order), the rank-one equality (exact, up to
+order 30, where its integer-scaled minors take well under a second, and
 float), the accretive suite, and the complex diagnostic with its randomized
 search (which stops at 100 witnesses, so each search takes well under a
 second).  The accretive suite also runs at order 30, where the strict
@@ -30,6 +31,7 @@ def main() -> int:
         ["verify", "lemmas", "--n", str(DEFAULT_SYMBOLIC_CAP), "--trials", "50"],
         *(["verify", "specialization", "--m", str(m)] for m in range(2, 34)),
         ["verify", "bt", "--dim", "6", "--trials", "50", "--scalar", "rat"],
+        ["verify", "bt", "--dim", "30", "--trials", "12", "--seed", "3", "--scalar", "rat"],
         ["verify", "bt", "--dim", "10", "--trials", "100", "--scalar", "real"],
         ["verify", "accretive", "--dim", "8", "--trials", "200"],
         ["verify", "accretive", "--dim", "12", "--trials", "60"],

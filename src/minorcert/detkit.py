@@ -6,19 +6,23 @@ One production engine per scalar world:
   one-step fraction-free elimination whose every intermediate division is
   exact over an integral domain (floating matrices run the same sweep with
   magnitude pivoting).  Every kind stops only on an exactly zero pivot.
-- ``leading_row_minors`` serves every polynomial determinant and adjugate
-  of the certificates over Z[b1..bk]: the division-free memoized row
-  expansion, which returns several minors on the same leading rows from one
-  pass and never divides, so its intermediate results are sub-minors and
-  stay small where Bareiss swells.  Each minor is one
-  ``ring.sum_of_products`` call: its signed products go into a single
-  accumulator, with no intermediate product or partial sum.
+- ``leading_row_minors`` serves every polynomial determinant of the
+  certificates over Z[b1..bk], and its level step every polynomial
+  adjugate: the division-free memoized row expansion, which returns
+  several minors on the same leading rows from one pass and never divides,
+  so its intermediate results are sub-minors and stay small where Bareiss
+  swells.  Each minor is one ``ring.sum_of_products`` call: its signed
+  products go into a single accumulator, with no intermediate product or
+  partial sum.
 
 ``adjugate`` (cofactor transpose, exact on singular matrices) takes one path
 per scalar world, chosen by the kind of its entries:
 
-- polynomials: one row expansion per row of cofactors, since Berkowitz
-  measured 3.4-3.7 times slower there;
+- polynomials: split Laplace.  One row expansion down from the top row and
+  one up from the bottom row give the minors of every leading and every
+  trailing row set, and each cofactor joins the two around its dropped row
+  in one ``sum_of_products`` call (Berkowitz measured 3.4-3.7 times slower
+  there);
 - exact numbers (ints, rationals): Cayley-Hamilton on the division-free
   Berkowitz characteristic polynomial, O(n^4) ring operations in place of
   the O(n^5) of n^2 Bareiss minors, and valid on singular matrices, where
@@ -29,8 +33,8 @@ per scalar world, chosen by the kind of its entries:
 The all-ones quadratic form ``s_functional`` and the four contiguous minors
 ``contiguous_minors`` sit on top.  ``det_cofactor`` and ``det_condensation``
 (exact scalars only) are oracles, and Bareiss is the oracle for the row
-expansion on polynomials and, minor by minor, for the exact-number
-adjugate.  The cofactor oracle is Laplace expansion along the first row of
+expansion on polynomials and, minor by minor, for the polynomial and
+exact-number adjugates.  The cofactor oracle is Laplace expansion along the first row of
 each block, memoized on the column sets of the trailing sub-minors:
 O(n 2^n) products in place of O(n!), with plain ``*``, ``+`` and ``-`` and
 none of the production code, so that it stays independent.  It is capped at
@@ -230,28 +234,40 @@ def leading_row_minors(a: Matrix, column_sets) -> list:
     results = [1] * len(targets)
     prev = {0: 1}
     for k in range(1, max(map(len, targets), default=0) + 1):
-        row = rows[k - 1]
         level = {}
         for cols in targets:
             if len(cols) >= k:
                 for sub in combinations(cols, k):
                     level.setdefault(sum(1 << j for j in sub), sub)
-        cur = {}
-        for mask, sub in level.items():
-            pairs = []
-            for p, j in enumerate(sub):
-                e = row[j]
-                if not e:
-                    continue
-                d = prev[mask ^ (1 << j)]
-                if d:
-                    pairs.append((-1 if (k - 1 + p) % 2 else 1, e, d))
-            cur[mask] = sum_of_products(pairs)
-        prev = cur
+        prev = _expand_level(rows[k - 1], k, prev, level)
         for t, cols in enumerate(targets):
             if len(cols) == k:
-                results[t] = cur[sum(1 << j for j in cols)]
+                results[t] = prev[sum(1 << j for j in cols)]
     return results
+
+
+def _expand_level(row, k, prev, level) -> dict:
+    """One level of the row expansion: for each column set S of ``level``
+    (bit mask -> sorted columns, |S| = k), the k x k minor whose last row is
+    ``row``, from ``prev``, the minors of the k - 1 rows above it on every
+    (k-1)-subset of S (keyed by mask):
+
+        D[S] = sum_{p, j = S[p]} (-1)^(k-1+p) row[j] prev[S - {j}].
+
+    Zero entries and zero sub-minors are skipped, and each D[S] is one
+    ``sum_of_products`` call."""
+    cur = {}
+    for mask, sub in level.items():
+        pairs = []
+        for p, j in enumerate(sub):
+            e = row[j]
+            if not e:
+                continue
+            d = prev[mask ^ (1 << j)]
+            if d:
+                pairs.append((-1 if (k - 1 + p) % 2 else 1, e, d))
+        cur[mask] = sum_of_products(pairs)
+    return cur
 
 
 def _charpoly(rows) -> list:
@@ -301,13 +317,64 @@ def _adjugate_cayley_hamilton(rows) -> Matrix:
     return Matrix(n, n, [sign * x for r in b for x in r])
 
 
+def _adjugate_split_laplace(rows) -> Matrix:
+    """adj(A) of order n >= 2 from one row expansion downwards and one
+    upwards, joined by Laplace expansion along the rows above the dropped one.
+
+    The minor without row j and column i splits along rows 0..j-1:
+
+        det = sum_S (-1)^(j(j-1)/2 + pos(S)) T_j[S] B_(n-1-j)[C_i - S],
+
+    over the j-subsets S of C_i = [n] - {i}, with pos(S) the sum of the
+    0-based positions of S in C_i, T_j[S] the minor on rows 0..j-1 and
+    B_k[U] the minor on the last k rows.  The B levels are built first, from
+    the last row up by the same level step, which reads their rows in reverse
+    order and so gives (-1)^(k(k-1)/2) B_k; each is popped for its column
+    of the adjugate and then dropped, and only the current T level is kept.  The signs,
+    the cofactor's (-1)^(i+j) included, go into the pairs, so each entry is
+    one ``sum_of_products`` call."""
+    n = len(rows)
+    levels = [
+        {sum(1 << c for c in sub): sub for sub in combinations(range(n), k)}
+        for k in range(n)
+    ]
+    bottom = [{0: 1}]
+    for k in range(1, n):
+        bottom.append(_expand_level(rows[n - k], k, bottom[-1], levels[k]))
+    full = (1 << n) - 1
+    odd = sum(1 << c for c in range(1, n, 2))
+    out = [None] * (n * n)
+    top = {0: 1}
+    for j in range(n):
+        k = n - 1 - j
+        low = bottom.pop()
+        base = j * (j - 1) // 2 + k * (k - 1) // 2 + j
+        pairs = [[] for _ in range(n)]
+        for s, t in top.items():
+            if not t:
+                continue
+            rest = full ^ s
+            parity = base + (s & odd).bit_count()
+            for i in range(n):
+                if rest >> i & 1:
+                    b = low[rest ^ (1 << i)]
+                    if b:
+                        e = parity + i + (s >> (i + 1)).bit_count()
+                        pairs[i].append((-1 if e % 2 else 1, t, b))
+        for i in range(n):
+            out[i * n + j] = sum_of_products(pairs[i])
+        if k:
+            top = _expand_level(rows[j], j + 1, top, levels[j + 1])
+    return Matrix(n, n, out)
+
+
 def adjugate(a: Matrix) -> Matrix:
     """Transpose of the cofactor matrix: adj(A)_{ij} = (-1)^{i+j} det of A
     with row j and column i deleted; satisfies A adj(A) = det(A) I.
 
-    One path per scalar world.  Polynomial entries: each row j of cofactors
-    comes from one row expansion of the n minors of A without row j, where
-    Bareiss would divide and swell and Berkowitz is slower.  Ints and
+    One path per scalar world.  Polynomial entries: split Laplace, one
+    downward and one upward row expansion joined around each dropped row,
+    where Bareiss would divide and swell and Berkowitz is slower.  Ints and
     rationals: Cayley-Hamilton on the Berkowitz characteristic polynomial,
     O(n^4), exact on singular matrices.  Floats and complex: one Bareiss
     determinant per minor, since Cayley-Hamilton is numerically unstable."""
@@ -318,21 +385,15 @@ def adjugate(a: Matrix) -> Matrix:
     if n == 1:
         return Matrix(1, 1, [1])
     rows = a.to_rows()
-    polynomial = any(isinstance(x, MultiPoly) for x in a.entries())
-    if not polynomial and not _is_floating_matrix(a):
+    if any(isinstance(x, MultiPoly) for x in a.entries()):
+        return _adjugate_split_laplace(rows)
+    if not _is_floating_matrix(a):
         return _adjugate_cayley_hamilton(rows)
-    drop_one = [[c for c in range(n) if c != i] for i in range(n)]
     out = [None] * (n * n)
     for j in range(n):
         rest = rows[:j] + rows[j + 1:]
-        if polynomial:
-            minors = leading_row_minors(Matrix.from_rows(rest), drop_one)
-        else:
-            minors = [
-                _bareiss_rows([r[:i] + r[i + 1:] for r in rest], True)
-                for i in range(n)
-            ]
-        for i, minor in enumerate(minors):
+        for i in range(n):
+            minor = _bareiss_rows([r[:i] + r[i + 1:] for r in rest], True)
             out[i * n + j] = -minor if (i + j) % 2 else minor
     return Matrix(n, n, out)
 

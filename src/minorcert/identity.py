@@ -251,6 +251,14 @@ def _require_finite(claim: str, *values) -> None:
         )
 
 
+def _bt_margin(d11, d22, d12, d21):
+    """4 d11 d22 - (d12 + d21)^2, the Bayat-Teimoori equality
+    d11 d22 = ((d12 + d21) / 2)^2 in squared form: integer minors give an
+    integer margin, zero exactly when the equality holds."""
+    s = d12 + d21
+    return 4 * d11 * d22 - s * s
+
+
 def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
     """Certifies the rank-one symmetric-part equality: with
     A = skew + (alpha/2) w w^T (so A + A^T = alpha w w^T),
@@ -259,8 +267,15 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
 
     exactly over the rationals, or to tolerance for floats.  Weight vectors
     with zero components are legal: the identity is polynomial in the
-    entries, so no limiting argument is needed.  A float minor or residual
-    that is not finite raises UndecidedError."""
+    entries, so no limiting argument is needed.  Entries, ``alpha`` and the
+    weights must be int, Fraction, float or complex (not bool), else
+    TypeError.  A float minor or residual that is not finite raises
+    UndecidedError.
+
+    Exact input runs in integers: with L the lcm of the denominators of
+    2A = 2 skew + alpha w w^T, the minors D of M = L 2A are (2L)^m times
+    those of A, so the residual is the integer margin
+    4 D11 D22 - (D12 + D21)^2 over 4 (2L)^(2m), the same rational."""
     if not skew.is_square:
         raise ValueError("first argument must be a square skew-symmetric matrix")
     n = skew.rows
@@ -268,6 +283,12 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
         raise ValueError("needs order >= 2")
     if len(w) != n:
         raise ValueError(f"weight vector must have length {n}")
+    for x in (*skew.entries(), alpha, *w):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction, float, complex)):
+            raise TypeError(
+                "rank-one equality takes int, Fraction, float or complex "
+                f"scalars, got {type(x).__name__}"
+            )
     floating = any(is_floating(x) for x in list(skew.entries()) + list(w)) or is_floating(alpha)
     if floating:
         if max(abs(x) for x in (skew + skew.T).entries()) > 1e-12 * max(
@@ -278,11 +299,10 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
         raise ValueError("first argument is not skew-symmetric")
     if all(not x for x in w):
         raise ValueError("weight vector must be nonzero")
-    half_alpha = alpha / 2 if floating else Fraction(alpha) / 2
-    a = skew + half_alpha * outer(list(w))
-    d11, d22, d12, d21 = contiguous_minors(a)
     instance = {"n": n, "alpha": alpha, "w": list(w)}
     if floating:
+        a = skew + alpha / 2 * outer(list(w))
+        d11, d22, d12, d21 = contiguous_minors(a)
         lhs = math.sqrt(max(d11 * d22, 0.0))
         rhs = abs((d12 + d21) / 2.0)
         scale = max(1.0, lhs + rhs)
@@ -295,8 +315,11 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
             instance=instance,
             tolerance=tol,
         )
-    half_sum = Fraction(d12 + d21) / 2
-    residual = Fraction(d11) * Fraction(d22) - half_sum * half_sum
+    twice = (2 * skew + alpha * outer(list(w))).entries()
+    lcm = math.lcm(*(x.denominator for x in twice))
+    scaled = Matrix(n, n, [x.numerator * (lcm // x.denominator) for x in twice])
+    margin = _bt_margin(*contiguous_minors(scaled))
+    residual = Fraction(margin, 4 * (2 * lcm) ** (2 * (n - 1)))
     return CertificateReport(
         claim=f"bt_n{n}",
         status=verdict(residual == 0),

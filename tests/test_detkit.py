@@ -27,7 +27,7 @@ from minorcert.matrix import (
     skew_toeplitz,
     zeros,
 )
-from minorcert.ring import ExactDivisionError, MultiPoly
+from minorcert.ring import ExactDivisionError, MultiPoly, variables
 from minorcert.rng import (
     random_int_matrix,
     random_poly_matrix,
@@ -214,10 +214,57 @@ def _adjugate_by_minors(a, det):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_polynomial_adjugate_matches_bareiss_and_cofactor_minors(n):
-    a = random_poly_matrix(substream(312, n), n, nvars=3)
+    _check_polynomial_adjugate(random_poly_matrix(substream(312, n), n, nvars=3))
+
+
+def _check_polynomial_adjugate(a):
+    """The polynomial adjugate against the per-minor oracles, entry by entry
+    in ``==`` and in ``str`` (an empty sum may come back as int 0, which must
+    still print as the zero polynomial does)."""
     adj = adjugate(a)
-    assert adj == _adjugate_by_minors(a, det_bareiss)
-    assert adj == _adjugate_by_minors(a, det_cofactor)
+    oracle = _adjugate_by_minors(a, det_bareiss)
+    assert adj == oracle
+    assert [str(x) for x in adj.entries()] == [str(x) for x in oracle.entries()]
+    if a.rows <= COFACTOR_CAP:
+        assert adj == _adjugate_by_minors(a, det_cofactor)
+    return adj
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_polynomial_adjugate_with_a_zero_row_or_column(r):
+    # the split at row j empties the upper or lower minors it joins when the
+    # zero row or column falls on either side of it; r runs over every side
+    rows = random_poly_matrix(substream(313, r), 5, nvars=3).to_rows()
+    zero_row = [list(row) for row in rows]
+    zero_row[r] = [MultiPoly.zero(3)] * 5
+    zero_col = [row[:r] + [0] + row[r + 1:] for row in rows]
+    for a in map(Matrix.from_rows, (zero_row, zero_col)):
+        adj = _check_polynomial_adjugate(a)
+        assert all(adj[i, j] == 0 for i in range(5) for j in range(5) if r not in (i, j))
+
+
+def test_polynomial_adjugate_of_rank_deficient_matrices():
+    b1, b2 = variables(2)
+    rows = random_poly_matrix(substream(314, 0), 5, nvars=2).to_rows()
+    combo = [b1 * x - b2 * y for x, y in zip(rows[0], rows[1])]
+    rank_4 = Matrix.from_rows(rows[:4] + [combo])
+    adj = _check_polynomial_adjugate(rank_4)
+    assert det_bareiss(rank_4) == 0
+    assert _is_rank_one(adj)
+    assert rank_4 @ adj == zeros(5) and adj @ rank_4 == zeros(5)
+    rank_3 = Matrix.from_rows(rows[:3] + [combo, [b2 * x for x in rows[2]]])
+    adj = _check_polynomial_adjugate(rank_3)
+    assert adj == zeros(5) and {str(x) for x in adj.entries()} == {"0"}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_polynomial_adjugate_gives_det_times_identity(n):
+    for t in range(2):
+        a = random_poly_matrix(substream(315, 10 * n + t), n, nvars=3)
+        adj = adjugate(a)
+        d = det_bareiss(a)
+        assert a @ adj == d * identity(n)
+        assert adj @ a == d * identity(n)
 
 
 @pytest.mark.parametrize("m", range(2, 8))

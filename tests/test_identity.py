@@ -1,8 +1,16 @@
-import pytest
+import math
 from fractions import Fraction
 
+import pytest
+
 from minorcert import identity as identity_module
-from minorcert.detkit import adjugate, det_bareiss, leading_row_minors, s_functional
+from minorcert.detkit import (
+    adjugate,
+    contiguous_minors,
+    det_bareiss,
+    leading_row_minors,
+    s_functional,
+)
 from minorcert.identity import (
     DEFAULT_SYMBOLIC_CAP,
     SPECIALIZATION_CAP,
@@ -302,6 +310,104 @@ def test_bt_rejects_non_skew():
         verify_bt(identity(3), 1, [1, 1, 1])
     with pytest.raises(ValueError):
         verify_bt(zeros(3), 1, [0, 0, 0])
+
+
+def _rational_bt_instance(n, seed):
+    """A skew matrix over thirds, alpha over fifths and weights over sevenths."""
+    stream = substream(seed, 0)
+    skew = random_skew(n, lambda: Fraction(stream.randint(-9, 9), 3))
+    alpha = Fraction([-8, -4, -2, 1, 3, 7][stream.randint(0, 5)], 5)
+    w = [Fraction(stream.randint(-9, 9), 7) for _ in range(n)]
+    w[0] = Fraction(2, 7)
+    return skew, alpha, w
+
+
+def _bt_oracle_residual(skew, alpha, w, bump=0):
+    """d11 d22 - ((d12 + d21) / 2)^2 from the minors of the unscaled rational
+    matrix, with ``bump`` added to d11."""
+    a = skew + Fraction(alpha) / 2 * outer(list(w))
+    d11, d22, d12, d21 = contiguous_minors(a)
+    half_sum = Fraction(d12 + d21) / 2
+    return (d11 + bump) * d22 - half_sum * half_sum
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_exact_bt_over_thirds_fifths_and_sevenths(n):
+    skew, alpha, w = _rational_bt_instance(n, 40 + n)
+    rep = verify_bt(skew, alpha, w)
+    assert rep.verified
+    assert rep.residual == str(_bt_oracle_residual(skew, alpha, w)) == "0"
+
+
+def test_exact_bt_with_alpha_zero():
+    skew, _, w = _rational_bt_instance(6, 50)
+    for s in (skew, random_skew_int(substream(51, 0), 6)):
+        rep = verify_bt(s, 0, w)
+        assert rep.verified and rep.residual == "0"
+        assert str(_bt_oracle_residual(s, 0, w)) == "0"
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_exact_bt_with_a_zero_weight_at_each_position(k):
+    skew, alpha, w = _rational_bt_instance(5, 60 + k)
+    w[k] = 0
+    w[(k + 1) % 5] = Fraction(-3, 7)
+    rep = verify_bt(skew, alpha, w)
+    assert rep.verified and rep.residual == "0"
+    assert str(_bt_oracle_residual(skew, alpha, w)) == "0"
+
+
+def test_exact_bt_refutes_an_off_by_one_minor_with_the_exact_residual(monkeypatch):
+    n = 5
+    skew, alpha, w = _rational_bt_instance(n, 70)
+    real = identity_module.contiguous_minors
+
+    def off_by_one(a):
+        d11, d22, d12, d21 = real(a)
+        return d11 + 1, d22, d12, d21
+
+    monkeypatch.setattr(identity_module, "contiguous_minors", off_by_one)
+    rep = verify_bt(skew, alpha, w)
+    # the minors of L * 2A are (2L)^(n-1) times those of A, so one more on
+    # the scaled d11 is 1 / (2L)^(n-1) more on the rational one
+    lcm = math.lcm(*(x.denominator for x in (2 * skew + alpha * outer(w)).entries()))
+    assert lcm > 1
+    bump = Fraction(1, (2 * lcm) ** (n - 1))
+    expected = _bt_oracle_residual(skew, alpha, w, bump)
+    assert expected != 0
+    assert not rep.verified
+    assert rep.residual == str(expected)
+
+
+def test_exact_bt_takes_its_minors_in_integers(monkeypatch):
+    seen = []
+    real = identity_module.contiguous_minors
+
+    def spy(a):
+        seen.append({type(x) for x in a.entries()})
+        return real(a)
+
+    monkeypatch.setattr(identity_module, "contiguous_minors", spy)
+    skew, alpha, w = _rational_bt_instance(4, 80)
+    assert verify_bt(skew, alpha, w).verified
+    assert verify_bt(random_skew_int(substream(81, 0), 6), 3, [1, 0, 2, -1, 4, 2]).verified
+    assert all(r.verified for r in bt_suite(6, 5, seed=82, scalar="rat"))
+    assert seen == [{int}] * 7
+
+
+@pytest.mark.parametrize("case", ["polynomial skew", "bool alpha", "bool weight", "bool entry"])
+def test_bt_rejects_scalars_that_are_not_numbers(case):
+    skew, alpha, w = skew_toeplitz([1, 2]), 1, [1, 1, 1]
+    if case == "polynomial skew":
+        skew = generic_skew_toeplitz(3)
+    elif case == "bool alpha":
+        alpha = True
+    elif case == "bool weight":
+        w = [1, False, 1]
+    else:
+        skew = Matrix.from_rows([[0, True, 0], [-1, 0, 0], [0, 0, 0]])
+    with pytest.raises(TypeError, match="int, Fraction, float or complex"):
+        verify_bt(skew, alpha, w)
 
 
 def test_bt_suite_exact_and_float():
