@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -52,9 +51,7 @@ def _verify_johnson(args):
     if args.mode == "symbolic":
         reports = [idmod.verify_johnson_symbolic(args.n, max_n=args.max_n)]
     else:
-        reports = idmod.johnson_numeric_suite(
-            args.n, args.trials, args.seed, tol=args.tol
-        )
+        reports = idmod.johnson_numeric_suite(args.n, args.trials, args.seed)
     return _seeded(reports, args.seed)
 
 
@@ -63,9 +60,7 @@ def _verify_lemmas(args):
 
 
 def _verify_bt(args):
-    reports = idmod.bt_suite(
-        args.dim, args.trials, args.seed, scalar=args.scalar, tol=args.tol
-    )
+    reports = idmod.bt_suite(args.dim, args.trials, args.seed, scalar=args.scalar)
     return _seeded(reports, args.seed)
 
 
@@ -74,7 +69,7 @@ def _verify_specialization(args):
 
 
 def _verify_accretive(args):
-    reports = accmod.accretive_suite(args.dim, args.trials, args.seed, tol=args.tol)
+    reports = accmod.accretive_suite(args.dim, args.trials, args.seed)
     return _seeded(reports, args.seed)
 
 
@@ -83,9 +78,7 @@ def _repro_remark45(args):
 
 
 def _search_complex(args):
-    witnesses = accmod.search_complex_violation(
-        args.dim, args.iters, args.seed, init=args.init, tol=args.tol
-    )
+    witnesses = accmod.search_complex_violation(args.dim, args.iters, args.seed, init=args.init)
     return witnesses, True
 
 
@@ -195,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-n", type=int, default=idmod.DEFAULT_SYMBOLIC_CAP,
                    help="cap for the symbolic certificate")
-    p.add_argument("--tol", type=float, default=1e-9)
 
     p = vsub.add_parser("lemmas", parents=[common],
                         help="reduced cases, skew facts, rank-one expansion")
@@ -207,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=5)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--scalar", choices=["rat", "real"], default="rat")
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = vsub.add_parser("specialization", parents=[common],
                         help="exact values at b1 = 1, bk = 0")
@@ -217,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="accretive determinant/adjugate/inequality suite")
     p.add_argument("--dim", type=int, default=6)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     repro = top.add_parser("repro", help="reproduce hard-coded diagnostics")
     rsub = repro.add_subparsers(dest="subcommand", required=True)
@@ -231,9 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--iters", type=int, default=10000,
                    help="upper bound on iterations; the search stops at "
-                        "100 witnesses")
+                        f"{accmod.MAX_WITNESSES} witnesses")
     p.add_argument("--init", choices=["random", "remark45"], default="random")
-    p.add_argument("--tol", type=float, default=1e-6)
 
     bench = top.add_parser("bench", help="benchmark harness")
     bsub = bench.add_subparsers(dest="subcommand", required=True)
@@ -275,8 +264,6 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"--order is capped at {COFACTOR_CAP} for the cofactor oracle")
     if getattr(args, "trials", 0) < 0 or getattr(args, "iters", 0) < 0:
         parser.error("--trials/--iters must be non-negative")
-    if not 0 <= getattr(args, "tol", 0) < math.inf:
-        parser.error("--tol must be a finite non-negative number")
 
 
 def main(argv=None) -> int:
@@ -285,7 +272,7 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         payload, ok = run(args)
-    except RuntimeError as e:  # non-convergence included; never a refutation
+    except Exception as e:  # any internal error; never a refutation
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = _render(payload, args.fmt)

@@ -39,7 +39,9 @@ from .ring import MultiPoly, is_floating
 from .rng import random_int_matrix, random_skew, random_skew_int, substream
 
 __all__ = [
+    "BT_TOL",
     "DEFAULT_SYMBOLIC_CAP",
+    "JOHNSON_NUMERIC_TOL",
     "SPECIALIZATION_CAP",
     "bt_suite",
     "johnson_numeric_suite",
@@ -156,10 +158,11 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     if not is_skew_symmetric(y):
         raise ValueError("input is not skew-symmetric")
     adj = adjugate(y)
-    sign = 1 if m % 2 else -1
-    transpose_ok = adj.T == sign * adj
-    instance: dict[str, Any] = {"m": m, "parity": "odd" if m % 2 else "even"}
-    if m % 2 == 0:
+    odd = m % 2
+    upper = ((i, j) for i in range(m) for j in range(i, m))
+    transpose_ok = all(adj[j, i] == (adj[i, j] if odd else -adj[i, j]) for i, j in upper)
+    instance: dict[str, Any] = {"m": m, "parity": "odd" if odd else "even"}
+    if not odd:
         s_val = sum(adj.entries())
         ok = transpose_ok and s_val == 0
         residual = str(s_val)
@@ -259,18 +262,22 @@ def _bt_margin(d11, d22, d12, d21):
     return 4 * d11 * d22 - s * s
 
 
-def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
+BT_TOL = 1e-8  # relative tolerance of the float rank-one equality
+
+
+def verify_bt(skew: Matrix, alpha, w) -> CertificateReport:
     """Certifies the rank-one symmetric-part equality: with
     A = skew + (alpha/2) w w^T (so A + A^T = alpha w w^T),
 
         det A_m(1,1) * det A_m(2,2) = ((det A_m(1,2) + det A_m(2,1)) / 2)^2
 
-    exactly over the rationals, or to tolerance for floats.  Weight vectors
-    with zero components are legal: the identity is polynomial in the
-    entries, so no limiting argument is needed.  Entries, ``alpha`` and the
-    weights must be int, Fraction, float or complex (not bool), else
-    TypeError.  A float minor or residual that is not finite raises
-    UndecidedError.
+    exactly over the rationals, or for floats to the fixed relative
+    tolerance ``BT_TOL``.  ``skew`` must be exactly skew-symmetric, float
+    input included, else ValueError.  Weight vectors with zero components
+    are legal: the identity is polynomial in the entries, so no limiting
+    argument is needed.  Entries, ``alpha`` and the weights must be int,
+    Fraction, float or complex (not bool), else TypeError.  A float minor or
+    residual that is not finite raises UndecidedError.
 
     Exact input runs in integers: with L the lcm of the denominators of
     2A = 2 skew + alpha w w^T, the minors D of M = L 2A are (2L)^m times
@@ -289,14 +296,9 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
                 "rank-one equality takes int, Fraction, float or complex "
                 f"scalars, got {type(x).__name__}"
             )
-    floating = any(is_floating(x) for x in list(skew.entries()) + list(w)) or is_floating(alpha)
-    if floating:
-        if max(abs(x) for x in (skew + skew.T).entries()) > 1e-12 * max(
-            1.0, max(abs(x) for x in skew.entries())
-        ):
-            raise ValueError("first argument is not skew-symmetric")
-    elif not is_skew_symmetric(skew):
+    if not is_skew_symmetric(skew):
         raise ValueError("first argument is not skew-symmetric")
+    floating = any(is_floating(x) for x in list(skew.entries()) + list(w)) or is_floating(alpha)
     if all(not x for x in w):
         raise ValueError("weight vector must be nonzero")
     instance = {"n": n, "alpha": alpha, "w": list(w)}
@@ -310,10 +312,10 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
         _require_finite(f"bt_n{n}", d11, d22, d12, d21, residual)
         return CertificateReport(
             claim=f"bt_n{n}",
-            status=verdict(residual <= tol * scale),
+            status=verdict(residual <= BT_TOL * scale),
             residual=residual,
             instance=instance,
-            tolerance=tol,
+            tolerance=BT_TOL,
         )
     twice = (2 * skew + alpha * outer(list(w))).entries()
     lcm = math.lcm(*(x.denominator for x in twice))
@@ -330,13 +332,14 @@ def verify_bt(skew: Matrix, alpha, w, tol: float = 1e-8) -> CertificateReport:
 
 # -- batch suites ----------------------------------------------------------
 
-def johnson_numeric_suite(
-    max_n: int, trials: int, seed: int, tol: float = 1e-9
-) -> list[CertificateReport]:
-    """Floating smoke test of the minor identity on random numeric members of
-    the family (b_k uniform in [-2, 2], order drawn from 2..max_n).  A minor
-    or residual that is not finite (the minors overflow from about order
-    230) raises UndecidedError rather than refuting a true identity."""
+JOHNSON_NUMERIC_TOL = 1e-9  # relative tolerance of the float minor identity
+
+
+def johnson_numeric_suite(max_n: int, trials: int, seed: int) -> list[CertificateReport]:
+    """Floating smoke test, to ``JOHNSON_NUMERIC_TOL``, of the minor identity
+    on random numeric members of the family (b_k uniform in [-2, 2], order
+    drawn from 2..max_n).  A minor or residual that is not finite (the minors
+    overflow from about order 230) raises UndecidedError, not a refutation."""
     if max_n < 2:
         raise ValueError("max order must be at least 2")
     reports = []
@@ -357,22 +360,22 @@ def johnson_numeric_suite(
         reports.append(
             CertificateReport(
                 claim=f"johnson_numeric_t{t:03d}",
-                status=verdict(residual <= tol * scale),
+                status=verdict(residual <= JOHNSON_NUMERIC_TOL * scale),
                 residual=residual,
                 instance={"n": n, "b": b},
                 seed=seed,
-                tolerance=tol,
+                tolerance=JOHNSON_NUMERIC_TOL,
             )
         )
     return reports
 
 
-def rankone_suite(trials: int, seed: int, order: int = 5) -> list[CertificateReport]:
-    """Random exact instances of the all-ones rank-one expansion."""
+def rankone_suite(trials: int, seed: int) -> list[CertificateReport]:
+    """Random exact order-5 instances of the all-ones rank-one expansion."""
     reports = []
     for t in range(trials):
         stream = substream(seed, 1000 + t)
-        x = random_int_matrix(stream, order)
+        x = random_int_matrix(stream, 5)
         t_val = stream.randint(-5, 5)
         rep = verify_rank_one_expansion(x, t_val)
         reports.append(replace(rep, claim=f"rankone_expansion_t{t:03d}", seed=seed))
@@ -392,9 +395,7 @@ def lemmas_suite(max_n: int, trials: int, seed: int) -> list[CertificateReport]:
     return sorted(reports, key=lambda r: r.claim)
 
 
-def bt_suite(
-    dim: int, trials: int, seed: int, scalar: str = "rat", tol: float = 1e-8
-) -> list[CertificateReport]:
+def bt_suite(dim: int, trials: int, seed: int, scalar: str = "rat") -> list[CertificateReport]:
     """Random rank-one symmetric-part instances; every fifth weight vector
     gets a forced zero component.  ``scalar`` picks exact rationals or
     floats."""
@@ -418,6 +419,6 @@ def bt_suite(
             w[t % n] = 0.0 if scalar == "real" else 0
         if all(not x for x in w):
             w[0] = 1.0 if scalar == "real" else 1
-        rep = verify_bt(skew, alpha, w, tol=tol)
+        rep = verify_bt(skew, alpha, w)
         reports.append(replace(rep, claim=f"bt_{scalar}_t{t:03d}", seed=seed))
     return reports

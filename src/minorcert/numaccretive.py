@@ -30,10 +30,14 @@ from .report import CertificateReport, UndecidedError, jsonable, verdict
 from .rng import SplitMix64, random_skew, substream
 
 __all__ = [
+    "ACCRETIVE_TOL",
     "Accretive",
     "AccretiveWitness",
     "ConvergenceError",
+    "DET_TOL",
     "EigenResult",
+    "MAX_WITNESSES",
+    "SEARCH_TOL",
     "accretive",
     "accretive_factorize",
     "accretive_suite",
@@ -283,8 +287,11 @@ def accretive_factorize(acc: Accretive):
     return h_sqrt, s, report
 
 
-def verify_det_positive(acc: Accretive, tol: float = 1e-9) -> CertificateReport:
-    """Certifies det(A) >= -tol * scale for accretive A (scale is
+DET_TOL = 1e-9  # relative tolerance of the determinant claim
+
+
+def verify_det_positive(acc: Accretive) -> CertificateReport:
+    """Certifies det(A) >= -DET_TOL * scale for accretive A (scale is
     max(1, |A|_max)^n); for strictly accretive A additionally cross-checks
     det(A) = det(H) * prod_k (1 + mu_k^2), the mu_k^2 being the paired
     eigenvalues of -S^2 from the congruence factorization."""
@@ -293,7 +300,7 @@ def verify_det_positive(acc: Accretive, tol: float = 1e-9) -> CertificateReport:
     d = det_bareiss(a)
     scale = max(1.0, max_abs(a)) ** n
     residual = max(0.0, -d / scale)
-    ok = residual <= tol
+    ok = residual <= DET_TOL
     instance = {"n": n, "det": d, "strict": acc.strict}
     if acc.strict:
         _, s, _ = acc.factorization
@@ -311,11 +318,14 @@ def verify_det_positive(acc: Accretive, tol: float = 1e-9) -> CertificateReport:
         status=verdict(ok),
         residual=residual,
         instance=instance,
-        tolerance=tol,
+        tolerance=DET_TOL,
     )
 
 
-def verify_adjugate_accretive(acc: Accretive, tol: float = 1e-8) -> CertificateReport:
+ACCRETIVE_TOL = 1e-8  # relative tolerance of adjugate accretivity and the margin
+
+
+def verify_adjugate_accretive(acc: Accretive) -> CertificateReport:
     """Certifies that the adjugate of an accretive matrix is accretive."""
     n = acc.matrix.rows
     eig = sym_eig(_sym_part(adjugate(acc.matrix)))
@@ -323,10 +333,10 @@ def verify_adjugate_accretive(acc: Accretive, tol: float = 1e-8) -> CertificateR
     residual = max(0.0, -lam_min / max(1.0, lam_max))
     return CertificateReport(
         claim=f"adjugate_accretive_n{n}",
-        status=verdict(residual <= tol),
+        status=verdict(residual <= ACCRETIVE_TOL),
         residual=residual,
         instance={"n": n, "lambda_min": lam_min, "lambda_max": lam_max},
-        tolerance=tol,
+        tolerance=ACCRETIVE_TOL,
     )
 
 
@@ -378,9 +388,7 @@ def random_accretive(stream: SplitMix64, n: int, boundary: bool = False) -> Matr
     return a / max_abs(a)
 
 
-def accretive_suite(
-    dim: int, trials: int, seed: int, tol: float = 1e-8
-) -> list[CertificateReport]:
+def accretive_suite(dim: int, trials: int, seed: int) -> list[CertificateReport]:
     """Per trial: draw an accretive instance (order 2..dim, every fourth one
     on the PSD boundary) and check determinant nonnegativity, adjugate
     accretivity, the minor inequality margin, and (strict instances only)
@@ -393,11 +401,11 @@ def accretive_suite(
         n = stream.randint(2, dim)
         boundary = t % 4 == 3
         acc = accretive(random_accretive(stream, n, boundary=boundary))
-        det_rep = verify_det_positive(acc, tol=1e-9)
-        adj_rep = verify_adjugate_accretive(acc, tol=tol)
+        det_rep = verify_det_positive(acc)
+        adj_rep = verify_adjugate_accretive(acc)
         witness = verify_accretive_inequality(acc)
         margin_scale = max(1.0, witness.lhs + witness.rhs)
-        margin_ok = witness.margin >= -tol * margin_scale
+        margin_ok = witness.margin >= -ACCRETIVE_TOL * margin_scale
         checks = {
             "n": n,
             "kind": "boundary" if boundary else "strict",
@@ -415,10 +423,10 @@ def accretive_suite(
         # some checks refute without raising the residual: on strict
         # instances det > 0 and the product-formula relerr <= 1e-6, and a
         # factorization skew residual in (1e-9, 1e-8]
-        worst = tol * max(
-            float(det_rep.residual) / 1e-9,
-            float(adj_rep.residual) / tol,
-            max(0.0, -witness.margin / margin_scale) / tol,
+        worst = ACCRETIVE_TOL * max(
+            float(det_rep.residual) / DET_TOL,
+            float(adj_rep.residual) / ACCRETIVE_TOL,
+            max(0.0, -witness.margin / margin_scale) / ACCRETIVE_TOL,
             float(checks.get("factorization", 0.0)) / 1e-8,
         )
         reports.append(
@@ -428,7 +436,7 @@ def accretive_suite(
                 residual=worst,
                 instance=checks,
                 seed=seed,
-                tolerance=tol,
+                tolerance=ACCRETIVE_TOL,
             )
         )
     return reports
@@ -527,21 +535,21 @@ def _perturb_skew_hermitian(stream: SplitMix64, a: Matrix, sigma: float) -> Matr
     return a + _skew_hermitian(a.rows, lambda: sigma * stream.gauss())
 
 
+SEARCH_TOL = 1e-6  # a witness's margin is below -SEARCH_TOL * max(1, lhs + rhs)
+MAX_WITNESSES = 100  # the search stops once it holds this many witnesses
+
+
 def search_complex_violation(
-    dim: int,
-    iters: int,
-    seed: int,
-    init: str = "random",
-    tol: float = 1e-6,
-    max_witnesses: int = 100,
+    dim: int, iters: int, seed: int, init: str = "random"
 ) -> list[AccretiveWitness]:
     """Seeded random search (sampling plus skew-Hermitian hill climbing) for
     complex matrices with PSD conjugate-symmetric part that violate the
-    transpose-based minor inequality.  Deterministic for a fixed
-    (dim, iters, seed, init); an empty result is a valid outcome.
+    transpose-based minor inequality by more than the relative tolerance
+    ``SEARCH_TOL``.  Deterministic for a fixed (dim, iters, seed, init); an
+    empty result is a valid outcome.
 
     ``iters`` is an upper bound: the search stops once it holds
-    ``max_witnesses`` witnesses.  The list only grows until that cap and
+    ``MAX_WITNESSES`` witnesses.  The list only grows until that cap and
     the running best only steers later candidates, so no later iteration
     could change the result."""
     if dim < 2:
@@ -555,7 +563,7 @@ def search_complex_violation(
     best: Matrix | None = None
     best_margin = math.inf
     for it in range(iters):
-        if len(witnesses) >= max_witnesses:
+        if len(witnesses) >= MAX_WITNESSES:
             break
         if it == 0 and init == "remark45":
             cand = remark45_matrix()
@@ -568,7 +576,7 @@ def search_complex_violation(
         scale = max(1.0, w.lhs + w.rhs)
         if w.margin < best_margin:
             best, best_margin = cand, w.margin
-        if w.margin < -tol * scale:
+        if w.margin < -SEARCH_TOL * scale:
             witnesses.append(w)
     witnesses.sort(key=lambda w: w.margin)
     return witnesses

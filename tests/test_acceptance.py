@@ -121,14 +121,14 @@ def test_criterion_6_rank_one_equality():
     assert all(r.verified and r.residual == "0" for r in exact)
     zero_w = [r for r in exact if 0 in r.instance["w"]]
     assert zero_w, "suite must exercise weight vectors with zero components"
-    approx = bt_suite(10, 100, seed=SEED, scalar="real", tol=1e-8)
+    approx = bt_suite(10, 100, seed=SEED, scalar="real")
     assert len(approx) == 100
     assert all(r.verified for r in approx)
     _announce(6, "rank-one equality exact on 50 rational and within 1e-8 on 100 float")
 
 
 def test_criterion_7_accretive_suite():
-    reports = accretive_suite(8, 200, seed=SEED, tol=1e-8)
+    reports = accretive_suite(8, 200, seed=SEED)
     assert len(reports) == 200
     bad = [r for r in reports if not r.verified]
     assert not bad, bad[:3]

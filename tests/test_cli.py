@@ -5,6 +5,7 @@ import pytest
 from minorcert import cli, identity, numaccretive
 from minorcert.identity import DEFAULT_SYMBOLIC_CAP, SPECIALIZATION_CAP
 from minorcert.matrix import Matrix, johnson_family
+from minorcert.ring import ExactDivisionError
 
 
 def run_to_file(tmp_path, name, argv):
@@ -194,26 +195,24 @@ def test_every_verify_report_carries_the_cli_seed(tmp_path, argv):
     assert docs and all(d["seed"] == 7 for d in docs)
 
 
-def test_tol_zero_reaches_the_report(tmp_path):
-    _, raw = run_to_file(
-        tmp_path, "t0.json",
-        ["verify", "johnson", "--mode", "numeric", "--n", "5", "--trials", "3",
-         "--tol", "0"],
-    )
-    assert all(d["tolerance"] == 0.0 for d in json.loads(raw))
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "johnson", "--mode", "numeric"],
     ["verify", "bt", "--scalar", "real"],
     ["verify", "accretive"],
     ["search", "complex"],
+    ["verify", "lemmas"],
+    ["verify", "specialization"],
+    ["repro", "remark45"],
+    ["bench", "det", "--algo", "bareiss"],
 ])
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_out_of_range_tol_is_a_usage_error(argv, tol):
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+def test_out_of_range_tol_is_a_usage_error(argv, tol, capsys):
+    # the float tolerances are fixed constants and no command takes --tol,
+    # so every value, in range or not, is a usage error and moves no verdict
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--tol", tol])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_non_convergence_is_a_usage_error(monkeypatch, capsys):
@@ -243,6 +242,22 @@ def test_internal_error_is_a_usage_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "A^T is not A(-b)" in captured.err
+
+
+def test_any_internal_exception_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    # an exact division with a remainder is a ring-contract bug, not a
+    # refutation: status 2, a one-line message and no report
+    def broken(a, row_sets):
+        raise ExactDivisionError("remainder in a ring that promised none")
+
+    monkeypatch.setattr(identity, "leading_row_minors", broken)
+    out = tmp_path / "never.json"
+    rc = cli.main(["verify", "johnson", "--n", "4", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: remainder in a ring that promised none\n"
 
 
 def test_non_finite_numeric_johnson_is_a_usage_error(capsys):

@@ -224,6 +224,21 @@ def test_skew_facts_generic_orders():
     assert rep.verified and rep.residual == "0"
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_skew_facts_refute_an_adjugate_that_breaks_the_transpose_identity(
+    monkeypatch, m
+):
+    def doctored(y):
+        rows = adjugate(y).to_rows()
+        rows[0][2] = rows[0][2] + 1
+        return Matrix.from_rows(rows)
+
+    monkeypatch.setattr(identity_module, "adjugate", doctored)
+    rep = verify_skew_facts(generic_skew_toeplitz(m))
+    assert not rep.verified
+    assert rep.instance["adjugate_transpose_identity"] is False
+
+
 def test_skew_facts_rejects_non_skew():
     with pytest.raises(ValueError):
         verify_skew_facts(identity(3))
@@ -408,6 +423,23 @@ def test_bt_rejects_scalars_that_are_not_numbers(case):
         skew = Matrix.from_rows([[0, True, 0], [-1, 0, 0], [0, 0, 0]])
     with pytest.raises(TypeError, match="int, Fraction, float or complex"):
         verify_bt(skew, alpha, w)
+
+
+def test_float_bt_needs_an_exactly_skew_matrix():
+    stream = substream(7, 0)
+    rows = random_skew(4, lambda: stream.uniform(-2.0, 2.0)).to_rows()
+    w = [1.0, 0.5, -1.0, 2.0]
+    assert verify_bt(Matrix.from_rows(rows), 1.5, w).verified
+    rows[1][3] += 1e-15
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        verify_bt(Matrix.from_rows(rows), 1.5, w)
+
+
+def test_float_reports_carry_their_fixed_tolerances():
+    assert identity_module.JOHNSON_NUMERIC_TOL == 1e-9
+    assert identity_module.BT_TOL == 1e-8
+    assert {r.tolerance for r in johnson_numeric_suite(8, 5, seed=3)} == {1e-9}
+    assert {r.tolerance for r in bt_suite(5, 5, seed=9, scalar="real")} == {1e-8}
 
 
 def test_bt_suite_exact_and_float():

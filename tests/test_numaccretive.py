@@ -146,6 +146,15 @@ def test_order_26_minors_are_not_flushed_to_zero():
     assert verify_det_positive(acc).verified
 
 
+def test_float_reports_carry_their_fixed_tolerances():
+    assert numaccretive.DET_TOL == 1e-9
+    assert numaccretive.ACCRETIVE_TOL == 1e-8
+    acc = accretive(random_accretive(substream(813, 0), 5))
+    assert verify_det_positive(acc).tolerance == 1e-9
+    assert verify_adjugate_accretive(acc).tolerance == 1e-8
+    assert {r.tolerance for r in accretive_suite(5, 8, seed=15)} == {1e-8}
+
+
 def test_det_positive_rejects_non_accretive():
     with pytest.raises(ValueError):
         verify_det_positive(accretive(_diag([1.0, -1.0])))
@@ -311,7 +320,8 @@ def test_search_stops_at_the_witness_cap(monkeypatch, seed):
     assert [w.label for w in short] == [w.label for w in full]
     assert [w.margin for w in short] == [w.margin for w in full]
     calls.clear()
-    assert search_complex_violation(4, 10000, seed, max_witnesses=0) == []
+    monkeypatch.setattr(numaccretive, "MAX_WITNESSES", 0)
+    assert search_complex_violation(4, 10000, seed) == []
     assert calls == []
 
 
