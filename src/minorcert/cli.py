@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import identity as idmod
 from . import numaccretive as accmod
-from .detkit import COFACTOR_CAP, DET_ALGOS
+from .detkit import DET_ALGOS
 from .rng import random_int_matrix, random_poly_matrix, substream
 
 __all__ = ["DEFAULT_SEED", "main", "run"]
@@ -236,32 +236,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
+    """Checks only the bounds that the CLI alone sets; every other bad value
+    reaches the library, whose ValueError exits 2 through ``main``."""
     key = (args.command, args.subcommand)
-    if key == ("verify", "johnson"):
-        if args.n < 2:
-            parser.error("--n must be at least 2 (the identity needs order >= 2)")
-        if args.mode == "symbolic" and args.n > args.max_n:
-            parser.error(f"--n exceeds the symbolic cap {args.max_n}; raise --max-n")
-    elif key == ("verify", "lemmas"):
-        cap = idmod.DEFAULT_SYMBOLIC_CAP
-        if not 3 <= args.n <= cap:
-            parser.error(f"--n must be in 3..{cap} (the symbolic cap)")
-    elif key in (("verify", "bt"), ("verify", "accretive")) and args.dim < 2:
-        parser.error("--dim must be at least 2")
-    elif key == ("verify", "specialization"):
-        cap = idmod.SPECIALIZATION_CAP
-        if not 2 <= args.m <= cap:
-            parser.error(f"--m must be in 2..{cap}")
-    elif key == ("search", "complex"):
-        if args.dim < 2:
-            parser.error("--dim must be at least 2")
-        if args.init == "remark45" and args.dim != 4:
-            parser.error("--init remark45 requires --dim 4")
-    elif key == ("bench", "det"):
-        if args.order < 1:
-            parser.error("--order must be at least 1")
-        if args.algo == "cofactor" and args.order > COFACTOR_CAP:
-            parser.error(f"--order is capped at {COFACTOR_CAP} for the cofactor oracle")
+    if key == ("verify", "lemmas") and args.n > idmod.DEFAULT_SYMBOLIC_CAP:
+        parser.error(f"--n is capped at {idmod.DEFAULT_SYMBOLIC_CAP} (the symbolic cap)")
+    elif key == ("bench", "det") and args.order < 1:
+        parser.error("--order must be at least 1")
     if getattr(args, "trials", 0) < 0 or getattr(args, "iters", 0) < 0:
         parser.error("--trials/--iters must be non-negative")
 

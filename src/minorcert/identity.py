@@ -34,9 +34,10 @@ from .matrix import (
     outer,
     skew_toeplitz,
 )
+from .numaccretive import minor_witness
 from .report import CertificateReport, UndecidedError, verdict
 from .ring import MultiPoly, is_floating
-from .rng import random_int_matrix, random_skew, random_skew_int, substream
+from .rng import random_int_matrix, random_skew, substream
 
 __all__ = [
     "BT_TOL",
@@ -303,13 +304,10 @@ def verify_bt(skew: Matrix, alpha, w) -> CertificateReport:
         raise ValueError("weight vector must be nonzero")
     instance = {"n": n, "alpha": alpha, "w": list(w)}
     if floating:
-        a = skew + alpha / 2 * outer(list(w))
-        d11, d22, d12, d21 = contiguous_minors(a)
-        lhs = math.sqrt(max(d11 * d22, 0.0))
-        rhs = abs((d12 + d21) / 2.0)
-        scale = max(1.0, lhs + rhs)
-        residual = abs(lhs - rhs)
-        _require_finite(f"bt_n{n}", d11, d22, d12, d21, residual)
+        wit = minor_witness(skew + alpha / 2 * outer(list(w)), f"bt_n{n}")
+        residual = abs(wit.margin)
+        scale = max(1.0, wit.lhs + wit.rhs)
+        _require_finite(f"bt_n{n}", *wit.minors, residual)
         return CertificateReport(
             claim=f"bt_n{n}",
             status=verdict(residual <= BT_TOL * scale),
@@ -408,7 +406,7 @@ def bt_suite(dim: int, trials: int, seed: int, scalar: str = "rat") -> list[Cert
         stream = substream(seed, 2000 + t)
         n = stream.randint(2, dim)
         if scalar == "rat":
-            skew = random_skew_int(stream, n, bound=4)
+            skew = random_skew(n, lambda: stream.randint(-4, 4))
             alpha = stream.randint(-5, 5)
             w = [stream.randint(-4, 4) for _ in range(n)]
         else:

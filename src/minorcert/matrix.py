@@ -181,9 +181,8 @@ class Matrix:
             )
 
 
-def zeros(rows: int, cols: int | None = None) -> Matrix:
-    cols = rows if cols is None else cols
-    return Matrix(rows, cols, [0] * (rows * cols))
+def zeros(n: int) -> Matrix:
+    return Matrix(n, n, [0] * (n * n))
 
 
 def identity(n: int) -> Matrix:
@@ -238,9 +237,8 @@ def is_skew_symmetric(a: Matrix) -> bool:
     )
 
 
-def outer(u, v=None) -> Matrix:
-    v = u if v is None else v
-    return Matrix(len(u), len(v), [x * y for x in u for y in v])
+def outer(u) -> Matrix:
+    return Matrix(len(u), len(u), [x * y for x in u for y in u])
 
 
 def max_abs(a: Matrix):

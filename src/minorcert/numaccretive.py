@@ -36,6 +36,8 @@ __all__ = [
     "ConvergenceError",
     "DET_TOL",
     "EigenResult",
+    "FACTOR_TOL",
+    "MAX_SWEEPS",
     "MAX_WITNESSES",
     "SEARCH_TOL",
     "accretive",
@@ -100,12 +102,15 @@ class AccretiveWitness:
 
 # -- symmetric eigensolver ------------------------------------------------
 
-def sym_eig(h: Matrix, max_sweeps: int = 100) -> EigenResult:
+MAX_SWEEPS = 100  # Jacobi sweeps before sym_eig gives up
+
+
+def sym_eig(h: Matrix) -> EigenResult:
     """Cyclic Jacobi rotations for a real symmetric matrix.
 
     Sweeps until the off-diagonal Frobenius mass drops below 1e-14 times the
     Frobenius norm of the input; raises ConvergenceError after
-    ``max_sweeps``.  Input asymmetry up to 1e-12 (relative, max-norm) is
+    ``MAX_SWEEPS``.  Input asymmetry up to 1e-12 (relative, max-norm) is
     symmetrized away; worse asymmetry is a usage error.
     """
     if not h.is_square:
@@ -126,7 +131,7 @@ def sym_eig(h: Matrix, max_sweeps: int = 100) -> EigenResult:
         return EigenResult((w[0][0],), Matrix(1, 1, [1.0]))
     fro = math.sqrt(sum(x * x for row in w for x in row))
     thresh = 1e-14 * fro
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = math.sqrt(2.0 * sum(w[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
         if off <= thresh:
             break
@@ -162,7 +167,7 @@ def sym_eig(h: Matrix, max_sweeps: int = 100) -> EigenResult:
                     vi[q] = s * vip + c * viq
     else:
         raise ConvergenceError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
+            f"Jacobi eigensolver did not converge in {MAX_SWEEPS} sweeps"
         )
     order = sorted(range(n), key=lambda j: w[j][j])
     values = tuple(w[j][j] for j in order)
@@ -248,6 +253,9 @@ def accretive(a: Matrix) -> Accretive:
     return Accretive(a, h, eig)
 
 
+FACTOR_TOL = 1e-8  # relative tolerance of the reconstruction and inverse identity
+
+
 def accretive_factorize(acc: Accretive):
     """Congruence factorization A = H^{1/2}(I + S)H^{1/2} of a strictly
     accretive A, with H the symmetric part and S = H^{-1/2} N H^{-1/2} skew.
@@ -271,7 +279,7 @@ def accretive_factorize(acc: Accretive):
     inv_sym = _sym_part(inv_plus)
     inv_model = inverse(eye - s @ s)
     inv_res = max_abs(inv_sym - inv_model) / max(1.0, max_abs(inv_model))
-    ok = skew_res <= 1e-9 and recon_res <= 1e-8 and inv_res <= 1e-8
+    ok = skew_res <= 1e-9 and recon_res <= FACTOR_TOL and inv_res <= FACTOR_TOL
     report = CertificateReport(
         claim=f"accretive_factorization_n{n}",
         status=verdict(ok),
@@ -282,7 +290,7 @@ def accretive_factorize(acc: Accretive):
             "reconstruction_residual": recon_res,
             "inverse_identity_residual": inv_res,
         },
-        tolerance=1e-8,
+        tolerance=FACTOR_TOL,
     )
     return h_sqrt, s, report
 
@@ -422,12 +430,12 @@ def accretive_suite(dim: int, trials: int, seed: int) -> list[CertificateReport]
         # the tolerance always means "refuted"; the converse fails, since
         # some checks refute without raising the residual: on strict
         # instances det > 0 and the product-formula relerr <= 1e-6, and a
-        # factorization skew residual in (1e-9, 1e-8]
+        # factorization skew residual in (1e-9, FACTOR_TOL]
         worst = ACCRETIVE_TOL * max(
             float(det_rep.residual) / DET_TOL,
             float(adj_rep.residual) / ACCRETIVE_TOL,
             max(0.0, -witness.margin / margin_scale) / ACCRETIVE_TOL,
-            float(checks.get("factorization", 0.0)) / 1e-8,
+            float(checks.get("factorization", 0.0)) / FACTOR_TOL,
         )
         reports.append(
             CertificateReport(

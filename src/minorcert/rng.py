@@ -26,7 +26,6 @@ __all__ = [
     "random_poly",
     "random_poly_matrix",
     "random_skew",
-    "random_skew_int",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -76,8 +75,8 @@ def substream(master_seed: int, index: int) -> SplitMix64:
     return SplitMix64(_mix((master_seed + (index + 1) * _GOLDEN) & _MASK64))
 
 
-def random_int_matrix(stream: SplitMix64, n: int, lo: int = -9, hi: int = 9) -> Matrix:
-    return Matrix(n, n, [stream.randint(lo, hi) for _ in range(n * n)])
+def random_int_matrix(stream: SplitMix64, n: int) -> Matrix:
+    return Matrix(n, n, [stream.randint(-9, 9) for _ in range(n * n)])
 
 
 def random_skew(n: int, draw) -> Matrix:
@@ -90,10 +89,6 @@ def random_skew(n: int, draw) -> Matrix:
             rows[i][j] = v
             rows[j][i] = -v
     return Matrix.from_rows(rows)
-
-
-def random_skew_int(stream: SplitMix64, n: int, bound: int = 5) -> Matrix:
-    return random_skew(n, lambda: stream.randint(-bound, bound))
 
 
 def random_poly(

@@ -8,7 +8,7 @@ import minorcert
 MODULES = ["cli", "detkit", "identity", "matrix", "numaccretive", "report", "ring", "rng"]
 
 
-@pytest.mark.parametrize("name", ["minorcert"] + [f"minorcert.{m}" for m in MODULES])
+@pytest.mark.parametrize("name", [f"minorcert.{m}" for m in MODULES])
 def test_every_all_entry_resolves(name):
     # The benchmark tracer installs its spans by iterating these lists with
     # getattr, so a name left behind by a deletion would break every traced run.

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from minorcert import cli, identity, numaccretive
+from minorcert.detkit import COFACTOR_CAP
 from minorcert.identity import DEFAULT_SYMBOLIC_CAP, SPECIALIZATION_CAP
 from minorcert.matrix import Matrix, johnson_family
 from minorcert.ring import ExactDivisionError
@@ -23,12 +24,6 @@ def test_verify_johnson_symbolic_exit_zero(tmp_path):
     assert docs[0]["status"] == "verified"
     assert docs[0]["residual"] == "0"
     assert docs[0]["seed"] == cli.DEFAULT_SEED
-
-
-def test_verify_johnson_rejects_n1():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "johnson", "--n", "1"])
-    assert exc.value.code == 2
 
 
 def test_verify_johnson_numeric(tmp_path):
@@ -57,18 +52,39 @@ def test_verify_lemmas(tmp_path):
     assert "reduced_case_n4" in claims and "skew_facts_m3" in claims
 
 
-@pytest.mark.parametrize("n", [2, DEFAULT_SYMBOLIC_CAP + 1])
+@pytest.mark.parametrize("n", [DEFAULT_SYMBOLIC_CAP + 1])
 def test_verify_lemmas_order_out_of_range_is_a_usage_error(n):
+    # the lemmas cap is the CLI's own bound, so argparse rejects it
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "lemmas", "--n", str(n)])
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("m", [1, SPECIALIZATION_CAP + 1])
-def test_verify_specialization_order_out_of_range_is_a_usage_error(m):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "specialization", "--m", str(m)])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "johnson", "--n", "1"], id="johnson-symbolic-n1"),
+    pytest.param(["verify", "johnson", "--mode", "numeric", "--n", "1"],
+                 id="johnson-numeric-n1"),
+    pytest.param(["verify", "johnson", "--n", str(DEFAULT_SYMBOLIC_CAP + 1)],
+                 id="johnson-symbolic-over-max-n"),
+    pytest.param(["verify", "lemmas", "--n", "2"], id="lemmas-n2"),
+    pytest.param(["verify", "bt", "--dim", "1"], id="bt-dim1"),
+    pytest.param(["verify", "accretive", "--dim", "1"], id="accretive-dim1"),
+    pytest.param(["verify", "specialization", "--m", "1"], id="specialization-m1"),
+    pytest.param(["verify", "specialization", "--m", str(SPECIALIZATION_CAP + 1)],
+                 id="specialization-over-cap"),
+    pytest.param(["search", "complex", "--dim", "1"], id="search-dim1"),
+    pytest.param(["search", "complex", "--dim", "3", "--init", "remark45"],
+                 id="search-remark45-dim3"),
+    pytest.param(["bench", "det", "--algo", "cofactor", "--order", str(COFACTOR_CAP + 1)],
+                 id="cofactor-over-cap"),
+])
+def test_library_argument_check_is_an_error_exit(argv, capsys):
+    # bounds that the library checks are checked only there: its ValueError
+    # exits 2 with one error line and no report
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_verify_bt_and_specialization(tmp_path):
@@ -124,12 +140,6 @@ def test_search_complex(tmp_path):
     assert all(d["margin"] < 0 for d in docs)
 
 
-def test_search_init_requires_dim4():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "complex", "--dim", "3", "--init", "remark45"])
-    assert exc.value.code == 2
-
-
 def test_bench_det(tmp_path):
     rc, raw = run_to_file(
         tmp_path, "b.json",
@@ -139,8 +149,6 @@ def test_bench_det(tmp_path):
     rows = json.loads(raw)
     assert [r["trial"] for r in rows] == [0, 1, 2]
     assert all(set(r) == {"algo", "order", "trial", "nanos", "det_hash"} for r in rows)
-    with pytest.raises(SystemExit):
-        cli.main(["bench", "det", "--algo", "cofactor", "--order", "8"])
 
 
 def test_bench_det_hashes_are_seed_deterministic(tmp_path):
@@ -216,7 +224,7 @@ def test_out_of_range_tol_is_a_usage_error(argv, tol, capsys):
 
 
 def test_non_convergence_is_a_usage_error(monkeypatch, capsys):
-    def stuck(h, max_sweeps=100):
+    def stuck(h):
         raise numaccretive.ConvergenceError("Jacobi eigensolver did not converge")
 
     monkeypatch.setattr(numaccretive, "sym_eig", stuck)

@@ -38,7 +38,7 @@ from minorcert.matrix import (
 )
 from minorcert.report import UndecidedError
 from minorcert.ring import MultiPoly, variables
-from minorcert.rng import random_skew, random_skew_int, substream
+from minorcert.rng import random_skew, substream
 
 
 def test_johnson_n2_direct():
@@ -315,7 +315,7 @@ def test_bt_toeplitz_case_exact():
 
 def test_bt_with_zero_weight_component():
     stream = substream(707, 0)
-    skew = random_skew_int(stream, 4)
+    skew = random_skew(4, lambda: stream.randint(-5, 5))
     rep = verify_bt(skew, -3, [1, 0, 2, -1])
     assert rep.verified and rep.residual == "0"
 
@@ -356,7 +356,8 @@ def test_exact_bt_over_thirds_fifths_and_sevenths(n):
 
 def test_exact_bt_with_alpha_zero():
     skew, _, w = _rational_bt_instance(6, 50)
-    for s in (skew, random_skew_int(substream(51, 0), 6)):
+    stream = substream(51, 0)
+    for s in (skew, random_skew(6, lambda: stream.randint(-5, 5))):
         rep = verify_bt(s, 0, w)
         assert rep.verified and rep.residual == "0"
         assert str(_bt_oracle_residual(s, 0, w)) == "0"
@@ -405,7 +406,9 @@ def test_exact_bt_takes_its_minors_in_integers(monkeypatch):
     monkeypatch.setattr(identity_module, "contiguous_minors", spy)
     skew, alpha, w = _rational_bt_instance(4, 80)
     assert verify_bt(skew, alpha, w).verified
-    assert verify_bt(random_skew_int(substream(81, 0), 6), 3, [1, 0, 2, -1, 4, 2]).verified
+    stream = substream(81, 0)
+    skew = random_skew(6, lambda: stream.randint(-5, 5))
+    assert verify_bt(skew, 3, [1, 0, 2, -1, 4, 2]).verified
     assert all(r.verified for r in bt_suite(6, 5, seed=82, scalar="rat"))
     assert seen == [{int}] * 7
 

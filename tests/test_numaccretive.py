@@ -58,10 +58,11 @@ def test_sym_eig_rejects_asymmetric():
         sym_eig(Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_sym_eig_raises_when_out_of_sweeps():
+def test_sym_eig_raises_when_out_of_sweeps(monkeypatch):
+    monkeypatch.setattr(numaccretive, "MAX_SWEEPS", 0)
     h = Matrix.from_rows([[2.0, 1.0], [1.0, 2.0]])
-    with pytest.raises(ConvergenceError):
-        sym_eig(h, max_sweeps=0)
+    with pytest.raises(ConvergenceError, match="in 0 sweeps"):
+        sym_eig(h)
 
 
 def test_psd_check():
@@ -153,6 +154,19 @@ def test_float_reports_carry_their_fixed_tolerances():
     assert verify_det_positive(acc).tolerance == 1e-9
     assert verify_adjugate_accretive(acc).tolerance == 1e-8
     assert {r.tolerance for r in accretive_suite(5, 8, seed=15)} == {1e-8}
+
+
+def test_factorization_verdict_and_suite_residual_share_one_tolerance(monkeypatch):
+    # at a tolerance below roundoff the strict factorization claim refutes,
+    # and the suite's normalized residual must rise above its tolerance too
+    assert numaccretive.FACTOR_TOL == 1e-8
+    monkeypatch.setattr(numaccretive, "FACTOR_TOL", 1e-30)
+    _, _, rep = accretive_factorize(accretive(random_accretive(substream(813, 0), 5)))
+    assert not rep.verified and rep.tolerance == 1e-30
+    assert rep.residual > rep.tolerance
+    strict = [r for r in accretive_suite(5, 3, seed=15) if r.instance["kind"] == "strict"]
+    assert strict and all(not r.verified for r in strict)
+    assert all(r.residual > r.tolerance for r in strict)
 
 
 def test_det_positive_rejects_non_accretive():
