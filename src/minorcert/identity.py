@@ -100,22 +100,25 @@ def verify_reduced_case(n: int) -> CertificateReport:
     square residual taken in the factored form (s(K) - s(C))(s(K) + s(C)) of
     the proof.
 
-    K and C share the rows 1..m, so one row expansion of B gives both
-    determinants; for odd m a second one of J_n + B gives det(J + K) and
-    det(J + C), and s(X) = det(J + X) - det(X) by the rank-one expansion."""
+    K and C share the rows 1..m, so for even m one row expansion of B gives
+    both determinants.  For odd m, s(X) = 1^T adj(X) 1 is minus the bordered
+    determinant, det [[0, 1^T], [1, X]] = -1^T adj(X) 1, and the bordered
+    matrices of K and C are the minors of M = [[0, 1^T], [1, B]] on its
+    first n rows and the columns {0} u K, {0} u C; one row expansion of M
+    gives both."""
     if n < 3:
         raise ValueError(f"reduced case needs order >= 3, got {n}")
     m = n - 1
-    blocks = [range(m), range(1, n)]
-    det_k, det_c = leading_row_minors(generic_skew_toeplitz(n), blocks)
+    b = generic_skew_toeplitz(n)
     if m % 2 == 0:
+        det_k, det_c = leading_row_minors(b, [range(m), range(1, n)])
         residual = det_c - det_k
         ok = residual == 0
         instance = {"m": m, "parity": "even"}
     else:
-        det_jk, det_jc = leading_row_minors(johnson_family(n), blocks)
-        s_k = det_jk - det_k
-        s_c = det_jc - det_c
+        bordered = Matrix.from_rows([[0] + [1] * n] + [[1] + r for r in b.to_rows()])
+        neg_s_k, neg_s_c = leading_row_minors(bordered, [range(n), (0, *range(2, n + 1))])
+        s_k, s_c = -neg_s_k, -neg_s_c
         residual = s_c - s_k
         square_residual = (s_k - s_c) * (s_k + s_c)
         ok = residual == 0 and square_residual == 0

@@ -130,34 +130,105 @@ def test_reduced_case_specialized_determinants_are_one():
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_reduced_case_lemma_s_matches_adjugate_form(n):
-    # the reduced case takes s(X) = det(J + X) - det(X) from two row
-    # expansions; the adjugate form 1^T adj(X) 1 is the independent oracle
+    # the rank-one expansion s(X) = det(J + X) - det(X) and the bordered
+    # form s(X) = -det [[0, 1^T], [1, X]] that the reduced case takes both
+    # agree with the adjugate form 1^T adj(X) 1, the independent oracle
     m = n - 1
     b = generic_skew_toeplitz(n)
     blocks = [range(m), range(1, n)]
     det_k, det_c = leading_row_minors(b, blocks)
     det_jk, det_jc = leading_row_minors(johnson_family(n), blocks)
-    assert det_jk - det_k == s_functional(b.block(m, 1, 1))
-    assert det_jc - det_c == s_functional(b.block(m, 1, 2))
+    s_k = s_functional(b.block(m, 1, 1))
+    s_c = s_functional(b.block(m, 1, 2))
+    assert det_jk - det_k == s_k
+    assert det_jc - det_c == s_c
+    bordered = Matrix.from_rows([[0] + [1] * n] + [[1] + r for r in b.to_rows()])
+    neg_s_k, neg_s_c = leading_row_minors(bordered, [range(n), (0, *range(2, n + 1))])
+    assert (-neg_s_k, -neg_s_c) == (s_k, s_c)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_reduced_case_factored_square_matches_direct_squares(n):
     # the odd-order square residual is taken as (s_K - s_C)(s_K + s_C); the
     # direct squares s_K^2 - s_C^2 are the oracle, on s_C as certified and
-    # on a perturbed s_C whose residual is not zero
+    # on a perturbed s_C whose residual is not zero.  s_K and s_C come from
+    # the rank-one expansion (row expansions of B and J + B), independent
+    # of the bordered expansion the reduced case takes them from
     m = n - 1
     blocks = [range(m), range(1, n)]
     det_k, det_c = leading_row_minors(generic_skew_toeplitz(n), blocks)
     det_jk, det_jc = leading_row_minors(johnson_family(n), blocks)
     s_k = det_jk - det_k
     s_c = det_jc - det_c
+    rep = verify_reduced_case(n)
+    assert rep.residual == str(s_c - s_k)
+    if n == 10:
+        # one square of the order-10 s (3,806 terms) takes about 8 s, so the
+        # direct squares stop at order 8; s_K = s_C makes them zero here
+        assert s_k == s_c and rep.instance["square_residual"] == "0"
+        return
     perturbed = s_c + variables(n - 1)[0] * s_k + 1
     for t in (s_c, perturbed):
         assert (s_k - t) * (s_k + t) == s_k * s_k - t * t
     assert s_k * s_k - perturbed * perturbed != 0
-    rep = verify_reduced_case(n)
     assert rep.instance["square_residual"] == str(s_k * s_k - s_c * s_c) == "0"
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_reduced_case_takes_one_row_expansion(monkeypatch, n):
+    # even m expands B once for (det K, det C), odd m the bordered matrix
+    # once for (-s(K), -s(C)); Bareiss and the adjugate form are the oracles
+    calls = []
+
+    def counted(a, column_sets):
+        minors = leading_row_minors(a, column_sets)
+        calls.append(minors)
+        return minors
+
+    monkeypatch.setattr(identity_module, "leading_row_minors", counted)
+    assert verify_reduced_case(n).verified
+    m = n - 1
+    b = generic_skew_toeplitz(n)
+    k_mat, c_mat = b.block(m, 1, 1), b.block(m, 1, 2)
+    if m % 2 == 0:
+        expected = [det_bareiss(k_mat), det_bareiss(c_mat)]
+    else:
+        expected = [-s_functional(k_mat), -s_functional(c_mat)]
+    assert calls == [expected]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_reduced_case_refutes_a_doctored_minor(monkeypatch, n):
+    # one added to det C (even m = 4) or to -s(C) (odd m = 5): both branches
+    # can fail
+    def doctored(a, column_sets):
+        first, second = leading_row_minors(a, column_sets)
+        return [first, second + 1]
+
+    monkeypatch.setattr(identity_module, "leading_row_minors", doctored)
+    rep = verify_reduced_case(n)
+    assert rep.status == "refuted"
+    assert rep.residual != "0"
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_reduced_case_refutes_a_skew_matrix_that_is_not_toeplitz(monkeypatch, n):
+    # the parity facts need the Toeplitz structure: on a random integer skew
+    # matrix det C != det K (m = 4) and s(C) != s(K) (m = 5), so each branch
+    # refutes unless it reads the blocks it names
+    stream = substream(606, n)
+    skew = random_skew(n, lambda: stream.randint(-4, 4))
+    monkeypatch.setattr(identity_module, "generic_skew_toeplitz", lambda _: skew)
+    m = n - 1
+    k_mat, c_mat = skew.block(m, 1, 1), skew.block(m, 1, 2)
+    if m % 2 == 0:
+        expected = det_bareiss(c_mat) - det_bareiss(k_mat)
+    else:
+        expected = s_functional(c_mat) - s_functional(k_mat)
+    rep = verify_reduced_case(n)
+    assert expected != 0
+    assert rep.status == "refuted"
+    assert rep.residual == str(expected)
 
 
 def test_reduced_case_rejects_small_order():

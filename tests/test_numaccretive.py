@@ -2,14 +2,13 @@ import math
 
 import pytest
 
-from minorcert import numaccretive
+from minorcert import cli, numaccretive
 from minorcert.matrix import Matrix, identity, max_abs, ones
 from minorcert.numaccretive import (
     ConvergenceError,
     accretive,
     accretive_factorize,
     accretive_suite,
-    hermitian_eigenvalues,
     random_accretive,
     remark45_matrix,
     remark45_repro,
@@ -20,6 +19,7 @@ from minorcert.numaccretive import (
     verify_det_positive,
     minor_witness,
 )
+from minorcert.report import UndecidedError
 from minorcert.rng import substream
 
 
@@ -268,19 +268,31 @@ def test_remark45_values():
 
 
 def test_remark45_hermitian_part_psd():
+    # accretive on the real embedding [[X, -Y], [Y, X]] decomposes the
+    # embedding of (A + A*)/2, so it has each Hermitian eigenvalue twice
     a = remark45_matrix()
-    n = a.rows
-    h = Matrix(
-        n,
-        n,
-        [
-            (complex(a[i, j]) + complex(a[j, i]).conjugate()) / 2.0
-            for i in range(n)
-            for j in range(n)
-        ],
+    vals = accretive(numaccretive._real_embedding(a)).eig.values
+    assert len(vals) == 8 and vals[0] > 0.09
+    np = pytest.importorskip("numpy")
+    h = np.array(a.to_rows(), dtype=complex)
+    expected = np.sort(np.repeat(np.linalg.eigvalsh((h + h.conj().T) / 2), 2))
+    assert np.allclose(vals, expected, rtol=1e-9, atol=0)
+
+
+def test_remark45_witness_with_indefinite_hermitian_part_is_undecided(monkeypatch, capsys):
+    # the diagonal shifted by -0.2 moves every Hermitian eigenvalue by -0.2,
+    # the smallest to about -0.100: the hypothesis fails, so no verdict
+    shifted = tuple(
+        tuple(z - 0.2 if i == j else z for j, z in enumerate(row))
+        for i, row in enumerate(numaccretive._REMARK45_ROWS)
     )
-    vals = hermitian_eigenvalues(h)
-    assert min(vals) >= -1e-6 * max(vals)
+    monkeypatch.setattr(numaccretive, "_REMARK45_ROWS", shifted)
+    with pytest.raises(UndecidedError, match="lost positive semidefiniteness"):
+        remark45_repro()
+    assert cli.main(["repro", "remark45"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_hand_checked_dim2_violation():
