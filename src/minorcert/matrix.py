@@ -130,13 +130,14 @@ class Matrix:
             )
         n, k, m = self._r, self._c, other._c
         a, b = self._d, other._d
+        cols = [b[j::m] for j in range(m)]
         out = []
         for i in range(n):
             arow = a[i * k:(i + 1) * k]
-            for j in range(m):
+            for col in cols:
                 acc = 0
-                for t in range(k):
-                    acc = acc + arow[t] * b[t * m + j]
+                for x, y in zip(arow, col):
+                    acc = acc + x * y
                 out.append(acc)
         return Matrix(n, m, out)
 
@@ -245,7 +246,7 @@ def max_abs(a: Matrix):
     """Largest |entry|; 0 for an empty matrix.  Numeric scalars only."""
     if not a.entries():
         return 0
-    return max(abs(x) for x in a.entries())
+    return max(map(abs, a.entries()))
 
 
 # -- witness JSON form ----------------------------------------------------

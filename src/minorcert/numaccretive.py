@@ -112,79 +112,84 @@ def sym_eig(h: Matrix) -> EigenResult:
     ``MAX_SWEEPS``.  Input asymmetry up to 1e-12 (relative, max-norm) is
     symmetrized away; worse asymmetry is a usage error.
     """
+    values, order, v = _jacobi(h, True)
+    n = len(values)
+    return EigenResult(values, Matrix(n, n, [v[i][j] for i in range(n) for j in order]))
+
+
+def _jacobi(h: Matrix, vectors: bool):
+    """The rotation loop of ``sym_eig``: ascending eigenvalues, the order
+    that sorts the diagonal and the rotated identity, whose columns are the
+    eigenvectors (empty, and never updated, when ``vectors`` is false)."""
     if not h.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
     n = h.rows
     if n == 0:
         raise ValueError("eigendecomposition needs order >= 1")
+    rows = h.to_rows()
     amax = max_abs(h)
     asym = max(
-        (abs(h[i, j] - h[j, i]) for i in range(n) for j in range(i, n)),
+        (abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(i, n)),
         default=0.0,
     )
     if asym > 1e-12 * max(amax, 1e-300):
         raise ValueError("matrix is not symmetric")
-    w = [[(h[i, j] + h[j, i]) / 2.0 for j in range(n)] for i in range(n)]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    w = [[(rows[i][j] + rows[j][i]) / 2.0 for j in range(n)] for i in range(n)]
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if vectors else []
     if n == 1:
-        return EigenResult((w[0][0],), Matrix(1, 1, [1.0]))
-    fro = math.sqrt(sum(x * x for row in w for x in row))
+        return (w[0][0],), [0], v
+    # (p, q, row p, row q, the other rows) in the cyclic order of one sweep
+    pairs = [(p, q, w[p], w[q], [(i, wi) for i, wi in enumerate(w) if i != p and i != q])
+             for p in range(n - 1) for q in range(p + 1, n)]
+    fro = math.sqrt(sum([x * x for row in w for x in row]))
     thresh = 1e-14 * fro
     for _ in range(MAX_SWEEPS):
-        off = math.sqrt(2.0 * sum(w[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
+        off = math.sqrt(2.0 * sum([wp[q] ** 2 for _, q, wp, _, _ in pairs]))
         if off <= thresh:
             break
-        for p in range(n - 1):
-            wp = w[p]
-            for q in range(p + 1, n):
-                wq = w[q]
-                apq = wp[q]
-                if apq == 0.0:
-                    continue
-                app, aqq = wp[p], wq[q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for i, wi in enumerate(w):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = wi[p], wi[q]
-                    wi[p] = wp[i] = c * aip - s * aiq
-                    wi[q] = wq[i] = s * aip + c * aiq
-                wp[p] = app - t * apq
-                wq[q] = aqq + t * apq
-                wp[q] = wq[p] = 0.0
-                for vi in v:
-                    vip, viq = vi[p], vi[q]
-                    vi[p] = c * vip - s * viq
-                    vi[q] = s * vip + c * viq
+        for p, q, wp, wq, others in pairs:
+            apq = wp[q]
+            if apq == 0.0:
+                continue
+            app, aqq = wp[p], wq[q]
+            theta = (aqq - app) / (2.0 * apq)
+            if abs(theta) > 1e150:
+                t = 1.0 / (2.0 * theta)
+            else:
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1.0)
+                )
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            for i, wi in others:
+                aip, aiq = wi[p], wi[q]
+                wi[p] = wp[i] = c * aip - s * aiq
+                wi[q] = wq[i] = s * aip + c * aiq
+            wp[p] = app - t * apq
+            wq[q] = aqq + t * apq
+            wp[q] = wq[p] = 0.0
+            for vi in v:
+                vip, viq = vi[p], vi[q]
+                vi[p] = c * vip - s * viq
+                vi[q] = s * vip + c * viq
     else:
         raise ConvergenceError(
             f"Jacobi eigensolver did not converge in {MAX_SWEEPS} sweeps"
         )
     order = sorted(range(n), key=lambda j: w[j][j])
-    values = tuple(w[j][j] for j in order)
-    vectors = Matrix(n, n, [v[i][j] for i in range(n) for j in order])
-    return EigenResult(values, vectors)
+    return tuple(w[j][j] for j in order), order, v
 
 
 def _assemble(eig: EigenResult, diag_values) -> Matrix:
     q = eig.vectors
-    n = q.rows
-    scaled = Matrix(
-        n, n, [q[i, j] * diag_values[j] for i in range(n) for j in range(n)]
-    )
-    return scaled @ q.T
+    scaled = [x * y for row in q.to_rows() for x, y in zip(row, diag_values)]
+    return Matrix(q.rows, q.rows, scaled) @ q.T
 
 
 def _sym_part(a: Matrix) -> Matrix:
-    return (a + a.T) / 2.0
+    n, d = a.rows, a.entries()
+    return Matrix(n, n, [(d[i * n + j] + d[j * n + i]) / 2.0
+                         for i in range(n) for j in range(n)])
 
 
 def _skew_part(a: Matrix) -> Matrix:
@@ -199,8 +204,12 @@ def inverse(a: Matrix) -> Matrix:
     m = [row + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(a.to_rows())]
     tiny = 1e-13 * max(1.0, max_abs(a))
     for k in range(n):
-        piv = max(range(k, n), key=lambda r: abs(m[r][k]))
-        if abs(m[piv][k]) <= tiny:
+        piv, big = k, abs(m[k][k])
+        for r in range(k + 1, n):
+            mag = abs(m[r][k])
+            if mag > big:
+                piv, big = r, mag
+        if big <= tiny:
             raise ValueError("matrix is numerically singular")
         m[k], m[piv] = m[piv], m[k]
         d = m[k][k]
@@ -300,8 +309,9 @@ DET_TOL = 1e-9  # relative tolerance of the determinant claim
 def verify_det_positive(acc: Accretive) -> CertificateReport:
     """Certifies det(A) >= -DET_TOL * scale for accretive A (scale is
     max(1, |A|_max)^n); for strictly accretive A additionally cross-checks
-    det(A) = det(H) * prod_k (1 + mu_k^2), the mu_k^2 being the paired
-    eigenvalues of -S^2 from the congruence factorization."""
+    det(A) = det(H) * det(I + S), with S skew from the congruence
+    factorization, so that det(I + S) = prod_k (1 + mu_k^2) over the pairs
+    of eigenvalues +-i mu_k of S."""
     a = acc.matrix
     n = a.rows
     d = det_bareiss(a)
@@ -311,12 +321,7 @@ def verify_det_positive(acc: Accretive) -> CertificateReport:
     instance = {"n": n, "det": d, "strict": acc.strict}
     if acc.strict:
         _, s, _ = acc.factorization
-        neg_s2 = -(s @ s)
-        nu = sorted((max(v, 0.0) for v in sym_eig(_sym_part(neg_s2)).values), reverse=True)
-        prod = 1.0
-        for i in range(0, n - 1, 2):
-            prod *= 1.0 + (nu[i] + nu[i + 1]) / 2.0
-        model = det_bareiss(acc.sym) * prod
+        model = det_bareiss(acc.sym) * det_bareiss(identity_matrix(n).map(float) + s)
         rel = abs(d - model) / max(abs(d), abs(model), 1e-300)
         instance["product_formula_relerr"] = rel
         ok = ok and d > 0 and rel <= 1e-6
@@ -335,8 +340,8 @@ ACCRETIVE_TOL = 1e-8  # relative tolerance of adjugate accretivity and the margi
 def verify_adjugate_accretive(acc: Accretive) -> CertificateReport:
     """Certifies that the adjugate of an accretive matrix is accretive."""
     n = acc.matrix.rows
-    eig = sym_eig(_sym_part(adjugate(acc.matrix)))
-    lam_min, lam_max = eig.values[0], eig.values[-1]
+    values = _jacobi(_sym_part(adjugate(acc.matrix)), False)[0]
+    lam_min, lam_max = values[0], values[-1]
     residual = max(0.0, -lam_min / max(1.0, lam_max))
     return CertificateReport(
         claim=f"adjugate_accretive_n{n}",

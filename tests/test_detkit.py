@@ -358,16 +358,50 @@ def _bits(m):
     return [(complex(x).real.hex(), complex(x).imag.hex()) for x in m.entries()]
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def _reprs(m):
+    return [repr(x) for x in m.entries()]
+
+
+def _floating_adjugate_cases(n):
+    """Seeded float and complex matrices of order n, with the inputs that
+    steer Bareiss apart: zero rows and columns, exact rank deficiency (small
+    integers, so the eliminations stay exact), magnitude ties in the pivot
+    search, signed zeros and a NaN entry."""
+    stream = substream(324, n)
+    real = [[stream.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
+    cplx = [[complex(stream.uniform(-2.0, 2.0), stream.uniform(-2.0, 2.0))
+             for _ in range(n)] for _ in range(n)]
+    ties = [[float((-2, -1, 1, 2)[stream.randint(0, 3)]) for _ in range(n)] for _ in range(n)]
+    signed = [[(0.0, -0.0, 0.0, 1.0, -1.0)[stream.randint(0, 4)] for _ in range(n)]
+              for _ in range(n)]
+    cases = [real, cplx, ties, signed]
+    for r in {0, n // 2, n - 1}:
+        cases.append([[0.0] * n if i == r else row for i, row in enumerate(real)])
+        cases.append([row[:r] + [0j] + row[r + 1:] for row in cplx])
+    if n >= 2:
+        low = _product_of_rank(stream, n, n - 1).map(float).to_rows()
+        cases.append(low)
+        cases.append(ties[:-1] + [list(ties[0])])  # a repeated row
+        nan = [list(row) for row in real]
+        nan[stream.randint(0, n - 1)][stream.randint(0, n - 1)] = math.nan
+        cases.append(nan)
+    return [Matrix.from_rows(rows) for rows in cases]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_floating_adjugate_stays_on_the_per_minor_bareiss_path(n):
     # Cayley-Hamilton is numerically unstable, so float and complex
-    # adjugates must keep the bits of the per-minor Bareiss path
-    stream = substream(324, n)
-    real = Matrix(n, n, [stream.uniform(-2.0, 2.0) for _ in range(n * n)])
-    cplx = Matrix(n, n, [complex(stream.uniform(-2.0, 2.0), stream.uniform(-2.0, 2.0))
-                         for _ in range(n * n)])
-    for a in (real, cplx):
-        assert _bits(adjugate(a)) == _bits(_adjugate_by_minors(a, det_bareiss))
+    # adjugates must keep the bits of the per-minor Bareiss path: the
+    # shared-prefix adjugate gives every minor the bits, the sign of zero
+    # and the NaNs of its own elimination, also by the test's own
+    # elimination, which shares no code with the engine
+    def naive(m):
+        return _float_bareiss_choosing(m.to_rows(), _max_key) if m.rows else 1
+
+    for a in _floating_adjugate_cases(n):
+        got = _reprs(adjugate(a))
+        assert got == _reprs(_adjugate_by_minors(a, det_bareiss))
+        assert got == _reprs(_adjugate_by_minors(a, naive))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

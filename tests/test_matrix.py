@@ -16,7 +16,7 @@ from minorcert.matrix import (
 )
 from minorcert.numaccretive import remark45_matrix
 from minorcert.ring import MultiPoly, variables
-from minorcert.rng import random_int_matrix, substream
+from minorcert.rng import random_int_matrix, random_poly_matrix, substream
 
 
 def test_generic_skew_toeplitz_small():
@@ -139,6 +139,43 @@ def test_matmul_and_transpose():
     assert (b @ c).T == c.T @ b.T
     shift = lower_shift(2)
     assert shift @ shift.T == Matrix.from_rows([[0, 0], [0, 1]])
+
+
+def _naive_matmul(a, b):
+    """The product entry by entry: acc = 0, then acc = acc + a[i, t] * b[t, j]
+    for t left to right."""
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = 0
+            for t in range(a.cols):
+                acc = acc + a[i, t] * b[t, j]
+            out.append(acc)
+    return Matrix(a.rows, b.cols, out)
+
+
+def test_matmul_matches_the_naive_triple_loop_by_repr():
+    stream = substream(8, 4)
+    shapes = [(1, 1, 1), (2, 3, 4), (4, 1, 3), (5, 5, 5)]
+    kinds = [
+        lambda: stream.uniform(-2.0, 2.0),
+        lambda: complex(stream.uniform(-2.0, 2.0), stream.uniform(-2.0, 2.0)),
+        lambda: stream.randint(-9, 9),
+        lambda: Fraction(stream.randint(-9, 9), stream.randint(1, 6)),
+        lambda: random_poly_matrix(stream, 1, nvars=2).entries()[0],
+    ]
+    for draw in kinds:
+        for n, k, m in shapes:
+            a = Matrix(n, k, [draw() for _ in range(n * k)])
+            b = Matrix(k, m, [draw() for _ in range(k * m)])
+            assert [repr(x) for x in (a @ b).entries()] == [
+                repr(x) for x in _naive_matmul(a, b).entries()
+            ]
+    # the integer start turns products that all are -0.0 into 0.0; an
+    # accumulator seeded with the first product would keep -0.0
+    neg = Matrix(1, 2, [-0.0, 1.0])
+    col = Matrix(2, 1, [1.0, -0.0])
+    assert repr((neg @ col).entries()[0]) == repr(_naive_matmul(neg, col).entries()[0]) == "0.0"
 
 
 def test_shape_errors():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from minorcert import cli, numaccretive
+from minorcert.detkit import adjugate
 from minorcert.matrix import Matrix, identity, max_abs, ones
 from minorcert.numaccretive import (
     ConvergenceError,
@@ -59,10 +60,39 @@ def test_sym_eig_rejects_asymmetric():
 
 
 def test_sym_eig_raises_when_out_of_sweeps(monkeypatch):
+    # the eigenvalue-only run shares the rotation loop, so it raises too
     monkeypatch.setattr(numaccretive, "MAX_SWEEPS", 0)
-    h = Matrix.from_rows([[2.0, 1.0], [1.0, 2.0]])
-    with pytest.raises(ConvergenceError, match="in 0 sweeps"):
-        sym_eig(h)
+    for h in (Matrix.from_rows([[2.0, 1.0], [1.0, 2.0]]), _diag([1.0, 2.0])):
+        with pytest.raises(ConvergenceError, match="in 0 sweeps"):
+            sym_eig(h)
+        with pytest.raises(ConvergenceError, match="in 0 sweeps"):
+            numaccretive._jacobi(h, False)
+
+
+def _eigen_inputs():
+    """Seeded symmetric matrices of orders 1-9, the symmetric parts of
+    adjugates of accretive instances, and already diagonal input."""
+    hs = [_random_symmetric(substream(813, t), 1 + t % 9) for t in range(27)]
+    for t in range(9):
+        a = random_accretive(substream(814, t), 2 + t % 7, boundary=t % 3 == 0)
+        hs.append(numaccretive._sym_part(adjugate(a)))
+    hs += [_diag([3.0]), _diag([2.0, -1.0, 2.0]), _diag([0.0, -0.0, 5.0, 1e-300])]
+    return hs
+
+
+def test_eigenvalue_only_run_matches_sym_eig_by_repr():
+    for h in _eigen_inputs():
+        values = numaccretive._jacobi(h, False)[0]
+        assert list(map(repr, values)) == list(map(repr, sym_eig(h).values))
+
+
+def test_eigenvalue_only_run_against_numpy_eigvalsh():
+    np = pytest.importorskip("numpy")
+    for h in _eigen_inputs():
+        expected = np.linalg.eigvalsh(np.array(h.to_rows(), dtype=float))
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        values = numaccretive._jacobi(h, False)[0]
+        assert np.allclose(values, expected, rtol=0, atol=1e-10 * scale)
 
 
 def test_psd_check():
@@ -116,6 +146,25 @@ def test_det_positive_eigen_product():
     assert abs(rep.instance["det"] - 2.0) < 1e-12  # det H * (1 + mu^2) = 1 * 2
     assert rep.instance["product_formula_relerr"] <= 1e-6
     assert verify_det_positive(accretive(identity(3).map(float))).verified
+
+
+def test_det_positive_refutes_a_wrong_det_of_i_plus_s(monkeypatch):
+    # the cross-check det(A) = det(H) det(I + S) is live: a doubled
+    # det(I + S) breaks it, although det(A) > 0 still holds
+    acc = accretive(random_accretive(substream(811, 0), 5))
+    assert acc.strict and verify_det_positive(acc).verified
+    eye_plus_s = identity(5).map(float) + acc.factorization[1]
+    original = numaccretive.det_bareiss
+
+    def doubled(m):
+        d = original(m)
+        return 2.0 * d if m == eye_plus_s else d
+
+    monkeypatch.setattr(numaccretive, "det_bareiss", doubled)
+    rep = verify_det_positive(acc)
+    assert rep.status == "refuted"
+    assert rep.instance["det"] > 0
+    assert rep.instance["product_formula_relerr"] > 0.4
 
 
 def test_det_positive_random():
@@ -241,10 +290,11 @@ def test_accretive_suite():
 
 
 def test_accretive_suite_decomposes_each_matrix_once(monkeypatch):
-    # per claim: H and the adjugate's symmetric part; per strict claim also
-    # -S^2 in the determinant cross-check, and one factorization that the
-    # cross-check and the suite share
-    calls = {"sym_eig": 0, "accretive_factorize": 0}
+    # per claim: one eigendecomposition of H and one eigenvalue-only run on
+    # the adjugate's symmetric part, which does not go through sym_eig; per
+    # strict claim one factorization that the determinant cross-check and
+    # the suite share
+    calls = {"sym_eig": 0, "_jacobi": 0, "accretive_factorize": 0}
     for name in calls:
         original = getattr(numaccretive, name)
 
@@ -257,7 +307,7 @@ def test_accretive_suite_decomposes_each_matrix_once(monkeypatch):
     reports = numaccretive.accretive_suite(8, trials, seed=27)
     strict = sum(r.instance["kind"] == "strict" for r in reports)
     assert strict == 30
-    assert calls == {"sym_eig": 2 * trials + strict, "accretive_factorize": strict}
+    assert calls == {"sym_eig": trials, "_jacobi": 2 * trials, "accretive_factorize": strict}
 
 
 def test_remark45_values():
