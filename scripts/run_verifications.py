@@ -2,16 +2,16 @@
 """Run the full verification battery and print a one-line summary per claim.
 
 Covers every certificate family: the symbolic minor identity for orders
-2..DEFAULT_SYMBOLIC_CAP (10) and at order 11, the documented opt-in above the
-cap (`--max-n 11`, about 4 s), the reduced-case and lemma suites up to the
-cap, the specialization values for block orders 2..33 (about 0.3 s in all,
-two O(m^4) adjugates per odd order), the rank-one equality (exact, up to
-order 30, where its integer-scaled minors take well under a second, and
-float), the accretive suite, and the complex diagnostic with its randomized
-search (which stops at 100 witnesses, so each search takes well under a
-second).  The accretive suite also runs at order 30, where the strict
-instances have leading minors far below 1e-12 that are nonzero and must not
-be taken for singular.  Exits nonzero if any claim fails.
+2..DEFAULT_SYMBOLIC_CAP (11; order 11 takes about 4 s), the reduced-case and
+lemma suites up to the cap, the specialization values for block orders
+2..33 (about 0.3 s in all, two O(m^4) adjugates per odd order), the
+rank-one equality (exact, up to order 30, where its integer-scaled minors
+take well under a second, and float), the accretive suite, and the
+complex diagnostic with its randomized search (which stops at 100
+witnesses, so each search takes well under a second).  The accretive suite
+also runs at order 30, where the strict instances have leading minors far
+below 1e-12 that are nonzero and must not be taken for singular.  Exits
+nonzero if any claim fails.
 """
 
 import sys
@@ -26,7 +26,6 @@ def main() -> int:
             ["verify", "johnson", "--mode", "symbolic", "--n", str(n)]
             for n in range(2, DEFAULT_SYMBOLIC_CAP + 1)
         ),
-        ["verify", "johnson", "--mode", "symbolic", "--n", "11", "--max-n", "11"],
         ["verify", "johnson", "--mode", "numeric", "--n", "12", "--trials", "100"],
         ["verify", "lemmas", "--n", str(DEFAULT_SYMBOLIC_CAP), "--trials", "50"],
         *(["verify", "specialization", "--m", str(m)] for m in range(2, 34)),

@@ -13,7 +13,10 @@ One production engine per scalar world:
   so its intermediate results are sub-minors and stay small where Bareiss
   swells.  Each minor is one ``ring.sum_of_products`` call: its signed
   products go into a single accumulator, with no intermediate product or
-  partial sum.
+  partial sum.  A level step drops each sub-minor once the last minor that
+  reads it is built, and the minors of a level share one key object per
+  monomial, so the two levels of a step are never both whole and a
+  monomial's key is stored once per level, not once per term.
 
 ``adjugate`` (cofactor transpose, exact on singular matrices) takes one path
 per scalar world, chosen by the kind of its entries:
@@ -251,7 +254,10 @@ def leading_row_minors(a: Matrix, column_sets) -> list:
     is one ``sum_of_products`` call on its signed pairs, for every scalar
     kind: over Z[b1..bk] all its products go into one accumulator, with no
     intermediate product polynomial and no copy of a running sum.  No ring
-    division is made, so nothing swells beyond the minors themselves.
+    division is made, so nothing swells beyond the minors themselves.  The
+    level step (``_expand_level``) drops each sub-minor of the previous
+    level after its last superset is built, and the polynomial minors of one
+    level share their monomial keys.
     """
     rows = a.to_rows()
     targets = []
@@ -288,7 +294,19 @@ def _expand_level(row, k, prev, level) -> dict:
         D[S] = sum_{p, j = S[p]} (-1)^(k-1+p) row[j] prev[S - {j}].
 
     Zero entries and zero sub-minors are skipped, and each D[S] is one
-    ``sum_of_products`` call."""
+    ``sum_of_products`` call.  Two things keep the step small: each
+    sub-minor is deleted from ``prev`` as soon as the last set of ``level``
+    that reads it is built, so a caller that reads ``prev`` afterwards
+    passes a copy; and the minors of the level share one key object per
+    monomial, through one ``keys`` table for all their calls."""
+    last_reader = {}
+    for mask, sub in level.items():
+        for j in sub:
+            last_reader[mask ^ (1 << j)] = mask
+    spent_after = {}
+    for sub_mask, mask in last_reader.items():
+        spent_after.setdefault(mask, []).append(sub_mask)
+    keys = {}
     cur = {}
     for mask, sub in level.items():
         pairs = []
@@ -299,7 +317,9 @@ def _expand_level(row, k, prev, level) -> dict:
             d = prev[mask ^ (1 << j)]
             if d:
                 pairs.append((-1 if (k - 1 + p) % 2 else 1, e, d))
-        cur[mask] = sum_of_products(pairs)
+        cur[mask] = sum_of_products(pairs, keys=keys)
+        for sub_mask in spent_after.get(mask, ()):
+            del prev[sub_mask]
     return cur
 
 
@@ -362,8 +382,10 @@ def _adjugate_split_laplace(rows) -> Matrix:
     0-based positions of S in C_i, T_j[S] the minor on rows 0..j-1 and
     B_k[U] the minor on the last k rows.  The B levels are built first, from
     the last row up by the same level step, which reads their rows in reverse
-    order and so gives (-1)^(k(k-1)/2) B_k; each is popped for its column
-    of the adjugate and then dropped, and only the current T level is kept.  The signs,
+    order and so gives (-1)^(k(k-1)/2) B_k; the step gets a copy of each,
+    since it drops the sub-minors it has read.  Each B level is popped for
+    its column of the adjugate and then dropped, and only the current T
+    level is kept.  The signs,
     the cofactor's (-1)^(i+j) included, go into the pairs, so each entry is
     one ``sum_of_products`` call."""
     n = len(rows)
@@ -373,7 +395,7 @@ def _adjugate_split_laplace(rows) -> Matrix:
     ]
     bottom = [{0: 1}]
     for k in range(1, n):
-        bottom.append(_expand_level(rows[n - k], k, bottom[-1], levels[k]))
+        bottom.append(_expand_level(rows[n - k], k, dict(bottom[-1]), levels[k]))
     full = (1 << n) - 1
     odd = sum(1 << c for c in range(1, n, 2))
     out = [None] * (n * n)

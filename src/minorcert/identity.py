@@ -56,7 +56,7 @@ __all__ = [
     "verify_skew_facts",
 ]
 
-DEFAULT_SYMBOLIC_CAP = 10
+DEFAULT_SYMBOLIC_CAP = 11
 # Largest block order of ``verify specialization``.  An odd order takes two
 # O(m^4) adjugates; order 63 takes about 0.25 s on a 2-core machine under
 # CPython 3.11, so every order up to the cap stays well under a second.

@@ -342,16 +342,25 @@ def exact_div(a, b):
     return q
 
 
-def sum_of_products(pairs):
+def sum_of_products(pairs, *, keys=None):
     """The signed sum of ``sign * a * b`` over ``pairs`` of ``(sign, a, b)``,
     each sign +1 or -1; an empty sequence gives 0.
 
     If any factor is a MultiPoly (int factors then act as constants), every
     product is added term by term into one accumulator keyed by packed
     monomial, so no product or partial sum is built as a polynomial of its
-    own, and zero coefficients are dropped once, at the end.  Each product
-    passes the same 15-bit degree guard as ``*``.  Numbers get the plain sum
-    from 0, left to right.
+    own, and zero coefficients are dropped once, at the end.  A term whose
+    coefficient is +1 or -1 adds or subtracts the other factor's
+    coefficients without multiplying them, and a constant such term keeps
+    the other factor's key objects.  Each product passes the same
+    15-bit degree guard as ``*``.  Numbers get the plain sum from 0, left to
+    right.
+
+    ``keys`` is an optional dict from packed monomial to itself that
+    several calls share: the result's keys are taken from it, and its new
+    monomials added to it, so that equal monomials of those results are one
+    int object in place of one per polynomial.  Only the row expansion
+    passes it, one table per level.
     """
     pairs = list(pairs)
     ref = next(
@@ -368,12 +377,13 @@ def sum_of_products(pairs):
         if a is None or b is None:
             raise TypeError("a MultiPoly can only be multiplied by a MultiPoly or int")
         triples.append((sign, a._terms, b._terms))
-    return MultiPoly._raw(ref.nvars, _product_sum(ref.nvars, triples))
+    return MultiPoly._raw(ref.nvars, _product_sum(ref.nvars, triples, keys))
 
 
-def _product_sum(nvars: int, triples) -> dict[int, int]:
+def _product_sum(nvars: int, triples, keys=None) -> dict[int, int]:
     # The one product loop of the ring: sum of sign * a * b over packed term
-    # dicts, accumulated in place and filtered for zeros once.
+    # dicts, accumulated in place and filtered for zeros once, with the
+    # surviving keys taken from ``keys`` when it is given.
     deg_shift = _layout(nvars)[0]
     out: dict[int, int] = {}
     get = out.get
@@ -388,7 +398,26 @@ def _product_sum(nvars: int, triples) -> dict[int, int]:
         for ka, ca in a.items():
             if sign < 0:
                 ca = -ca
-            for kb, cb in bitems:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+            if ca != 1 and ca != -1:
+                for kb, cb in bitems:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+            elif not ka:  # the constant +-1 keeps b's own key objects
+                if ca == 1:
+                    for kb, cb in bitems:
+                        out[kb] = get(kb, 0) + cb
+                else:
+                    for kb, cb in bitems:
+                        out[kb] = get(kb, 0) - cb
+            elif ca == 1:
+                for kb, cb in bitems:
+                    k = ka + kb
+                    out[k] = get(k, 0) + cb
+            else:
+                for kb, cb in bitems:
+                    k = ka + kb
+                    out[k] = get(k, 0) - cb
+    if keys is None:
+        return {k: v for k, v in out.items() if v}
+    share = keys.setdefault
+    return {share(k, k): v for k, v in out.items() if v}

@@ -1,11 +1,12 @@
 import json
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from minorcert import cli
+from minorcert import detkit as detkit_module
 from minorcert.detkit import (
     COFACTOR_CAP,
     DET_ALGOS,
@@ -622,6 +623,29 @@ def test_row_expansion_gives_the_johnson_minors_of_bareiss(n):
     assert d11 == det_bareiss(a.block(m, 1, 1))
     assert d12 == det_bareiss(a.block(m, 1, 2))
     assert d21 == det_bareiss(a.block(m, 2, 1))
+
+
+def test_level_step_drops_spent_sub_minors_and_shares_keys():
+    n, k = 7, 4
+    rows = johnson_family(n).to_rows()
+
+    def level(r):
+        return {sum(1 << c for c in s): s for s in combinations(range(n), r)}
+
+    def minor(s):
+        return det_bareiss(Matrix.from_rows([[rows[i][c] for c in s] for i in range(len(s))]))
+
+    prev = {mask: minor(s) for mask, s in level(k - 1).items()}
+    cur = detkit_module._expand_level(rows[k - 1], k, prev, level(k))
+    # every sub-minor has been read by its last superset and dropped
+    assert prev == {}
+    assert all(cur[mask] == minor(s) for mask, s in level(k).items())
+    # the minors of one level share one key object per monomial
+    first = {}
+    for d in cur.values():
+        for key in d._terms:
+            assert first.setdefault(key, key) is key
+    assert len(first) < sum(len(d._terms) for d in cur.values())
 
 
 @pytest.mark.parametrize("n", range(2, 11))

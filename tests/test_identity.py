@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,19 @@ def test_johnson_rejects_out_of_range():
     with pytest.raises(ValueError):
         verify_johnson_symbolic(cap + 1)
     assert verify_johnson_symbolic(cap).verified
+
+
+def test_johnson_symbolic_order_9_peaks_under_2_mib():
+    # the row expansion drops each sub-minor after its last superset and
+    # shares monomial keys within a level; two whole levels with one key
+    # object per term peak at 2.9 MiB
+    tracemalloc.start()
+    try:
+        assert verify_johnson_symbolic(9).verified
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_johnson_symbolic_raises_when_the_transpose_is_not_a_at_minus_b(monkeypatch):

@@ -86,6 +86,9 @@ def _operator_sum(pairs):
 
 
 def test_sum_of_products_matches_operators_on_random_polynomials():
+    b1, b2, b3 = variables(3)
+    # binomials with coefficients +-1 (the +-1 path) and one without
+    binomials = [1 + b1, b2 - 1, -b1 - b3, b3 - b2, 3 * b1 - b2]
     for t in range(20):
         stream = substream(412, t)
         a = random_poly_matrix(stream, 4, nvars=3, max_terms=4, max_exp=2)
@@ -94,9 +97,41 @@ def test_sum_of_products_matches_operators_on_random_polynomials():
             (1 - 2 * stream.randint(0, 1), entries[2 * i], entries[2 * i + 1])
             for i in range(1 + t % 8)
         ]
+        many = random_poly(stream, 3, max_terms=12, max_exp=3, coeff_bound=7)
+        for sign in (1, -1):
+            pairs.append((sign, binomials[t % len(binomials)], many))
+            pairs.append((sign, many, binomials[(t + 1) % len(binomials)]))
         got = sum_of_products(pairs)
         assert got == _operator_sum(pairs)
         assert all(c for _, c in got.terms())
+
+
+def test_sum_of_products_with_a_shared_key_table():
+    b1, b2, b3 = variables(3)
+    keys = {}
+    results = []
+    for t in range(6):
+        stream = substream(414, t)
+        many = random_poly(stream, 3, max_terms=12, max_exp=3, coeff_bound=7)
+        other = random_poly(stream, 3, max_terms=4, max_exp=2, coeff_bound=5)
+        pairs = [(1, b1 - b2, many), (-1, other, many), (1, 1 + b3, other)]
+        got = sum_of_products(pairs, keys=keys)
+        assert got == _operator_sum(pairs)
+        results.append(got)
+
+    def same_objects(p, q):
+        # for each monomial of both p and q, whether they hold one key object
+        q_keys = {k: k for k in q._terms}
+        return [q_keys[k] is k for k in p._terms if k in q_keys]
+
+    # equal monomials of results built with one table are one object
+    shared = [same_objects(p, q) for p in results for q in results if p is not q]
+    assert sum(map(len, shared)) > 0
+    assert all(all(s) for s in shared)
+    # without the table, each result makes its own key objects
+    pairs = [(1, b1 - b2, b1 * b2 * b3 + b2), (1, b1 * b2 * b3, b3)]
+    p, q = sum_of_products(pairs), sum_of_products(pairs)
+    assert p == q and not any(same_objects(p, q))
 
 
 def test_sum_of_products_mixes_int_constants_into_polynomials():
