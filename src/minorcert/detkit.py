@@ -5,7 +5,10 @@ One production engine per scalar world:
 - ``det_bareiss`` serves numbers (ints, rationals, floats, complex):
   one-step fraction-free elimination whose every intermediate division is
   exact over an integral domain (floating matrices run the same sweep with
-  magnitude pivoting).  Every kind stops only on an exactly zero pivot.
+  magnitude pivoting and true division).  One step function,
+  ``_bareiss_steps``, and one finisher, ``_bareiss_det``, hold that loop for
+  every number kind; ``det_bareiss``, ``contiguous_minors`` and the float
+  adjugate all call them.  Every kind stops only on an exactly zero pivot.
 - ``leading_row_minors`` serves every polynomial determinant of the
   certificates over Z[b1..bk], and its level step every polynomial
   adjugate: the division-free memoized row expansion, which returns
@@ -32,8 +35,9 @@ per scalar world, chosen by the kind of its entries:
   ``det * A^-1`` is not;
 - floats and complex: Bareiss minors on a shared prefix (Cayley-Hamilton
   is numerically unstable): the minor without column i branches off one
-  elimination of the other rows after step i - 1, with the bits of its own
-  Bareiss determinant; about n^5/12 updates in place of n^5/3.
+  elimination of the other rows, by the same kernel, after step i - 1, with
+  the bits of its own Bareiss determinant; about n^5/12 updates in place of
+  n^5/3.
 
 The all-ones quadratic form ``s_functional`` and the four contiguous minors
 ``contiguous_minors`` sit on top.  ``det_cofactor`` and ``det_condensation``
@@ -125,7 +129,8 @@ def _laplace(rows, cols, memo):
 
 
 def det_bareiss(a: Matrix):
-    """Fraction-free (Bareiss) determinant.
+    """Fraction-free (Bareiss) determinant, through the one elimination
+    kernel of every number determinant (``_bareiss_steps``).
 
     Row swaps bring a pivot to the diagonal: for floating scalars the first
     row of largest magnitude (ties go to the upper row, and a NaN is never
@@ -134,55 +139,32 @@ def det_bareiss(a: Matrix):
     ExactDivisionError, i.e. a ring-contract bug).  The matrix is singular
     only when the chosen pivot is exactly zero; the result is then a zero of
     the entries' own kind.  No cutoff applies: the pivots are leading
-    minors, which may be legitimately tiny.  The floating branch stays only
-    while float verdicts take it: the float minors of ``search complex``
-    and the float checks of ``verify accretive`` (ROADMAP item 4).
+    minors, which may be legitimately tiny.  The floating arms of the kernel
+    stay only while float verdicts take them: the float minors of ``search
+    complex`` and the float checks of ``verify accretive`` (ROADMAP item 4).
     """
     _require_square(a)
-    return _bareiss_rows(a.to_rows(), _is_floating_matrix(a))
+    return _bareiss_det(a.to_rows(), 0, (1, 1), _is_floating_matrix(a))
 
 
-def _bareiss_rows(rows, floating: bool):
-    """``det_bareiss`` on a list of fresh row lists, which it overwrites;
-    ``floating`` picks magnitude pivoting and true division."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if floating:
-        return _float_det(rows, 0, (1, 1))
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pr = next((r for r in range(k, n) if rows[r][k]), k)
-        if not rows[pr][k]:
-            return rows[0][0] * 0
-        if pr != k:
-            rows[k], rows[pr] = rows[pr], rows[k]
-            sign = -sign
-        pk = rows[k][k]
-        base = rows[k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            rik = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = exact_div(pk * ri[j] - rik * base[j], prev)
-        prev = pk
-    result = rows[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
-def _float_steps(rows, k0, k1, state):
-    """Floating Bareiss steps k0..k1-1 on ``rows`` (possibly wider than
-    square), in place; ``state`` is (sign, previous pivot) before them, and
-    the result is the state after them, or None on an exactly zero pivot."""
+def _bareiss_steps(rows, k0, k1, state, floating: bool):
+    """Bareiss steps k0..k1-1 on the fresh row lists ``rows`` (possibly
+    wider than square), in place; ``state`` is (sign, previous pivot) before
+    them, and the result is the state after them, or None on an exactly zero
+    pivot.  ``floating`` picks, once per step, the pivot rule (first row of
+    largest magnitude, else first nonzero row) and the update (true
+    division, else ``exact_div``)."""
     sign, prev = state
     n, width = len(rows), len(rows[0])
     for k in range(k0, k1):
-        pr, big = k, abs(rows[k][k])
-        for r in range(k + 1, n):
-            mag = abs(rows[r][k])
-            if mag > big:
-                pr, big = r, mag
+        if floating:
+            pr, big = k, abs(rows[k][k])
+            for r in range(k + 1, n):
+                mag = abs(rows[r][k])
+                if mag > big:
+                    pr, big = r, mag
+        else:
+            pr = next((r for r in range(k, n) if rows[r][k]), k)
         if not rows[pr][k]:
             return None
         if pr != k:
@@ -190,19 +172,27 @@ def _float_steps(rows, k0, k1, state):
             sign = -sign
         base = rows[k]
         pk = base[k]
-        for ri in rows[k + 1:]:
-            rik = ri[k]
-            for j in range(k + 1, width):
-                ri[j] = (pk * ri[j] - rik * base[j]) / prev
+        if floating:
+            for ri in rows[k + 1:]:
+                rik = ri[k]
+                for j in range(k + 1, width):
+                    ri[j] = (pk * ri[j] - rik * base[j]) / prev
+        else:
+            for ri in rows[k + 1:]:
+                rik = ri[k]
+                for j in range(k + 1, width):
+                    ri[j] = exact_div(pk * ri[j] - rik * base[j], prev)
         prev = pk
     return sign, prev
 
 
-def _float_det(rows, k0, state):
-    """Floating determinant of the square ``rows`` after steps 0..k0-1,
-    which left ``state``; an exactly zero pivot gives a zero of the entries'
-    own kind."""
-    state = _float_steps(rows, k0, len(rows) - 1, state)
+def _bareiss_det(rows, k0, state, floating: bool):
+    """Determinant of the square ``rows`` after steps 0..k0-1, which left
+    ``state``: 1 for no rows, and a zero of the entries' own kind on an
+    exactly zero pivot."""
+    if not rows:
+        return 1
+    state = _bareiss_steps(rows, k0, len(rows) - 1, state, floating)
     if state is None:
         return rows[0][0] * 0
     result = rows[-1][-1]
@@ -432,7 +422,9 @@ def adjugate(a: Matrix) -> Matrix:
     where Bareiss would divide and swell and Berkowitz is slower.  Ints and
     rationals: Cayley-Hamilton on the Berkowitz characteristic polynomial,
     O(n^4), exact on singular matrices.  Floats and complex: Bareiss minors
-    on a shared prefix, since Cayley-Hamilton is numerically unstable."""
+    on a shared prefix, since Cayley-Hamilton is numerically unstable; the
+    ``det_bareiss`` kernel runs each shared step once and finishes each
+    minor, so every minor keeps the bits of its own ``det_bareiss``."""
     _require_square(a)
     n = a.rows
     if n == 0:
@@ -454,9 +446,11 @@ def adjugate(a: Matrix) -> Matrix:
             if state is None:  # a shared pivot was exactly zero
                 minor = rect[0][0] * 0
             else:
-                minor = _float_det([r[:i] + r[i + 1:] for r in rect], min(i, n - 2), state)
+                minor = _bareiss_det(
+                    [r[:i] + r[i + 1:] for r in rect], min(i, n - 2), state, floating=True
+                )
                 if i < n - 2:
-                    state = _float_steps(rect, i, i + 1, state)
+                    state = _bareiss_steps(rect, i, i + 1, state, floating=True)
             out[i * n + j] = -minor if (i + j) % 2 else minor
     return Matrix(n, n, out)
 
@@ -479,7 +473,7 @@ def contiguous_minors(a: Matrix):
     rows = a.to_rows()
     corners = ((0, 0), (1, 1), (0, 1), (1, 0))
     return tuple(
-        _bareiss_rows([r[j:j + m] for r in rows[i:i + m]], floating)
+        _bareiss_det([r[j:j + m] for r in rows[i:i + m]], 0, (1, 1), floating)
         for i, j in corners
     )
 

@@ -280,8 +280,8 @@ def verify_bt(skew: Matrix, alpha, w) -> CertificateReport:
     input included, else ValueError.  Weight vectors with zero components
     are legal: the identity is polynomial in the entries, so no limiting
     argument is needed.  Entries, ``alpha`` and the weights must be int,
-    Fraction, float or complex (not bool), else TypeError.  A float minor or
-    residual that is not finite raises UndecidedError.
+    Fraction or float (not bool or complex), else TypeError.  A float minor
+    or residual that is not finite raises UndecidedError.
 
     Exact input runs in integers: with L the lcm of the denominators of
     2A = 2 skew + alpha w w^T, the minors D of M = L 2A are (2L)^m times
@@ -295,9 +295,9 @@ def verify_bt(skew: Matrix, alpha, w) -> CertificateReport:
     if len(w) != n:
         raise ValueError(f"weight vector must have length {n}")
     for x in (*skew.entries(), alpha, *w):
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction, float, complex)):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)):
             raise TypeError(
-                "rank-one equality takes int, Fraction, float or complex "
+                "rank-one equality takes int, Fraction or float "
                 f"scalars, got {type(x).__name__}"
             )
     if not is_skew_symmetric(skew):
@@ -364,7 +364,6 @@ def johnson_numeric_suite(max_n: int, trials: int, seed: int) -> list[Certificat
                 status=verdict(residual <= JOHNSON_NUMERIC_TOL * scale),
                 residual=residual,
                 instance={"n": n, "b": b},
-                seed=seed,
                 tolerance=JOHNSON_NUMERIC_TOL,
             )
         )
@@ -379,7 +378,7 @@ def rankone_suite(trials: int, seed: int) -> list[CertificateReport]:
         x = random_int_matrix(stream, 5)
         t_val = stream.randint(-5, 5)
         rep = verify_rank_one_expansion(x, t_val)
-        reports.append(replace(rep, claim=f"rankone_expansion_t{t:03d}", seed=seed))
+        reports.append(replace(rep, claim=f"rankone_expansion_t{t:03d}"))
     return reports
 
 
@@ -421,5 +420,5 @@ def bt_suite(dim: int, trials: int, seed: int, scalar: str = "rat") -> list[Cert
         if all(not x for x in w):
             w[0] = 1.0 if scalar == "real" else 1
         rep = verify_bt(skew, alpha, w)
-        reports.append(replace(rep, claim=f"bt_{scalar}_t{t:03d}", seed=seed))
+        reports.append(replace(rep, claim=f"bt_{scalar}_t{t:03d}"))
     return reports

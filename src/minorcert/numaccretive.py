@@ -447,7 +447,6 @@ def accretive_suite(dim: int, trials: int, seed: int) -> list[CertificateReport]
                 status=verdict(ok),
                 residual=worst,
                 instance=checks,
-                seed=seed,
                 tolerance=ACCRETIVE_TOL,
             )
         )

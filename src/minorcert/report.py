@@ -36,7 +36,8 @@ class CertificateReport:
     ``residual`` is the text of a polynomial (exact claims, verified means it
     is "0") or a float magnitude (numeric claims, verified means it is within
     ``tolerance``).  ``instance`` describes the input or its construction
-    parameters; ``seed`` is set whenever randomness was involved.
+    parameters; ``seed`` is the CLI's ``--seed``, stamped in one place on
+    every verify report, and None on reports the library returns.
     """
 
     claim: str

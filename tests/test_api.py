@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +24,20 @@ def test_every_module_is_checked():
     # a new module must join MODULES above
     found = {m.name for m in pkgutil.iter_modules(minorcert.__path__)}
     assert found == set(MODULES)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # each module keeps its private helpers to itself; tests may still
+    # import them
+    paths = sorted(Path(minorcert.__file__).parent.glob("*.py"))
+    assert len(paths) == len(MODULES) + 1  # and __init__
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [
+                    f"{path.name}: from {'.' * node.level}{node.module or ''} import {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert offenders == []

@@ -418,6 +418,26 @@ def test_floating_contiguous_minors_keep_the_bits_of_det_bareiss(n):
         assert _bits(Matrix(1, 4, list(minors))) == _bits(Matrix(1, 4, blocks))
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_exact_contiguous_minors_match_the_cofactor_oracle(n):
+    # the exact kernel against the independent oracle, on ints (dense, and
+    # sparse enough for zero pivots, row swaps and singular blocks),
+    # rationals and polynomials
+    stream = substream(326, n)
+    cases = [
+        random_int_matrix(stream, n),
+        Matrix(n, n, [stream.randint(-1, 1) * stream.randint(0, 1) for _ in range(n * n)]),
+        Matrix(n, n, [Fraction(stream.randint(-9, 9), stream.randint(1, 7))
+                      for _ in range(n * n)]),
+        random_poly_matrix(stream, n),
+    ]
+    m = n - 1
+    corners = ((1, 1), (2, 2), (1, 2), (2, 1))
+    for a in cases:
+        minors = contiguous_minors(a)
+        assert minors == tuple(det_cofactor(a.block(m, i, j)) for i, j in corners)
+
+
 def test_contiguous_minors_need_a_square_matrix_of_order_two():
     with pytest.raises(ValueError):
         contiguous_minors(Matrix(1, 1, [1.0]))
