@@ -19,12 +19,10 @@ order, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
-from pathlib import Path
+from functools import cache
 
 from . import identity as idmod
 from . import numaccretive as accmod
@@ -43,7 +41,7 @@ def run(args: argparse.Namespace):
 
 def _seeded(reports, seed):
     """Sorts reports by claim and stamps the run's seed on every one."""
-    reports = [replace(r, seed=seed) for r in sorted(reports, key=lambda r: r.claim)]
+    reports = [r._replace(seed=seed) for r in sorted(reports, key=lambda r: r.claim)]
     return reports, all(r.verified for r in reports)
 
 
@@ -83,6 +81,8 @@ def _search_complex(args):
 
 
 def _bench_det(args):
+    import hashlib  # only this command hashes; every other one skips the import
+
     rows = []
     fn = DET_ALGOS[args.algo]
     for t in range(args.trials):
@@ -163,6 +163,7 @@ def _render(payload, fmt: str) -> str:
 
 # -- argument parsing ---------------------------------------------------------
 
+@cache  # one parser per process: main() only reads it
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -259,7 +260,8 @@ def main(argv=None) -> int:
     text = _render(payload, args.fmt)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as fh:
+                fh.write(text)
         except OSError as e:
             print(f"error: cannot write --out: {e}", file=sys.stderr)
             return 2

@@ -14,7 +14,6 @@ of reports with deterministic, label-sorted claims.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import Any
 
@@ -378,7 +377,7 @@ def rankone_suite(trials: int, seed: int) -> list[CertificateReport]:
         x = random_int_matrix(stream, 5)
         t_val = stream.randint(-5, 5)
         rep = verify_rank_one_expansion(x, t_val)
-        reports.append(replace(rep, claim=f"rankone_expansion_t{t:03d}"))
+        reports.append(rep._replace(claim=f"rankone_expansion_t{t:03d}"))
     return reports
 
 
@@ -420,5 +419,5 @@ def bt_suite(dim: int, trials: int, seed: int, scalar: str = "rat") -> list[Cert
         if all(not x for x in w):
             w[0] = 1.0 if scalar == "real" else 1
         rep = verify_bt(skew, alpha, w)
-        reports.append(replace(rep, claim=f"bt_{scalar}_t{t:03d}"))
+        reports.append(rep._replace(claim=f"bt_{scalar}_t{t:03d}"))
     return reports

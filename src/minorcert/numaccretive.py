@@ -21,8 +21,8 @@ Everything works on plain Python floats; no external numeric dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .detkit import adjugate, contiguous_minors, det_bareiss
 from .matrix import Matrix, identity as identity_matrix, matrix_to_json, max_abs
@@ -59,16 +59,14 @@ class ConvergenceError(RuntimeError):
     """An iterative numeric routine failed to converge."""
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     """Eigenvalues ascending plus the orthogonal matrix of column vectors."""
 
     values: tuple
     vectors: Matrix
 
 
-@dataclass(frozen=True)
-class AccretiveWitness:
+class AccretiveWitness(NamedTuple):
     """One evaluation of the minor inequality: the four (n-1)-minors, the two
     sides, the margin lhs - rhs, and any clamp applied to a tiny negative
     product before its square root."""
@@ -225,15 +223,13 @@ def inverse(a: Matrix) -> Matrix:
 
 # -- the accretive tool chain ----------------------------------------------
 
-@dataclass(frozen=True)
 class Accretive:
     """A real square matrix A checked to be accretive (built by
     :func:`accretive`), with its symmetric part H = (A + A^T)/2 and the
     eigendecomposition of H that every verifier below reuses."""
 
-    matrix: Matrix
-    sym: Matrix
-    eig: EigenResult
+    def __init__(self, matrix: Matrix, sym: Matrix, eig: EigenResult):
+        self.matrix, self.sym, self.eig = matrix, sym, eig
 
     @property
     def strict(self) -> bool:

@@ -4,9 +4,8 @@ JSON form, which is the byte-level contract of the ``verify`` commands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .ring import MultiPoly
 
@@ -29,15 +28,16 @@ class UndecidedError(RuntimeError):
     meets its hypothesis.  The CLI exits 2 on it, never 1."""
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Outcome of one verification claim.
 
     ``residual`` is the text of a polynomial (exact claims, verified means it
     is "0") or a float magnitude (numeric claims, verified means it is within
     ``tolerance``).  ``instance`` describes the input or its construction
     parameters; ``seed`` is the CLI's ``--seed``, stamped in one place on
-    every verify report, and None on reports the library returns.
+    every verify report, and None on reports the library returns.  Read-only:
+    ``_replace`` makes a changed copy.  Its JSON form is ``to_json`` alone,
+    since ``jsonable`` would write the tuple as a list.
     """
 
     claim: str

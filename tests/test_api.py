@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,20 @@ def test_no_module_imports_another_modules_private_names():
                     if a.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_cli_start_up_imports_nothing_it_does_not_use():
+    # dataclasses pulls in inspect, ast, dis and tokenize; no command needs
+    # them, nor pathlib, and only `bench det` needs hashlib.  -S keeps the
+    # site hooks, which may import pathlib themselves, out of the picture.
+    probe = (
+        "import sys\n"
+        "from minorcert import cli\n"
+        "cli._build_parser()\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'hashlib', 'pathlib')"
+        " if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(minorcert.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minorcert
 from minorcert import cli, identity, numaccretive
 from minorcert.detkit import COFACTOR_CAP
 from minorcert.identity import DEFAULT_SYMBOLIC_CAP, SPECIALIZATION_CAP
-from minorcert.matrix import Matrix, johnson_family
+from minorcert.matrix import Matrix, identity as identity_matrix, johnson_family
+from minorcert.report import CertificateReport
 from minorcert.ring import ExactDivisionError
 
 
@@ -299,3 +305,59 @@ def test_failed_out_write_is_a_usage_error(tmp_path, capsys, target):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --out")
     assert not (tmp_path / "missing").exists()
+
+
+def _in_process(argv, capsys):
+    """(exit status, stdout) of one cli.main call, argparse exits included."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().out
+
+
+def _own_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(minorcert.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "minorcert.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def _det_hashes(out):
+    return [row["det_hash"] for row in json.loads(out)]
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    runs = [
+        ["verify", "johnson", "--n", "4"],
+        ["verify", "lemmas", "--n", "12"],         # argparse: over the cap
+        ["verify", "specialization", "--m", "65"],  # library: over its cap
+        ["verify", "bt", "--format", "text-summary"],
+        ["bench", "det", "--algo", "bareiss", "--order", "4", "--trials", "2"],
+    ]
+    shared = [_in_process(argv, capsys) for argv in runs]
+    own = [_own_process(argv) for argv in runs]
+    assert [rc for rc, _ in shared] == [rc for rc, _ in own] == [0, 2, 2, 0, 0]
+    assert [out for _, out in shared[:4]] == [out for _, out in own[:4]]
+    assert _det_hashes(shared[4][1]) == _det_hashes(own[4][1])
+    # the lemmas cap is read when a command is checked, not when the
+    # parser is built
+    monkeypatch.setattr(identity, "DEFAULT_SYMBOLIC_CAP", 5)
+    assert _in_process(["verify", "lemmas", "--n", "6"], capsys) == (2, "")
+
+
+def test_records_are_read_only_and_seeding_changes_only_the_seed():
+    reports = identity.lemmas_suite(4, 2, 1)[::-1]
+    eig = numaccretive.sym_eig(identity_matrix(2).map(float))
+    witness = numaccretive.remark45_repro()
+    for record, field in ((reports[0], "seed"), (witness, "margin"), (eig, "values")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    seeded, ok = cli._seeded(reports, 7)
+    assert ok and all(r.seed is None for r in reports)
+    assert [r.claim for r in seeded] == sorted(r.claim for r in reports)
+    by_claim = {r.claim: r for r in reports}
+    for r in seeded:
+        assert isinstance(r, CertificateReport) and r.seed == 7
+        assert r._replace(seed=None) == by_claim[r.claim]
