@@ -377,7 +377,9 @@ def _adjugate_split_laplace(rows) -> Matrix:
     its column of the adjugate and then dropped, and only the current T
     level is kept.  The signs,
     the cofactor's (-1)^(i+j) included, go into the pairs, so each entry is
-    one ``sum_of_products`` call."""
+    one ``sum_of_products`` call, and all n^2 calls share one ``keys`` table,
+    so that a monomial's key is one object per adjugate, not one per entry;
+    the table is local, so it holds no key once the adjugate is returned."""
     n = len(rows)
     levels = [
         {sum(1 << c for c in sub): sub for sub in combinations(range(n), k)}
@@ -389,6 +391,7 @@ def _adjugate_split_laplace(rows) -> Matrix:
     full = (1 << n) - 1
     odd = sum(1 << c for c in range(1, n, 2))
     out = [None] * (n * n)
+    keys = {}
     top = {0: 1}
     for j in range(n):
         k = n - 1 - j
@@ -407,7 +410,7 @@ def _adjugate_split_laplace(rows) -> Matrix:
                         e = parity + i + (s >> (i + 1)).bit_count()
                         pairs[i].append((-1 if e % 2 else 1, t, b))
         for i in range(n):
-            out[i * n + j] = sum_of_products(pairs[i])
+            out[i * n + j] = sum_of_products(pairs[i], keys=keys)
         if k:
             top = _expand_level(rows[j], j + 1, top, levels[j + 1])
     return Matrix(n, n, out)

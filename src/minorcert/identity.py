@@ -35,7 +35,7 @@ from .matrix import (
 )
 from .numaccretive import minor_witness
 from .report import CertificateReport, UndecidedError, verdict
-from .ring import MultiPoly, is_floating
+from .ring import MultiPoly, is_floating, sum_of_products
 from .rng import random_int_matrix, random_skew, substream
 
 __all__ = [
@@ -166,7 +166,7 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     transpose_ok = all(adj[j, i] == (adj[i, j] if odd else -adj[i, j]) for i, j in upper)
     instance: dict[str, Any] = {"m": m, "parity": "odd" if odd else "even"}
     if not odd:
-        s_val = sum(adj.entries())
+        s_val = sum_of_products((1, 1, e) for e in adj.entries())
         ok = transpose_ok and s_val == 0
         residual = str(s_val)
     else:

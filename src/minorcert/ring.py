@@ -102,10 +102,6 @@ class MultiPoly:
 
     # -- basic queries --------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -359,8 +355,9 @@ def sum_of_products(pairs, *, keys=None):
     ``keys`` is an optional dict from packed monomial to itself that
     several calls share: the result's keys are taken from it, and its new
     monomials added to it, so that equal monomials of those results are one
-    int object in place of one per polynomial.  Only the row expansion
-    passes it, one table per level.
+    int object in place of one per polynomial.  The row expansion passes
+    one table per level, and the split-Laplace adjugate one for all its
+    entries.
     """
     pairs = list(pairs)
     ref = next(

@@ -668,6 +668,19 @@ def test_level_step_drops_spent_sub_minors_and_shares_keys():
     assert len(first) < sum(len(d._terms) for d in cur.values())
 
 
+def test_polynomial_adjugate_entries_share_keys():
+    # the n^2 cofactor joins of the split-Laplace adjugate share one key
+    # table, so equal monomials of two different entries are one object
+    adj = adjugate(generic_skew_toeplitz(6))
+    # the skew adjugate's zero diagonal holds no terms
+    entries = [d for d in adj.entries() if d]
+    first = {}
+    for d in entries:
+        for key in d._terms:
+            assert first.setdefault(key, key) is key
+    assert len(first) < sum(len(d._terms) for d in entries)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_d21_from_the_sign_symmetry_matches_the_transpose_expansion(n):
     # the certificate takes det A_m(2,1) as d12(-b); the oracles are the

@@ -86,6 +86,18 @@ def test_johnson_symbolic_order_9_peaks_under_2_mib():
     assert peak < 2.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_skew_facts_order_8_peaks_under_1_4_mib():
+    # the entries of the split-Laplace adjugate share one key table; one
+    # key object per entry and term peaks at 1.7 MiB
+    tracemalloc.start()
+    try:
+        assert verify_skew_facts(generic_skew_toeplitz(8)).verified
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_johnson_symbolic_raises_when_the_transpose_is_not_a_at_minus_b(monkeypatch):
     # a malformed family is an internal error, never a verified or refuted report
     def malformed(n):
