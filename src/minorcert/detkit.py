@@ -360,7 +360,7 @@ def _adjugate_cayley_hamilton(rows) -> Matrix:
     return Matrix(n, n, [sign * x for r in b for x in r])
 
 
-def _adjugate_split_laplace(rows) -> Matrix:
+def _adjugate_split_laplace(rows, zero) -> Matrix:
     """adj(A) of order n >= 2 from one row expansion downwards and one
     upwards, joined by Laplace expansion along the rows above the dropped one.
 
@@ -379,7 +379,9 @@ def _adjugate_split_laplace(rows) -> Matrix:
     the cofactor's (-1)^(i+j) included, go into the pairs, so each entry is
     one ``sum_of_products`` call, and all n^2 calls share one ``keys`` table,
     so that a monomial's key is one object per adjugate, not one per entry;
-    the table is local, so it holds no key once the adjugate is returned."""
+    the table is local, so it holds no key once the adjugate is returned.
+    Adding ``zero``, the zero of the entries' ring, lifts an int result (a
+    join with no nonzero product, or one of int entries only) into it."""
     n = len(rows)
     levels = [
         {sum(1 << c for c in sub): sub for sub in combinations(range(n), k)}
@@ -410,7 +412,7 @@ def _adjugate_split_laplace(rows) -> Matrix:
                         e = parity + i + (s >> (i + 1)).bit_count()
                         pairs[i].append((-1 if e % 2 else 1, t, b))
         for i in range(n):
-            out[i * n + j] = sum_of_products(pairs[i], keys=keys)
+            out[i * n + j] = sum_of_products(pairs[i], keys=keys) + zero
         if k:
             top = _expand_level(rows[j], j + 1, top, levels[j + 1])
     return Matrix(n, n, out)
@@ -432,11 +434,12 @@ def adjugate(a: Matrix) -> Matrix:
     n = a.rows
     if n == 0:
         raise ValueError("adjugate needs order >= 1")
+    poly = next((x for x in a.entries() if isinstance(x, MultiPoly)), None)
     if n == 1:
-        return Matrix(1, 1, [1])
+        return Matrix(1, 1, [1 if poly is None else MultiPoly.const(1, poly.nvars)])
     rows = a.to_rows()
-    if any(isinstance(x, MultiPoly) for x in a.entries()):
-        return _adjugate_split_laplace(rows)
+    if poly is not None:
+        return _adjugate_split_laplace(rows, MultiPoly(poly.nvars))
     if not _is_floating_matrix(a):
         return _adjugate_cayley_hamilton(rows)
     out = [None] * (n * n)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any
 
 from .detkit import (
     adjugate,
@@ -164,7 +163,7 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     odd = m % 2
     upper = ((i, j) for i in range(m) for j in range(i, m))
     transpose_ok = all(adj[j, i] == (adj[i, j] if odd else -adj[i, j]) for i, j in upper)
-    instance: dict[str, Any] = {"m": m, "parity": "odd" if odd else "even"}
+    instance = {"m": m, "parity": "odd" if odd else "even"}
     if not odd:
         s_val = sum_of_products((1, 1, e) for e in adj.entries())
         ok = transpose_ok and s_val == 0
@@ -198,7 +197,7 @@ def specialization_certificate(m: int) -> CertificateReport:
     spec = skew_toeplitz([1] + [0] * (m - 1))
     k_mat = spec.block(m, 1, 1)
     c_mat = spec.block(m, 1, 2)
-    checks: dict[str, Any] = {"m": m}
+    checks = {"m": m}
     if m % 2 == 0:
         det_k = det_bareiss(k_mat)
         det_c = det_bareiss(c_mat)

@@ -90,9 +90,6 @@ class Matrix:
             return False
         return all(a == b for a, b in zip(self._d, other._d))
 
-    def __hash__(self):
-        return hash((self._r, self._c, self._d))
-
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -141,14 +138,10 @@ class Matrix:
                 out.append(acc)
         return Matrix(n, m, out)
 
-    def transpose(self) -> "Matrix":
-        d = self._d
-        c = self._c
-        return Matrix(c, self._r, [d[i * c + j] for j in range(c) for i in range(self._r)])
-
     @property
     def T(self) -> "Matrix":
-        return self.transpose()
+        d, r, c = self._d, self._r, self._c
+        return Matrix(c, r, [d[i * c + j] for j in range(c) for i in range(r)])
 
     def block(self, r: int, i: int, j: int) -> "Matrix":
         """The r x r contiguous submatrix starting at row i, column j (1-based)."""
@@ -167,10 +160,6 @@ class Matrix:
 
     def map(self, fn) -> "Matrix":
         return Matrix(self._r, self._c, [fn(a) for a in self._d])
-
-    def __str__(self):
-        rows = self.to_rows()
-        return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in rows)
 
     def __repr__(self):
         return f"Matrix({self._r}x{self._c})"

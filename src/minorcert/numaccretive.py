@@ -21,8 +21,8 @@ Everything works on plain Python floats; no external numeric dependency.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .detkit import adjugate, contiguous_minors, det_bareiss
 from .matrix import Matrix, identity as identity_matrix, matrix_to_json, max_abs
@@ -49,7 +49,6 @@ __all__ = [
     "remark45_repro",
     "search_complex_violation",
     "sym_eig",
-    "verify_accretive_inequality",
     "verify_adjugate_accretive",
     "verify_det_positive",
 ]
@@ -59,25 +58,21 @@ class ConvergenceError(RuntimeError):
     """An iterative numeric routine failed to converge."""
 
 
-class EigenResult(NamedTuple):
-    """Eigenvalues ascending plus the orthogonal matrix of column vectors."""
+class EigenResult(namedtuple("EigenResult", "values vectors")):
+    """Eigenvalues ascending (a tuple) plus the orthogonal Matrix of column
+    vectors."""
 
-    values: tuple
-    vectors: Matrix
+    __slots__ = ()
 
 
-class AccretiveWitness(NamedTuple):
-    """One evaluation of the minor inequality: the four (n-1)-minors, the two
-    sides, the margin lhs - rhs, and any clamp applied to a tiny negative
-    product before its square root."""
+class AccretiveWitness(namedtuple(
+    "AccretiveWitness", "label matrix minors lhs rhs margin clamp", defaults=(0.0,)
+)):
+    """One evaluation of the minor inequality: the four (n-1)-minors
+    ``(d11, d22, d12, d21)``, the two sides, the margin lhs - rhs, and any
+    clamp applied to a tiny negative product before its square root."""
 
-    label: str
-    matrix: Matrix
-    minors: tuple  # (d11, d22, d12, d21)
-    lhs: float
-    rhs: float
-    margin: float
-    clamp: float = 0.0
+    __slots__ = ()
 
     def to_json(self) -> dict:
         d11, d22, d12, d21 = self.minors
@@ -190,10 +185,6 @@ def _sym_part(a: Matrix) -> Matrix:
                          for i in range(n) for j in range(n)])
 
 
-def _skew_part(a: Matrix) -> Matrix:
-    return (a - a.T) / 2.0
-
-
 def inverse(a: Matrix) -> Matrix:
     """Gauss-Jordan inverse with partial pivoting (floating matrices)."""
     if not a.is_square:
@@ -274,7 +265,7 @@ def accretive_factorize(acc: Accretive):
     n = a.rows
     h_sqrt = _sym_part(_assemble(eig, [math.sqrt(v) for v in eig.values]))
     h_isqrt = _sym_part(_assemble(eig, [1.0 / math.sqrt(v) for v in eig.values]))
-    s = h_isqrt @ _skew_part(a) @ h_isqrt
+    s = h_isqrt @ ((a - a.T) / 2.0) @ h_isqrt
     skew_res = max_abs(s + s.T)
     eye = identity_matrix(n).map(float)
     recon = h_sqrt @ (eye + s) @ h_sqrt
@@ -376,11 +367,6 @@ def minor_witness(a: Matrix, label: str) -> AccretiveWitness:
     )
 
 
-def verify_accretive_inequality(acc: Accretive) -> AccretiveWitness:
-    """The minor-inequality witness of an accretive instance."""
-    return minor_witness(acc.matrix, f"accretive_inequality_n{acc.matrix.rows}")
-
-
 def random_accretive(stream: SplitMix64, n: int, boundary: bool = False) -> Matrix:
     """Seeded random accretive matrix, normalized to max|entry| = 1.
 
@@ -411,7 +397,7 @@ def accretive_suite(dim: int, trials: int, seed: int) -> list[CertificateReport]
         acc = accretive(random_accretive(stream, n, boundary=boundary))
         det_rep = verify_det_positive(acc)
         adj_rep = verify_adjugate_accretive(acc)
-        witness = verify_accretive_inequality(acc)
+        witness = minor_witness(acc.matrix, f"accretive_inequality_n{n}")
         margin_scale = max(1.0, witness.lhs + witness.rhs)
         margin_ok = witness.margin >= -ACCRETIVE_TOL * margin_scale
         checks = {
@@ -520,12 +506,6 @@ def _random_complex_accretive(stream: SplitMix64, n: int) -> Matrix:
     return gh @ g + _skew_hermitian(n, lambda: stream.uniform(-2.0, 2.0))
 
 
-def _perturb_skew_hermitian(stream: SplitMix64, a: Matrix, sigma: float) -> Matrix:
-    """Adds a small skew-Hermitian matrix: the conjugate-symmetric part (and
-    hence its positive semidefiniteness) is preserved exactly."""
-    return a + _skew_hermitian(a.rows, lambda: sigma * stream.gauss())
-
-
 SEARCH_TOL = 1e-6  # a witness's margin is below -SEARCH_TOL * max(1, lhs + rhs)
 MAX_WITNESSES = 100  # the search stops once it holds this many witnesses
 
@@ -561,8 +541,10 @@ def search_complex_violation(
         elif best is None or it % 50 == 0:
             cand = _random_complex_accretive(stream, dim)
         else:
+            # a small skew-Hermitian step keeps (A + A*)/2, and hence its
+            # positive semidefiniteness, exactly
             sigma = max(0.02, 0.5 * 0.995 ** it)
-            cand = _perturb_skew_hermitian(stream, best, sigma)
+            cand = best + _skew_hermitian(dim, lambda: sigma * stream.gauss())
         w = minor_witness(cand, f"search_d{dim}_i{it:06d}")
         scale = max(1.0, w.lhs + w.rhs)
         if w.margin < best_margin:

@@ -4,8 +4,8 @@ JSON form, which is the byte-level contract of the ``verify`` commands.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import Any, NamedTuple
 
 from .ring import MultiPoly
 
@@ -28,24 +28,22 @@ class UndecidedError(RuntimeError):
     meets its hypothesis.  The CLI exits 2 on it, never 1."""
 
 
-class CertificateReport(NamedTuple):
+class CertificateReport(namedtuple(
+    "CertificateReport", "claim status residual instance seed tolerance",
+    defaults=(None, None, None),
+)):
     """Outcome of one verification claim.
 
     ``residual`` is the text of a polynomial (exact claims, verified means it
-    is "0") or a float magnitude (numeric claims, verified means it is within
-    ``tolerance``).  ``instance`` describes the input or its construction
-    parameters; ``seed`` is the CLI's ``--seed``, stamped in one place on
-    every verify report, and None on reports the library returns.  Read-only:
-    ``_replace`` makes a changed copy.  Its JSON form is ``to_json`` alone,
-    since ``jsonable`` would write the tuple as a list.
+    is "0") or a float magnitude (numeric claims, judged against
+    ``tolerance``, by some claims times a scale).  ``instance`` describes the
+    input or its construction parameters; ``seed`` is the CLI's ``--seed``,
+    stamped in one place on every verify report, and None on reports the
+    library returns.  Read-only: ``_replace`` makes a changed copy.  Its JSON
+    form is ``to_json`` alone: ``jsonable`` would write the tuple as a list.
     """
 
-    claim: str
-    status: str
-    residual: str | float
-    instance: Any = None
-    seed: int | None = None
-    tolerance: float | None = None
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:

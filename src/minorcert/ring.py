@@ -83,10 +83,6 @@ class MultiPoly:
         return p
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
-
-    @classmethod
     def const(cls, c: int, nvars: int) -> "MultiPoly":
         if not isinstance(c, int) or isinstance(c, bool):
             raise TypeError("constant must be int")
@@ -107,12 +103,11 @@ class MultiPoly:
 
     def terms(self):
         """Terms as (exponent-tuple, coeff) pairs in descending graded-lex order."""
-        unpack = self._unpack
-        return [(unpack(k), c) for k, c in sorted(self._terms.items(), reverse=True)]
-
-    def _unpack(self, key: int) -> tuple[int, ...]:
         shifts = _layout(self.nvars)[1]
-        return tuple((key >> s) & 0xFFFF for s in shifts)
+        return [
+            (tuple((k >> s) & 0xFFFF for s in shifts), c)
+            for k, c in sorted(self._terms.items(), reverse=True)
+        ]
 
     # -- arithmetic -----------------------------------------------------
 
@@ -180,9 +175,6 @@ class MultiPoly:
             return self._terms == {0: other}
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
-
     # -- ring operations beyond +,-,* ------------------------------------
 
     def evaluate(self, values):
@@ -199,7 +191,7 @@ class MultiPoly:
             if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise TypeError("evaluation points must be int or Fraction")
         acc = 0
-        for exps, coeff in self._iter_terms():
+        for exps, coeff in self.terms():
             t = coeff
             for v, e in zip(values, exps):
                 if e:
@@ -220,11 +212,6 @@ class MultiPoly:
             self.nvars,
             {k: -c if (k >> deg_shift) & 1 else c for k, c in self._terms.items()},
         )
-
-    def _iter_terms(self):
-        unpack = self._unpack
-        for k, c in self._terms.items():
-            yield unpack(k), c
 
     def exact_div(self, other) -> "MultiPoly":
         """Quotient self/other when the division is exact in Z[b1..bk].

@@ -48,14 +48,15 @@ def test_no_module_imports_another_modules_private_names():
 
 def test_cli_start_up_imports_nothing_it_does_not_use():
     # dataclasses pulls in inspect, ast, dis and tokenize; no command needs
-    # them, nor pathlib, and only `bench det` needs hashlib.  -S keeps the
-    # site hooks, which may import pathlib themselves, out of the picture.
+    # them, nor pathlib or typing, and only `bench det` needs hashlib.  -S
+    # keeps the site hooks, which may import pathlib themselves, out of the
+    # picture.
     probe = (
         "import sys\n"
         "from minorcert import cli\n"
         "cli._build_parser()\n"
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'hashlib', 'pathlib')"
-        " if m in sys.modules))\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'hashlib', 'pathlib',"
+        " 'typing') if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(minorcert.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,

@@ -220,9 +220,9 @@ def test_polynomial_adjugate_matches_bareiss_and_cofactor_minors(n):
 
 def _check_polynomial_adjugate(a):
     """The polynomial adjugate against the per-minor oracles, entry by entry
-    in ``==`` and in ``str`` (an empty sum may come back as int 0, which must
-    still print as the zero polynomial does)."""
+    in ``==`` and in ``str``, with every entry a polynomial."""
     adj = adjugate(a)
+    assert all(isinstance(x, MultiPoly) for x in adj.entries())
     oracle = _adjugate_by_minors(a, det_bareiss)
     assert adj == oracle
     assert [str(x) for x in adj.entries()] == [str(x) for x in oracle.entries()]
@@ -231,13 +231,23 @@ def _check_polynomial_adjugate(a):
     return adj
 
 
+def test_polynomial_adjugate_entries_are_all_polynomials():
+    # the zero diagonal of a skew adjugate joins no nonzero product, and a
+    # 1x1 adjugate is the one of the entry's ring
+    adj = adjugate(generic_skew_toeplitz(6))
+    assert all(isinstance(x, MultiPoly) for x in adj.entries())
+    assert adj[0, 0].negate_variables() == 0
+    one = adjugate(Matrix(1, 1, [variables(2)[0]]))[0, 0]
+    assert isinstance(one, MultiPoly) and one.nvars == 2 and one == 1
+
+
 @pytest.mark.parametrize("r", range(5))
 def test_polynomial_adjugate_with_a_zero_row_or_column(r):
     # the split at row j empties the upper or lower minors it joins when the
     # zero row or column falls on either side of it; r runs over every side
     rows = random_poly_matrix(substream(313, r), 5, nvars=3).to_rows()
     zero_row = [list(row) for row in rows]
-    zero_row[r] = [MultiPoly.zero(3)] * 5
+    zero_row[r] = [MultiPoly(3)] * 5
     zero_col = [row[:r] + [0] + row[r + 1:] for row in rows]
     for a in map(Matrix.from_rows, (zero_row, zero_col)):
         adj = _check_polynomial_adjugate(a)
@@ -601,7 +611,7 @@ def test_row_expansion_with_zero_entries():
 @pytest.mark.parametrize("r", range(4))
 def test_row_expansion_with_a_zero_polynomial_row(r):
     rows = random_poly_matrix(substream(312, r), 4, nvars=2).to_rows()
-    rows[r] = [MultiPoly.zero(2)] * 4
+    rows[r] = [MultiPoly(2)] * 4
     a = Matrix.from_rows(rows)
     d = _whole(a)
     assert d == 0 and str(d) == "0"
@@ -671,9 +681,7 @@ def test_level_step_drops_spent_sub_minors_and_shares_keys():
 def test_polynomial_adjugate_entries_share_keys():
     # the n^2 cofactor joins of the split-Laplace adjugate share one key
     # table, so equal monomials of two different entries are one object
-    adj = adjugate(generic_skew_toeplitz(6))
-    # the skew adjugate's zero diagonal holds no terms
-    entries = [d for d in adj.entries() if d]
+    entries = adjugate(generic_skew_toeplitz(6)).entries()
     first = {}
     for d in entries:
         for key in d._terms:

@@ -22,10 +22,10 @@ from minorcert.rng import random_int_matrix, random_poly_matrix, substream
 def test_generic_skew_toeplitz_small():
     b = generic_skew_toeplitz(2)
     b1, = variables(1)
-    assert b == Matrix.from_rows([[MultiPoly.zero(1), b1], [-b1, MultiPoly.zero(1)]])
+    assert b == Matrix.from_rows([[MultiPoly(1), b1], [-b1, MultiPoly(1)]])
     b = generic_skew_toeplitz(3)
     b1, b2 = variables(2)
-    z = MultiPoly.zero(2)
+    z = MultiPoly(2)
     assert b == Matrix.from_rows([[z, b1, b2], [-b1, z, b1], [-b2, -b1, z]])
 
 
@@ -127,6 +127,16 @@ def test_structured_matrices():
     assert identity(3) - shift @ shift == Matrix.from_rows(
         [[1, 0, 0], [0, 1, 0], [-1, 0, 1]]
     )
+
+
+def test_polynomials_and_matrices_are_unhashable():
+    # equality crosses kinds (the zero polynomial equals the int 0), which
+    # no hash could follow, so neither class defines one
+    assert MultiPoly(2) == 0
+    with pytest.raises(TypeError):
+        hash(MultiPoly(2))
+    with pytest.raises(TypeError):
+        hash(identity(2))
 
 
 def test_matmul_and_transpose():

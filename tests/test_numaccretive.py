@@ -15,7 +15,6 @@ from minorcert.numaccretive import (
     remark45_repro,
     search_complex_violation,
     sym_eig,
-    verify_accretive_inequality,
     verify_adjugate_accretive,
     verify_det_positive,
     minor_witness,
@@ -190,7 +189,7 @@ def test_order_26_minors_are_not_flushed_to_zero():
     # d21 and det A of this instance have pivots below 1e-12 * max|entry|;
     # none of the minors may come back as 0.0
     acc = accretive(random_accretive(substream(99, 3), 26))
-    witness = verify_accretive_inequality(acc)
+    witness = minor_witness(acc.matrix, "inequality")
     assert all(d != 0.0 for d in witness.minors), witness.minors
     assert witness.margin >= -1e-8 * max(1.0, witness.lhs + witness.rhs)
     assert verify_det_positive(acc).verified
@@ -233,14 +232,15 @@ def test_adjugate_accretive_cases():
 
 
 def test_inequality_rank_one_equality_case():
-    w = verify_accretive_inequality(accretive(Matrix.from_rows([[1.0, 2.0], [0.0, 1.0]])))
+    acc = accretive(Matrix.from_rows([[1.0, 2.0], [0.0, 1.0]]))
+    w = minor_witness(acc.matrix, "inequality")
     assert w.minors == (1.0, 1.0, 2.0, 0.0)
     assert w.lhs == w.rhs == 1.0
     assert w.margin == 0.0
 
 
 def test_inequality_identity_case():
-    w = verify_accretive_inequality(accretive(identity(3).map(float)))
+    w = minor_witness(accretive(identity(3).map(float)).matrix, "inequality")
     assert w.lhs == 1.0 and w.rhs == 0.0 and w.margin == 1.0
 
 
@@ -249,18 +249,18 @@ def test_inequality_random_margins():
         stream = substream(813, t)
         n = 4 + t % 5
         a = random_accretive(stream, n, boundary=t % 4 == 3)
-        w = verify_accretive_inequality(accretive(a))
+        w = minor_witness(accretive(a).matrix, "inequality")
         assert w.margin >= -1e-8 * max(1.0, w.lhs + w.rhs)
 
 
 def test_inequality_rejects_non_accretive():
     with pytest.raises(ValueError):
-        verify_accretive_inequality(accretive(_diag([1.0, -1.0])))
+        minor_witness(accretive(_diag([1.0, -1.0])).matrix, "inequality")
 
 
 def test_inequality_needs_order_two():
     with pytest.raises(ValueError):
-        verify_accretive_inequality(accretive(_diag([1.0])))
+        minor_witness(accretive(_diag([1.0])).matrix, "inequality")
 
 
 def test_rank_one_instances_sit_on_the_equality_boundary():
@@ -278,7 +278,7 @@ def test_rank_one_instances_sit_on_the_equality_boundary():
         a = Matrix.from_rows(rows) + (alpha / 2.0) * Matrix(
             n, n, [x * y for x in wvec for y in wvec]
         )
-        w = verify_accretive_inequality(accretive(a))
+        w = minor_witness(accretive(a).matrix, "inequality")
         assert abs(w.margin) <= 1e-8 * max(1.0, w.lhs + w.rhs)
 
 

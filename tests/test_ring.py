@@ -56,7 +56,7 @@ def test_nvars_mismatch_is_usage_error():
 
 def test_is_zero():
     # a polynomial is false exactly when it is zero
-    assert not MultiPoly.zero(3)
+    assert not MultiPoly(3)
     assert MultiPoly.var(3, 3)
     p = MultiPoly.var(1, 1)
     assert not p - p
@@ -67,7 +67,7 @@ def test_canonical_text_and_parse_roundtrip():
     p = 3 * b1 * b1 * b2 - b2 + 5
     text = str(p)
     assert text == "3 * b1^2 b2 + -1 * b2 + 5"
-    assert str(MultiPoly.zero(2)) == "0"
+    assert str(MultiPoly(2)) == "0"
 
 
 def test_exponent_overflow_detected():
@@ -259,7 +259,7 @@ def test_exact_division_failures():
     with pytest.raises(ExactDivisionError):
         (2 * b1 + 1).exact_div(MultiPoly.const(2, 2))
     with pytest.raises(ZeroDivisionError):
-        b1.exact_div(MultiPoly.zero(2))
+        b1.exact_div(MultiPoly(2))
 
 
 def test_negate_variables_is_evaluation_at_the_opposite_point():
@@ -285,7 +285,7 @@ def test_negate_variables_flips_exactly_the_odd_degree_terms():
     high = MultiPoly(2, {(15, 2): 4, (15, 3): -1})
     assert high.negate_variables() == MultiPoly(2, {(15, 2): -4, (15, 3): -1})
     for nvars in (0, 2):
-        zero = MultiPoly.zero(nvars)
+        zero = MultiPoly(nvars)
         const = MultiPoly.const(-7, nvars)
         assert zero.negate_variables() == zero
         assert const.negate_variables() == const
