@@ -9,17 +9,18 @@ One production engine per scalar world:
   ``_bareiss_steps``, and one finisher, ``_bareiss_det``, hold that loop for
   every number kind; ``det_bareiss``, ``contiguous_minors`` and the float
   adjugate all call them.  Every kind stops only on an exactly zero pivot.
-- ``leading_row_minors`` serves every polynomial determinant of the
+- ``shared_column_minors`` serves every polynomial determinant of the
   certificates over Z[b1..bk], and its level step every polynomial
-  adjugate: the division-free memoized row expansion, which returns
-  several minors on the same leading rows from one pass and never divides,
-  so its intermediate results are sub-minors and stay small where Bareiss
-  swells.  Each minor is one ``ring.sum_of_products`` call: its signed
-  products go into a single accumulator, with no intermediate product or
-  partial sum.  A level step drops each sub-minor once the last minor that
-  reads it is built, and the minors of a level share one key object per
-  monomial, so the two levels of a step are never both whole and a
-  monomial's key is stored once per level, not once per term.
+  adjugate: the division-free memoized Laplace expansion, which expands
+  once along the columns its minors share, closes each minor along its own
+  extra column and never divides, so its intermediate results are
+  sub-minors and stay small where Bareiss swells.  Each minor is one
+  ``ring.sum_of_products`` call: its signed products go into a single
+  accumulator, with no intermediate product or partial sum.  A level step
+  drops each sub-minor once the last minor that reads it is built, and the
+  minors of a level share one key object per monomial, so the two levels of
+  a step are never both whole and a monomial's key is stored once per
+  level, not once per term.
 
 ``adjugate`` (cofactor transpose, exact on singular matrices) takes one path
 per scalar world, chosen by the kind of its entries:
@@ -41,7 +42,7 @@ per scalar world, chosen by the kind of its entries:
 
 The all-ones quadratic form ``s_functional`` and the four contiguous minors
 ``contiguous_minors`` sit on top.  ``det_cofactor`` and ``det_condensation``
-(exact scalars only) are oracles, and Bareiss is the oracle for the row
+(exact scalars only) are oracles, and Bareiss is the oracle for the Laplace
 expansion on polynomials and, minor by minor, for the polynomial and
 exact-number adjugates.  The cofactor oracle is Laplace expansion along the first row of
 each block, memoized on the column sets of the trailing sub-minors:
@@ -72,8 +73,8 @@ __all__ = [
     "det_bareiss",
     "det_cofactor",
     "det_condensation",
-    "leading_row_minors",
     "s_functional",
+    "shared_column_minors",
 ]
 
 COFACTOR_CAP = 7
@@ -230,56 +231,60 @@ def det_condensation(a: Matrix):
     return cur[0][0]
 
 
-def leading_row_minors(a: Matrix, column_sets) -> list:
-    """Division-free memoized row expansion (Gentleman & Johnson 1976).
+def shared_column_minors(a: Matrix, rows, shared, extra) -> list:
+    """Division-free memoized column expansion (Gentleman & Johnson 1976)
+    of minors that share all but one column.
 
-    For each target set S of 0-based column indices, returns
-    det(rows 0..|S|-1, columns S) in the order of ``column_sets``; an empty S
-    gives 1.  The minors are built level by level with
+    For each column c of ``extra``, in order, returns
+    det a[rows, sorted(shared + {c})], with ``rows`` taken in the order
+    given; there must be one more row than shared column, and no column
+    may repeat.  The minors of every row subset R on the first k of the
+    sorted shared columns are built level by level, keyed by the bit mask
+    of R's positions in ``rows``,
 
-        D[S] = sum_{p, j = S[p]} (-1)^(|S|-1+p) a[|S|-1][j] D[S - {j}],
+        D[R] = sum_{p, i = R[p]} (-1)^(k-1+p) a[rows[i]][shared[k-1]] D[R - {i}],
 
-    D[{}] = 1, over the subsets of the targets only, keeping just the
-    previous level and skipping zero entries and zero sub-minors.  Each D[S]
-    is one ``sum_of_products`` call on its signed pairs, for every scalar
-    kind: over Z[b1..bk] all its products go into one accumulator, with no
-    intermediate product polynomial and no copy of a running sum.  No ring
-    division is made, so nothing swells beyond the minors themselves.  The
-    level step (``_expand_level``) drops each sub-minor of the previous
-    level after its last superset is built, and the polynomial minors of one
-    level share their monomial keys.
+    D[{}] = 1, by the level step ``_expand_level`` with each column for its
+    row (a determinant is its transpose's): 2^m - 2 sub-minors for m rows,
+    built once for every c.  Each c is then one ``sum_of_products`` call
+    along its column, taken last, over the m sub-minors of the last level,
+    with the sign (-1)^(number of shared columns greater than c) that moves
+    it into place; the calls share one ``keys`` table.  No ring division is
+    made, so nothing swells beyond the minors themselves.
     """
-    rows = a.to_rows()
-    targets = []
-    for s in column_sets:
-        cols = tuple(sorted(s))
-        if len(set(cols)) != len(cols):
-            raise ValueError(f"repeated column in target {cols}")
-        if cols and not (0 <= cols[0] and cols[-1] < a.cols):
-            raise ValueError(f"target {cols} outside a {a.rows}x{a.cols} matrix")
-        if len(cols) > a.rows:
-            raise ValueError(f"target {cols} needs more than {a.rows} rows")
-        targets.append(cols)
-    results = [1] * len(targets)
+    rows, cols, extra = list(rows), sorted(shared), list(extra)
+    m = len(rows)
+    if m != len(cols) + 1:
+        raise ValueError(f"{m} rows need {m - 1} shared columns, got {len(cols)}")
+    for name, idx, bound in (("rows", rows, a.rows), ("columns", cols + extra, a.cols)):
+        if len(set(idx)) != len(idx) or not all(0 <= i < bound for i in idx):
+            raise ValueError(f"{name} {idx} repeat or leave a {a.rows}x{a.cols} matrix")
+    table = a.to_rows()
+    picked = [table[r] for r in rows]
     prev = {0: 1}
-    for k in range(1, max(map(len, targets), default=0) + 1):
-        level = {}
-        for cols in targets:
-            if len(cols) >= k:
-                for sub in combinations(cols, k):
-                    level.setdefault(sum(1 << j for j in sub), sub)
-        prev = _expand_level(rows[k - 1], k, prev, level)
-        for t, cols in enumerate(targets):
-            if len(cols) == k:
-                results[t] = prev[sum(1 << j for j in cols)]
+    for k, c in enumerate(cols, 1):
+        level = {sum(1 << i for i in sub): sub for sub in combinations(range(m), k)}
+        prev = _expand_level([r[c] for r in picked], k, prev, level)
+    full = (1 << m) - 1
+    keys = {}
+    results = []
+    for c in extra:
+        base = m - 1 + sum(1 for s in cols if s > c)
+        pairs = []
+        for i, r in enumerate(picked):
+            e, d = r[c], prev[full ^ (1 << i)]
+            if e and d:
+                pairs.append((-1 if (base + i) % 2 else 1, e, d))
+        results.append(sum_of_products(pairs, keys=keys))
     return results
 
 
 def _expand_level(row, k, prev, level) -> dict:
-    """One level of the row expansion: for each column set S of ``level``
-    (bit mask -> sorted columns, |S| = k), the k x k minor whose last row is
-    ``row``, from ``prev``, the minors of the k - 1 rows above it on every
-    (k-1)-subset of S (keyed by mask):
+    """One level of the Laplace expansion, along rows or, with each column
+    for its row, along columns (a determinant is its transpose's): for each
+    index set S of ``level`` (bit mask -> sorted indices, |S| = k), the
+    k x k minor whose last row is ``row``, from ``prev``, the minors of the
+    k - 1 rows above it on every (k-1)-subset of S (keyed by mask):
 
         D[S] = sum_{p, j = S[p]} (-1)^(k-1+p) row[j] prev[S - {j}].
 

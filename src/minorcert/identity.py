@@ -20,8 +20,8 @@ from .detkit import (
     adjugate,
     contiguous_minors,
     det_bareiss,
-    leading_row_minors,
     s_functional,
+    shared_column_minors,
 )
 from .matrix import (
     Matrix,
@@ -67,8 +67,9 @@ def verify_johnson_symbolic(n: int, max_n: int = DEFAULT_SYMBOLIC_CAP) -> Certif
     """Certifies det A_m(1,2) + det A_m(2,1) - 2 det A_m(1,1) = 0 (m = n-1)
     identically in Z[b1..b_{n-1}] for the generic member of A + A^T = 2 J_n.
 
-    A_m(1,1) and A_m(1,2) share the rows 1..m, so one division-free row
-    expansion of A gives both.  A^T = J - B is A under the ring map
+    A_m(1,1) and A_m(1,2) share the rows 1..m and the columns 2..m, so one
+    division-free expansion of A along those columns gives both, each closed
+    along its own column, 1 or m+1.  A^T = J - B is A under the ring map
     b -> -b, and a determinant commutes with a ring map, so A_m(2,1), the
     transpose of A^T_m(1,2), has det A_m(2,1) = d12(-b).  The symmetry is
     checked exactly on the matrix first; if it failed, that would be a bug
@@ -80,7 +81,7 @@ def verify_johnson_symbolic(n: int, max_n: int = DEFAULT_SYMBOLIC_CAP) -> Certif
     if a.T != a.map(MultiPoly.negate_variables):
         raise RuntimeError(f"order {n}: A^T is not A(-b); the family is malformed")
     m = n - 1
-    d11, d12 = leading_row_minors(a, [range(m), range(1, n)])
+    d11, d12 = shared_column_minors(a, range(m), range(1, m), (0, m))
     d21 = d12.negate_variables()
     residual = d12 + d21 - 2 * d11
     return CertificateReport(
@@ -98,24 +99,25 @@ def verify_reduced_case(n: int) -> CertificateReport:
     square residual taken in the factored form (s(K) - s(C))(s(K) + s(C)) of
     the proof.
 
-    K and C share the rows 1..m, so for even m one row expansion of B gives
-    both determinants.  For odd m, s(X) = 1^T adj(X) 1 is minus the bordered
-    determinant, det [[0, 1^T], [1, X]] = -1^T adj(X) 1, and the bordered
-    matrices of K and C are the minors of M = [[0, 1^T], [1, B]] on its
-    first n rows and the columns {0} u K, {0} u C; one row expansion of M
-    gives both."""
+    K and C share the rows 1..m and the columns 2..m, so for even m one
+    expansion of B along those columns gives both determinants.  For odd m,
+    s(X) = 1^T adj(X) 1 is minus the bordered determinant,
+    det [[0, 1^T], [1, X]] = -1^T adj(X) 1, and the bordered matrices of K
+    and C are the minors of M = [[0, 1^T], [1, B]] on its first n rows and
+    the columns {0} u K, {0} u C, which share all but M's columns 1 and n;
+    one expansion of M along the shared columns gives both."""
     if n < 3:
         raise ValueError(f"reduced case needs order >= 3, got {n}")
     m = n - 1
     b = generic_skew_toeplitz(n)
     if m % 2 == 0:
-        det_k, det_c = leading_row_minors(b, [range(m), range(1, n)])
+        det_k, det_c = shared_column_minors(b, range(m), range(1, m), (0, m))
         residual = det_c - det_k
         ok = residual == 0
         instance = {"m": m, "parity": "even"}
     else:
         bordered = Matrix.from_rows([[0] + [1] * n] + [[1] + r for r in b.to_rows()])
-        neg_s_k, neg_s_c = leading_row_minors(bordered, [range(n), (0, *range(2, n + 1))])
+        neg_s_k, neg_s_c = shared_column_minors(bordered, range(n), (0, *range(2, n)), (1, n))
         s_k, s_c = -neg_s_k, -neg_s_c
         residual = s_c - s_k
         square_residual = (s_k - s_c) * (s_k + s_c)
@@ -169,7 +171,7 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
         ok = transpose_ok and s_val == 0
         residual = str(s_val)
     else:
-        (d,) = leading_row_minors(y, [range(m)])
+        (d,) = shared_column_minors(y, range(m), range(1, m), (0,))
         ok = transpose_ok and d == 0
         residual = str(d)
     instance["adjugate_transpose_identity"] = bool(transpose_ok)

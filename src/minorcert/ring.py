@@ -342,9 +342,9 @@ def sum_of_products(pairs, *, keys=None):
     ``keys`` is an optional dict from packed monomial to itself that
     several calls share: the result's keys are taken from it, and its new
     monomials added to it, so that equal monomials of those results are one
-    int object in place of one per polynomial.  The row expansion passes
-    one table per level, and the split-Laplace adjugate one for all its
-    entries.
+    int object in place of one per polynomial.  The Laplace expansion
+    passes one table per level and one for the minors it closes, and the
+    split-Laplace adjugate one for all its entries.
     """
     pairs = list(pairs)
     ref = next(

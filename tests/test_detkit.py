@@ -15,8 +15,8 @@ from minorcert.detkit import (
     det_bareiss,
     det_cofactor,
     det_condensation,
-    leading_row_minors,
     s_functional,
+    shared_column_minors,
 )
 from minorcert.matrix import (
     Matrix,
@@ -576,7 +576,8 @@ def test_det_dispatcher():
 
 
 def _whole(a):
-    (d,) = leading_row_minors(a, [range(a.cols)])
+    n = a.cols
+    (d,) = shared_column_minors(a, range(n), range(n - 1), (n - 1,))
     return d
 
 
@@ -615,41 +616,74 @@ def test_row_expansion_with_a_zero_polynomial_row(r):
     a = Matrix.from_rows(rows)
     d = _whole(a)
     assert d == 0 and str(d) == "0"
-    assert leading_row_minors(a, [range(r + 1), range(r)])[0] == 0
+    assert shared_column_minors(a, range(r + 1), range(r), (r,)) == [0]
 
 
-def test_row_expansion_several_targets_of_different_sizes():
-    stream = substream(311, 0)
-    a = Matrix(5, 7, [stream.randint(-9, 9) for _ in range(35)])
-    targets = [(0, 1, 2, 3, 4), (6, 2, 0), (1,), (5, 6), (2, 4, 6), (6, 2, 0)]
-    got = leading_row_minors(a, targets)
-    rows = a.to_rows()
-    for cols, d in zip(targets, got):
-        cols = sorted(cols)
-        block = Matrix.from_rows([[rows[i][j] for j in cols] for i in range(len(cols))])
-        assert d == det_cofactor(block)
+def _bareiss_minor(a, rows, cols):
+    table = a.to_rows()
+    return det_bareiss(Matrix.from_rows([[table[i][j] for j in cols] for i in rows]))
 
 
-def test_row_expansion_empty_target_is_one():
-    assert leading_row_minors(HAND_EXAMPLE, [()]) == [1]
-    assert leading_row_minors(HAND_EXAMPLE, [(), (0, 1, 2)]) == [1, -3]
-    assert leading_row_minors(HAND_EXAMPLE, []) == []
+@pytest.mark.parametrize("scalar", ["int", "poly"])
+@pytest.mark.parametrize("width", [4, 7])
+def test_shared_column_minors_match_bareiss_on_square_and_wide_matrices(scalar, width):
+    # extra columns left of, between and right of the shared ones, and rows
+    # out of order; the oracle is Bareiss on each block
+    stream = substream(311, width)
+    if scalar == "int":
+        a = Matrix(4, width, [stream.randint(-9, 9) for _ in range(4 * width)])
+    else:
+        a = Matrix.from_rows(random_poly_matrix(stream, width, nvars=2).to_rows()[:4])
+    rows = (2, 0, 3, 1)
+    if width == 4:
+        # square: the one extra column is each column in turn
+        cases = [([j for j in range(4) if j != c], [c]) for c in range(4)]
+    else:
+        cases = [((5, 1, 3), [0, 2, 4, 6])]
+    for shared, extra in cases:
+        want = [_bareiss_minor(a, rows, sorted((*shared, c))) for c in extra]
+        assert shared_column_minors(a, rows, shared, extra) == want
+        assert all(want)
+
+
+def test_shared_column_minors_with_no_shared_column():
+    # one row, no shared column: each minor is an entry; `verify johnson
+    # --n 2` takes this path
+    assert shared_column_minors(HAND_EXAMPLE, (1,), (), (0, 2)) == [4, 6]
+    assert shared_column_minors(HAND_EXAMPLE, range(3), (0, 1), ()) == []
+    assert shared_column_minors(HAND_EXAMPLE, range(3), (2, 1), (0,)) == [-3]
+    assert shared_column_minors(HAND_EXAMPLE, range(2), (1,), (0, 2)) == [-3, -3]
+    d11, d12 = shared_column_minors(johnson_family(2), (0,), (), (0, 1))
+    assert (d11, d12) == (johnson_family(2)[0, 0], johnson_family(2)[0, 1])
+    assert cli.main(["verify", "johnson", "--n", "2"]) == 0
 
 
 def test_row_expansion_rejects_bad_targets():
-    for bad in ([(0, 0)], [(0, 3)], [(-1, 0)]):
+    bad = [
+        ((0, 0, 1), (1, 2), (0,)),  # repeated row
+        ((0, 1, 2), (1, 1), (0,)),  # repeated shared column
+        ((0, 1), (1,), (0, 0)),  # repeated extra column
+        ((0, 1, 3), (1, 2), (0,)),  # row out of range
+        ((0, -1), (1,), (0,)),  # negative row
+        ((0, 1), (3,), (0,)),  # shared column out of range
+        ((0, 1), (1,), (-1,)),  # negative extra column
+        ((0, 1), (1,), (0, 1)),  # extra column also shared
+        ((0, 1, 2), (1,), (0,)),  # one row too many
+        ((0,), (1,), (0,)),  # one row too few
+    ]
+    for args in bad:
         with pytest.raises(ValueError):
-            leading_row_minors(HAND_EXAMPLE, bad)
+            shared_column_minors(HAND_EXAMPLE, *args)
     with pytest.raises(ValueError):
-        leading_row_minors(Matrix(2, 3, [1] * 6), [(0, 1, 2)])
+        shared_column_minors(Matrix(2, 3, [1] * 6), range(3), (1, 2), (0,))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_row_expansion_gives_the_johnson_minors_of_bareiss(n):
     a = johnson_family(n)
     m = n - 1
-    d11, d12 = leading_row_minors(a, [range(m), range(1, n)])
-    (d21,) = leading_row_minors(a.T, [range(1, n)])
+    d11, d12 = shared_column_minors(a, range(m), range(1, m), (0, m))
+    _, d21 = shared_column_minors(a.T, range(m), range(1, m), (0, m))
     assert d11 == det_bareiss(a.block(m, 1, 1))
     assert d12 == det_bareiss(a.block(m, 1, 2))
     assert d21 == det_bareiss(a.block(m, 2, 1))
@@ -692,12 +726,12 @@ def test_polynomial_adjugate_entries_share_keys():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_d21_from_the_sign_symmetry_matches_the_transpose_expansion(n):
     # the certificate takes det A_m(2,1) as d12(-b); the oracles are the
-    # direct row expansion of A^T and, up to order 8, Bareiss on the block
+    # direct expansion of A^T and, up to order 8, Bareiss on the block
     a = johnson_family(n)
     m = n - 1
-    _, d12 = leading_row_minors(a, [range(m), range(1, n)])
+    _, d12 = shared_column_minors(a, range(m), range(1, m), (0, m))
     d21 = d12.negate_variables()
-    assert [d21] == leading_row_minors(a.T, [range(1, n)])
+    assert [d21] == shared_column_minors(a.T, range(m), range(1, m), (m,))
     if n <= 8:
         assert d21 == det_bareiss(a.block(m, 2, 1))
 

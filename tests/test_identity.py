@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from minorcert import detkit as detkit_module
 from minorcert import identity as identity_module
 from minorcert.detkit import (
     adjugate,
     contiguous_minors,
     det_bareiss,
-    leading_row_minors,
     s_functional,
+    shared_column_minors,
 )
 from minorcert.identity import (
     DEFAULT_SYMBOLIC_CAP,
@@ -38,7 +39,7 @@ from minorcert.matrix import (
     zeros,
 )
 from minorcert.report import UndecidedError
-from minorcert.ring import MultiPoly, variables
+from minorcert.ring import MultiPoly, sum_of_products, variables
 from minorcert.rng import random_skew, substream
 
 
@@ -64,6 +65,22 @@ def test_johnson_symbolic_small_orders(n):
     assert rep.claim == f"johnson_symbolic_n{n}"
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_johnson_symbolic_builds_at_most_2_to_the_m_minors(monkeypatch, n):
+    # one sum_of_products call per minor built: the 2^m - 2 sub-minors on
+    # the shared columns and the two targets (m = n - 1); a row expansion
+    # over the column subsets of both targets makes 2^m - 1 + 2^(m-1)
+    calls = []
+
+    def counted(pairs, **kwargs):
+        calls.append(1)
+        return sum_of_products(pairs, **kwargs)
+
+    monkeypatch.setattr(detkit_module, "sum_of_products", counted)
+    assert verify_johnson_symbolic(n).verified
+    assert len(calls) <= 2 ** (n - 1)
+
+
 def test_johnson_rejects_out_of_range():
     cap = DEFAULT_SYMBOLIC_CAP
     with pytest.raises(ValueError):
@@ -74,7 +91,7 @@ def test_johnson_rejects_out_of_range():
 
 
 def test_johnson_symbolic_order_9_peaks_under_2_mib():
-    # the row expansion drops each sub-minor after its last superset and
+    # the column expansion drops each sub-minor after its last superset and
     # shares monomial keys within a level; two whole levels with one key
     # object per term peak at 2.9 MiB
     tracemalloc.start()
@@ -161,15 +178,15 @@ def test_reduced_case_lemma_s_matches_adjugate_form(n):
     # agree with the adjugate form 1^T adj(X) 1, the independent oracle
     m = n - 1
     b = generic_skew_toeplitz(n)
-    blocks = [range(m), range(1, n)]
-    det_k, det_c = leading_row_minors(b, blocks)
-    det_jk, det_jc = leading_row_minors(johnson_family(n), blocks)
+    blocks = (range(m), range(1, m), (0, m))
+    det_k, det_c = shared_column_minors(b, *blocks)
+    det_jk, det_jc = shared_column_minors(johnson_family(n), *blocks)
     s_k = s_functional(b.block(m, 1, 1))
     s_c = s_functional(b.block(m, 1, 2))
     assert det_jk - det_k == s_k
     assert det_jc - det_c == s_c
     bordered = Matrix.from_rows([[0] + [1] * n] + [[1] + r for r in b.to_rows()])
-    neg_s_k, neg_s_c = leading_row_minors(bordered, [range(n), (0, *range(2, n + 1))])
+    neg_s_k, neg_s_c = shared_column_minors(bordered, range(n), (0, *range(2, n)), (1, n))
     assert (-neg_s_k, -neg_s_c) == (s_k, s_c)
 
 
@@ -178,12 +195,12 @@ def test_reduced_case_factored_square_matches_direct_squares(n):
     # the odd-order square residual is taken as (s_K - s_C)(s_K + s_C); the
     # direct squares s_K^2 - s_C^2 are the oracle, on s_C as certified and
     # on a perturbed s_C whose residual is not zero.  s_K and s_C come from
-    # the rank-one expansion (row expansions of B and J + B), independent
+    # the rank-one expansion (expansions of B and J + B), independent
     # of the bordered expansion the reduced case takes them from
     m = n - 1
-    blocks = [range(m), range(1, n)]
-    det_k, det_c = leading_row_minors(generic_skew_toeplitz(n), blocks)
-    det_jk, det_jc = leading_row_minors(johnson_family(n), blocks)
+    blocks = (range(m), range(1, m), (0, m))
+    det_k, det_c = shared_column_minors(generic_skew_toeplitz(n), *blocks)
+    det_jk, det_jc = shared_column_minors(johnson_family(n), *blocks)
     s_k = det_jk - det_k
     s_c = det_jc - det_c
     rep = verify_reduced_case(n)
@@ -206,12 +223,12 @@ def test_reduced_case_takes_one_row_expansion(monkeypatch, n):
     # once for (-s(K), -s(C)); Bareiss and the adjugate form are the oracles
     calls = []
 
-    def counted(a, column_sets):
-        minors = leading_row_minors(a, column_sets)
+    def counted(*args):
+        minors = shared_column_minors(*args)
         calls.append(minors)
         return minors
 
-    monkeypatch.setattr(identity_module, "leading_row_minors", counted)
+    monkeypatch.setattr(identity_module, "shared_column_minors", counted)
     assert verify_reduced_case(n).verified
     m = n - 1
     b = generic_skew_toeplitz(n)
@@ -227,11 +244,11 @@ def test_reduced_case_takes_one_row_expansion(monkeypatch, n):
 def test_reduced_case_refutes_a_doctored_minor(monkeypatch, n):
     # one added to det C (even m = 4) or to -s(C) (odd m = 5): both branches
     # can fail
-    def doctored(a, column_sets):
-        first, second = leading_row_minors(a, column_sets)
+    def doctored(*args):
+        first, second = shared_column_minors(*args)
         return [first, second + 1]
 
-    monkeypatch.setattr(identity_module, "leading_row_minors", doctored)
+    monkeypatch.setattr(identity_module, "shared_column_minors", doctored)
     rep = verify_reduced_case(n)
     assert rep.status == "refuted"
     assert rep.residual != "0"

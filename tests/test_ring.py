@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from minorcert.detkit import leading_row_minors
+from minorcert.detkit import shared_column_minors
 from minorcert.matrix import Matrix
 from minorcert.ring import (
     ExactDivisionError,
@@ -187,7 +187,7 @@ def test_sum_of_products_guards_every_product_degree():
     with pytest.raises(OverflowError):
         sum_of_products([(1, small, small), (1, big, big)])
     with pytest.raises(OverflowError):
-        leading_row_minors(Matrix.from_rows([[big, 1], [1, big]]), [(0, 1)])
+        shared_column_minors(Matrix.from_rows([[big, 1], [1, big]]), (0, 1), (1,), (0,))
 
 
 @settings(max_examples=60, deadline=None)
