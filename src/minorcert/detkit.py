@@ -16,11 +16,12 @@ One production engine per scalar world:
   extra column and never divides, so its intermediate results are
   sub-minors and stay small where Bareiss swells.  Each minor is one
   ``ring.sum_of_products`` call: its signed products go into a single
-  accumulator, with no intermediate product or partial sum.  A level step
-  drops each sub-minor once the last minor that reads it is built, and the
-  minors of a level share one key object per monomial, so the two levels of
-  a step are never both whole and a monomial's key is stored once per
-  level, not once per term.
+  accumulator, with no intermediate product or partial sum.  The level
+  step ``_expand_level`` lists a level's index sets itself and drops each
+  sub-minor once its last reader is built (the sub-minor plus the largest
+  index it lacks), and the minors of a level share one key object per
+  monomial, so the two levels of a step are never both whole and a
+  monomial's key is stored once per level, not once per term.
 
 ``adjugate`` (cofactor transpose, exact on singular matrices) takes one path
 per scalar world, chosen by the kind of its entries:
@@ -231,40 +232,37 @@ def det_condensation(a: Matrix):
     return cur[0][0]
 
 
-def shared_column_minors(a: Matrix, rows, shared, extra) -> list:
+def shared_column_minors(a: Matrix, shared, extra) -> list:
     """Division-free memoized column expansion (Gentleman & Johnson 1976)
     of minors that share all but one column.
 
-    For each column c of ``extra``, in order, returns
-    det a[rows, sorted(shared + {c})], with ``rows`` taken in the order
-    given; there must be one more row than shared column, and no column
-    may repeat.  The minors of every row subset R on the first k of the
-    sorted shared columns are built level by level, keyed by the bit mask
-    of R's positions in ``rows``,
+    For each column c of ``extra``, in order, returns det a[R, sorted(shared
+    + {c})] on the leading rows R = 0..m-1 of ``a``, m = len(shared) + 1; no
+    column may repeat.  The minors of every row subset R on the first k of
+    the sorted shared columns are built level by level, keyed by the bit
+    mask of R,
 
-        D[R] = sum_{p, i = R[p]} (-1)^(k-1+p) a[rows[i]][shared[k-1]] D[R - {i}],
+        D[R] = sum_{p, i = R[p]} (-1)^(k-1+p) a[i][shared[k-1]] D[R - {i}],
 
     D[{}] = 1, by the level step ``_expand_level`` with each column for its
-    row (a determinant is its transpose's): 2^m - 2 sub-minors for m rows,
-    built once for every c.  Each c is then one ``sum_of_products`` call
-    along its column, taken last, over the m sub-minors of the last level,
-    with the sign (-1)^(number of shared columns greater than c) that moves
-    it into place; the calls share one ``keys`` table.  No ring division is
-    made, so nothing swells beyond the minors themselves.
+    row (a determinant is its transpose's): 2^m - 2 sub-minors, built once
+    for every c.  Each c is then one ``sum_of_products`` call along its
+    column, taken last, over the m sub-minors of the last level, with the
+    sign (-1)^(number of shared columns greater than c) that moves it into
+    place; the calls share one ``keys`` table.  No ring division is made, so
+    nothing swells beyond the minors themselves.
     """
-    rows, cols, extra = list(rows), sorted(shared), list(extra)
-    m = len(rows)
-    if m != len(cols) + 1:
-        raise ValueError(f"{m} rows need {m - 1} shared columns, got {len(cols)}")
-    for name, idx, bound in (("rows", rows, a.rows), ("columns", cols + extra, a.cols)):
-        if len(set(idx)) != len(idx) or not all(0 <= i < bound for i in idx):
-            raise ValueError(f"{name} {idx} repeat or leave a {a.rows}x{a.cols} matrix")
-    table = a.to_rows()
-    picked = [table[r] for r in rows]
+    cols, extra = sorted(shared), list(extra)
+    m = len(cols) + 1
+    if m > a.rows:
+        raise ValueError(f"{m - 1} shared columns need {m} rows, got {a.rows}")
+    idx = cols + extra
+    if len(set(idx)) != len(idx) or not all(0 <= i < a.cols for i in idx):
+        raise ValueError(f"columns {idx} repeat or leave a {a.rows}x{a.cols} matrix")
+    picked = a.to_rows()[:m]
     prev = {0: 1}
     for k, c in enumerate(cols, 1):
-        level = {sum(1 << i for i in sub): sub for sub in combinations(range(m), k)}
-        prev = _expand_level([r[c] for r in picked], k, prev, level)
+        prev = _expand_level([r[c] for r in picked], k, prev)
     full = (1 << m) - 1
     keys = {}
     results = []
@@ -279,42 +277,40 @@ def shared_column_minors(a: Matrix, rows, shared, extra) -> list:
     return results
 
 
-def _expand_level(row, k, prev, level) -> dict:
+def _expand_level(line, k, prev) -> dict:
     """One level of the Laplace expansion, along rows or, with each column
     for its row, along columns (a determinant is its transpose's): for each
-    index set S of ``level`` (bit mask -> sorted indices, |S| = k), the
-    k x k minor whose last row is ``row``, from ``prev``, the minors of the
-    k - 1 rows above it on every (k-1)-subset of S (keyed by mask):
+    k-subset S of the indices of ``line``, in ``combinations`` order and
+    keyed by bit mask, the k x k minor whose last row is ``line``, from
+    ``prev``, the minors of the k - 1 rows above it on every (k-1)-subset:
 
-        D[S] = sum_{p, j = S[p]} (-1)^(k-1+p) row[j] prev[S - {j}].
+        D[S] = sum_{p, j = S[p]} (-1)^(k-1+p) line[j] prev[S - {j}].
 
     Zero entries and zero sub-minors are skipped, and each D[S] is one
-    ``sum_of_products`` call.  Two things keep the step small: each
-    sub-minor is deleted from ``prev`` as soon as the last set of ``level``
-    that reads it is built, so a caller that reads ``prev`` afterwards
-    passes a copy; and the minors of the level share one key object per
-    monomial, through one ``keys`` table for all their calls."""
-    last_reader = {}
-    for mask, sub in level.items():
-        for j in sub:
-            last_reader[mask ^ (1 << j)] = mask
-    spent_after = {}
-    for sub_mask, mask in last_reader.items():
-        spent_after.setdefault(mask, []).append(sub_mask)
+    ``sum_of_products`` call.  Two things keep the step small.  Each
+    sub-minor T is deleted from ``prev`` as soon as its last reader is
+    built, T plus the largest index T lacks: right after S, each S - {j}
+    with j above S's largest missing index; so ``prev`` is left empty, and a
+    caller that reads it afterwards passes a copy.  And the minors of the
+    level share one key object per monomial, through one ``keys`` table for
+    all their calls."""
+    n = len(line)
+    full = (1 << n) - 1
     keys = {}
     cur = {}
-    for mask, sub in level.items():
+    for sub in combinations(range(n), k):
+        mask = sum(1 << j for j in sub)
         pairs = []
         for p, j in enumerate(sub):
-            e = row[j]
+            e = line[j]
             if not e:
                 continue
             d = prev[mask ^ (1 << j)]
             if d:
                 pairs.append((-1 if (k - 1 + p) % 2 else 1, e, d))
         cur[mask] = sum_of_products(pairs, keys=keys)
-        for sub_mask in spent_after.get(mask, ()):
-            del prev[sub_mask]
+        for j in range((full ^ mask).bit_length(), n):
+            del prev[mask ^ (1 << j)]
     return cur
 
 
@@ -366,7 +362,7 @@ def _adjugate_cayley_hamilton(rows) -> Matrix:
 
 
 def _adjugate_split_laplace(rows, zero) -> Matrix:
-    """adj(A) of order n >= 2 from one row expansion downwards and one
+    """adj(A) of order n >= 1 from one row expansion downwards and one
     upwards, joined by Laplace expansion along the rows above the dropped one.
 
     The minor without row j and column i splits along rows 0..j-1:
@@ -375,26 +371,23 @@ def _adjugate_split_laplace(rows, zero) -> Matrix:
 
     over the j-subsets S of C_i = [n] - {i}, with pos(S) the sum of the
     0-based positions of S in C_i, T_j[S] the minor on rows 0..j-1 and
-    B_k[U] the minor on the last k rows.  The B levels are built first, from
-    the last row up by the same level step, which reads their rows in reverse
-    order and so gives (-1)^(k(k-1)/2) B_k; the step gets a copy of each,
-    since it drops the sub-minors it has read.  Each B level is popped for
-    its column of the adjugate and then dropped, and only the current T
-    level is kept.  The signs,
+    B_k[U] the minor on the last k rows, each keyed by the bit mask of its
+    columns.  The B levels are built first, from the last row up by the
+    same level step, which reads their rows in reverse order and so gives
+    (-1)^(k(k-1)/2) B_k; the step gets a copy of each, since it empties the
+    level it reads.  Each B level is popped for its column of the adjugate
+    and then dropped, and only the current T level is kept.  The signs,
     the cofactor's (-1)^(i+j) included, go into the pairs, so each entry is
     one ``sum_of_products`` call, and all n^2 calls share one ``keys`` table,
     so that a monomial's key is one object per adjugate, not one per entry;
     the table is local, so it holds no key once the adjugate is returned.
     Adding ``zero``, the zero of the entries' ring, lifts an int result (a
-    join with no nonzero product, or one of int entries only) into it."""
+    join with no nonzero product, or one of int entries only) into it: at
+    n = 1 the one entry is that ring's 1."""
     n = len(rows)
-    levels = [
-        {sum(1 << c for c in sub): sub for sub in combinations(range(n), k)}
-        for k in range(n)
-    ]
     bottom = [{0: 1}]
     for k in range(1, n):
-        bottom.append(_expand_level(rows[n - k], k, dict(bottom[-1]), levels[k]))
+        bottom.append(_expand_level(rows[n - k], k, dict(bottom[-1])))
     full = (1 << n) - 1
     odd = sum(1 << c for c in range(1, n, 2))
     out = [None] * (n * n)
@@ -419,7 +412,7 @@ def _adjugate_split_laplace(rows, zero) -> Matrix:
         for i in range(n):
             out[i * n + j] = sum_of_products(pairs[i], keys=keys) + zero
         if k:
-            top = _expand_level(rows[j], j + 1, top, levels[j + 1])
+            top = _expand_level(rows[j], j + 1, top)
     return Matrix(n, n, out)
 
 
@@ -434,14 +427,14 @@ def adjugate(a: Matrix) -> Matrix:
     O(n^4), exact on singular matrices.  Floats and complex: Bareiss minors
     on a shared prefix, since Cayley-Hamilton is numerically unstable; the
     ``det_bareiss`` kernel runs each shared step once and finishes each
-    minor, so every minor keeps the bits of its own ``det_bareiss``."""
+    minor, so every minor keeps the bits of its own ``det_bareiss``.  At
+    order 1 each path gives 1: the int 1 for numbers, the ring's 1 for
+    polynomials."""
     _require_square(a)
     n = a.rows
     if n == 0:
         raise ValueError("adjugate needs order >= 1")
     poly = next((x for x in a.entries() if isinstance(x, MultiPoly)), None)
-    if n == 1:
-        return Matrix(1, 1, [1 if poly is None else MultiPoly.const(1, poly.nvars)])
     rows = a.to_rows()
     if poly is not None:
         return _adjugate_split_laplace(rows, MultiPoly(poly.nvars))

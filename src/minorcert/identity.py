@@ -81,7 +81,7 @@ def verify_johnson_symbolic(n: int, max_n: int = DEFAULT_SYMBOLIC_CAP) -> Certif
     if a.T != a.map(MultiPoly.negate_variables):
         raise RuntimeError(f"order {n}: A^T is not A(-b); the family is malformed")
     m = n - 1
-    d11, d12 = shared_column_minors(a, range(m), range(1, m), (0, m))
+    d11, d12 = shared_column_minors(a, range(1, m), (0, m))
     d21 = d12.negate_variables()
     residual = d12 + d21 - 2 * d11
     return CertificateReport(
@@ -111,13 +111,13 @@ def verify_reduced_case(n: int) -> CertificateReport:
     m = n - 1
     b = generic_skew_toeplitz(n)
     if m % 2 == 0:
-        det_k, det_c = shared_column_minors(b, range(m), range(1, m), (0, m))
+        det_k, det_c = shared_column_minors(b, range(1, m), (0, m))
         residual = det_c - det_k
         ok = residual == 0
         instance = {"m": m, "parity": "even"}
     else:
         bordered = Matrix.from_rows([[0] + [1] * n] + [[1] + r for r in b.to_rows()])
-        neg_s_k, neg_s_c = shared_column_minors(bordered, range(n), (0, *range(2, n)), (1, n))
+        neg_s_k, neg_s_c = shared_column_minors(bordered, (0, *range(2, n)), (1, n))
         s_k, s_c = -neg_s_k, -neg_s_c
         residual = s_c - s_k
         square_residual = (s_k - s_c) * (s_k + s_c)
@@ -171,7 +171,7 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
         ok = transpose_ok and s_val == 0
         residual = str(s_val)
     else:
-        (d,) = shared_column_minors(y, range(m), range(1, m), (0,))
+        (d,) = shared_column_minors(y, range(1, m), (0,))
         ok = transpose_ok and d == 0
         residual = str(d)
     instance["adjugate_transpose_identity"] = bool(transpose_ok)

@@ -261,7 +261,7 @@ def test_internal_error_is_a_usage_error(monkeypatch, capsys):
 def test_any_internal_exception_is_a_usage_error(monkeypatch, tmp_path, capsys):
     # an exact division with a remainder is a ring-contract bug, not a
     # refutation: status 2, a one-line message and no report
-    def broken(a, rows, shared, extra):
+    def broken(a, shared, extra):
         raise ExactDivisionError("remainder in a ring that promised none")
 
     monkeypatch.setattr(identity, "shared_column_minors", broken)

@@ -232,13 +232,29 @@ def _check_polynomial_adjugate(a):
 
 
 def test_polynomial_adjugate_entries_are_all_polynomials():
-    # the zero diagonal of a skew adjugate joins no nonzero product, and a
-    # 1x1 adjugate is the one of the entry's ring
+    # the zero diagonal of a skew adjugate joins no nonzero product
     adj = adjugate(generic_skew_toeplitz(6))
     assert all(isinstance(x, MultiPoly) for x in adj.entries())
     assert adj[0, 0].negate_variables() == 0
-    one = adjugate(Matrix(1, 1, [variables(2)[0]]))[0, 0]
-    assert isinstance(one, MultiPoly) and one.nvars == 2 and one == 1
+
+
+@pytest.mark.parametrize(
+    "entry", [5, 0, Fraction(2, 3), 2.5, 0.0, 1.5 - 2j, 0j], ids=repr
+)
+def test_adjugate_of_order_one_of_a_number_is_the_int_one(entry):
+    # every number path gives the int 1 at order 1, whatever the entry
+    (one,) = adjugate(Matrix(1, 1, [entry])).entries()
+    assert type(one) is int and one == 1
+
+
+def test_adjugate_of_order_one_of_a_polynomial_is_the_ring_one():
+    # split Laplace gives the one of the entry's ring at order 1, for a
+    # variable, a constant and the zero polynomial
+    for nvars in (1, 2, 3):
+        for entry in (variables(nvars)[-1], MultiPoly.const(-4, nvars), MultiPoly(nvars)):
+            (one,) = adjugate(Matrix(1, 1, [entry])).entries()
+            assert isinstance(one, MultiPoly) and one.nvars == nvars
+            assert one == 1 and str(one) == "1"
 
 
 @pytest.mark.parametrize("r", range(5))
@@ -577,7 +593,7 @@ def test_det_dispatcher():
 
 def _whole(a):
     n = a.cols
-    (d,) = shared_column_minors(a, range(n), range(n - 1), (n - 1,))
+    (d,) = shared_column_minors(a, range(n - 1), (n - 1,))
     return d
 
 
@@ -616,7 +632,7 @@ def test_row_expansion_with_a_zero_polynomial_row(r):
     a = Matrix.from_rows(rows)
     d = _whole(a)
     assert d == 0 and str(d) == "0"
-    assert shared_column_minors(a, range(r + 1), range(r), (r,)) == [0]
+    assert shared_column_minors(a, range(r), (r,)) == [0]
 
 
 def _bareiss_minor(a, rows, cols):
@@ -634,7 +650,11 @@ def test_shared_column_minors_match_bareiss_on_square_and_wide_matrices(scalar, 
         a = Matrix(4, width, [stream.randint(-9, 9) for _ in range(4 * width)])
     else:
         a = Matrix.from_rows(random_poly_matrix(stream, width, nvars=2).to_rows()[:4])
+    # the engine reads the leading four rows of a matrix whose rows are the
+    # rows (2, 0, 3, 1) of ``a`` and whose fifth row it must not read
     rows = (2, 0, 3, 1)
+    table = a.to_rows()
+    permuted = Matrix.from_rows([table[r] for r in rows] + [[x + 1 for x in table[0]]])
     if width == 4:
         # square: the one extra column is each column in turn
         cases = [([j for j in range(4) if j != c], [c]) for c in range(4)]
@@ -642,74 +662,85 @@ def test_shared_column_minors_match_bareiss_on_square_and_wide_matrices(scalar, 
         cases = [((5, 1, 3), [0, 2, 4, 6])]
     for shared, extra in cases:
         want = [_bareiss_minor(a, rows, sorted((*shared, c))) for c in extra]
-        assert shared_column_minors(a, rows, shared, extra) == want
+        assert shared_column_minors(permuted, shared, extra) == want
         assert all(want)
 
 
 def test_shared_column_minors_with_no_shared_column():
-    # one row, no shared column: each minor is an entry; `verify johnson
-    # --n 2` takes this path
-    assert shared_column_minors(HAND_EXAMPLE, (1,), (), (0, 2)) == [4, 6]
-    assert shared_column_minors(HAND_EXAMPLE, range(3), (0, 1), ()) == []
-    assert shared_column_minors(HAND_EXAMPLE, range(3), (2, 1), (0,)) == [-3]
-    assert shared_column_minors(HAND_EXAMPLE, range(2), (1,), (0, 2)) == [-3, -3]
-    d11, d12 = shared_column_minors(johnson_family(2), (0,), (), (0, 1))
+    # one row, no shared column: each minor is an entry of the first row
+    # (here the hand example's second row); `verify johnson --n 2` takes
+    # this path
+    second_row = Matrix.from_rows(HAND_EXAMPLE.to_rows()[1:])
+    assert shared_column_minors(second_row, (), (0, 2)) == [4, 6]
+    assert shared_column_minors(HAND_EXAMPLE, (), (0, 2)) == [1, 3]
+    assert shared_column_minors(HAND_EXAMPLE, (0, 1), ()) == []
+    assert shared_column_minors(HAND_EXAMPLE, (2, 1), (0,)) == [-3]
+    assert shared_column_minors(HAND_EXAMPLE, (1,), (0, 2)) == [-3, -3]
+    d11, d12 = shared_column_minors(johnson_family(2), (), (0, 1))
     assert (d11, d12) == (johnson_family(2)[0, 0], johnson_family(2)[0, 1])
     assert cli.main(["verify", "johnson", "--n", "2"]) == 0
 
 
 def test_row_expansion_rejects_bad_targets():
     bad = [
-        ((0, 0, 1), (1, 2), (0,)),  # repeated row
-        ((0, 1, 2), (1, 1), (0,)),  # repeated shared column
-        ((0, 1), (1,), (0, 0)),  # repeated extra column
-        ((0, 1, 3), (1, 2), (0,)),  # row out of range
-        ((0, -1), (1,), (0,)),  # negative row
-        ((0, 1), (3,), (0,)),  # shared column out of range
-        ((0, 1), (1,), (-1,)),  # negative extra column
-        ((0, 1), (1,), (0, 1)),  # extra column also shared
-        ((0, 1, 2), (1,), (0,)),  # one row too many
-        ((0,), (1,), (0,)),  # one row too few
+        ((1, 1), (0,)),  # repeated shared column
+        ((1,), (0, 0)),  # repeated extra column
+        ((3,), (0,)),  # shared column out of range
+        ((1,), (-1,)),  # negative extra column
+        ((1,), (0, 1)),  # extra column also shared
+        ((0, 1, 2), ()),  # more shared columns than rows
     ]
     for args in bad:
         with pytest.raises(ValueError):
             shared_column_minors(HAND_EXAMPLE, *args)
     with pytest.raises(ValueError):
-        shared_column_minors(Matrix(2, 3, [1] * 6), range(3), (1, 2), (0,))
+        # two shared columns need three rows of the 2x3 matrix
+        shared_column_minors(Matrix(2, 3, [1] * 6), (1, 2), (0,))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_row_expansion_gives_the_johnson_minors_of_bareiss(n):
     a = johnson_family(n)
     m = n - 1
-    d11, d12 = shared_column_minors(a, range(m), range(1, m), (0, m))
-    _, d21 = shared_column_minors(a.T, range(m), range(1, m), (0, m))
+    d11, d12 = shared_column_minors(a, range(1, m), (0, m))
+    _, d21 = shared_column_minors(a.T, range(1, m), (0, m))
     assert d11 == det_bareiss(a.block(m, 1, 1))
     assert d12 == det_bareiss(a.block(m, 1, 2))
     assert d21 == det_bareiss(a.block(m, 2, 1))
 
 
 def test_level_step_drops_spent_sub_minors_and_shares_keys():
-    n, k = 7, 4
-    rows = johnson_family(n).to_rows()
-
-    def level(r):
-        return {sum(1 << c for c in s): s for s in combinations(range(n), r)}
-
-    def minor(s):
-        return det_bareiss(Matrix.from_rows([[rows[i][c] for c in s] for i in range(len(s))]))
-
-    prev = {mask: minor(s) for mask, s in level(k - 1).items()}
-    cur = detkit_module._expand_level(rows[k - 1], k, prev, level(k))
-    # every sub-minor has been read by its last superset and dropped
-    assert prev == {}
-    assert all(cur[mask] == minor(s) for mask, s in level(k).items())
-    # the minors of one level share one key object per monomial
-    first = {}
-    for d in cur.values():
-        for key in d._terms:
-            assert first.setdefault(key, key) is key
-    assert len(first) < sum(len(d._terms) for d in cur.values())
+    # every line width 1..9 and level k, on int and polynomial lines with
+    # zero entries (every row of width >= 2 has one) and so zero sub-minors:
+    # each step lists its k-subsets in `combinations` order, gives the
+    # Bareiss minors of the leading k rows, empties `prev` by deleting each
+    # sub-minor after its last reader, and shares one key object per
+    # monomial among the minors of its level
+    for width in range(1, 10):
+        stream = substream(314, width)
+        for a in (random_int_matrix(stream, width), random_poly_matrix(stream, width)):
+            zero = a[0, 0] * 0
+            rows = [
+                [zero if (i + j) % 3 == 1 else x for j, x in enumerate(row)]
+                for i, row in enumerate(a.to_rows())
+            ]
+            prev = {0: 1}
+            for k in range(1, width + 1):
+                subsets = list(combinations(range(width), k))
+                want = [
+                    det_bareiss(Matrix.from_rows([[rows[i][c] for c in s] for i in range(k)]))
+                    for s in subsets
+                ]
+                spent = prev
+                cur = detkit_module._expand_level(rows[k - 1], k, spent)
+                assert spent == {}
+                assert list(cur) == [sum(1 << c for c in s) for s in subsets]
+                assert list(cur.values()) == want
+                first = {}
+                for d in cur.values():
+                    for key in getattr(d, "_terms", ()):
+                        assert first.setdefault(key, key) is key
+                prev = dict(cur)
 
 
 def test_polynomial_adjugate_entries_share_keys():
@@ -729,9 +760,9 @@ def test_d21_from_the_sign_symmetry_matches_the_transpose_expansion(n):
     # direct expansion of A^T and, up to order 8, Bareiss on the block
     a = johnson_family(n)
     m = n - 1
-    _, d12 = shared_column_minors(a, range(m), range(1, m), (0, m))
+    _, d12 = shared_column_minors(a, range(1, m), (0, m))
     d21 = d12.negate_variables()
-    assert [d21] == shared_column_minors(a.T, range(m), range(1, m), (m,))
+    assert [d21] == shared_column_minors(a.T, range(1, m), (m,))
     if n <= 8:
         assert d21 == det_bareiss(a.block(m, 2, 1))
 

@@ -187,7 +187,7 @@ def test_sum_of_products_guards_every_product_degree():
     with pytest.raises(OverflowError):
         sum_of_products([(1, small, small), (1, big, big)])
     with pytest.raises(OverflowError):
-        shared_column_minors(Matrix.from_rows([[big, 1], [1, big]]), (0, 1), (1,), (0,))
+        shared_column_minors(Matrix.from_rows([[big, 1], [1, big]]), (1,), (0,))
 
 
 @settings(max_examples=60, deadline=None)
