@@ -37,9 +37,11 @@ per scalar world, chosen by the kind of its entries:
   ``det * A^-1`` is not;
 - floats and complex: Bareiss minors on a shared prefix (Cayley-Hamilton
   is numerically unstable): the minor without column i branches off one
-  elimination of the other rows, by the same kernel, after step i - 1, with
-  the bits of its own Bareiss determinant; about n^5/12 updates in place of
-  n^5/3.
+  elimination of the other rows, by the same kernel, after step i - 1, and
+  eliminates only the trailing block that step leaves, with the bits of its
+  own Bareiss determinant; about n^5/12 updates in place of n^5/3.  So its
+  corners are the four contiguous minors, bit for bit, up to the sign
+  (-1)^(n-1) of the off-diagonal two.
 
 The all-ones quadratic form ``s_functional`` and the four contiguous minors
 ``contiguous_minors`` sit on top.  ``det_cofactor`` and ``det_condensation``
@@ -188,15 +190,17 @@ def _bareiss_steps(rows, k0, k1, state, floating: bool):
     return sign, prev
 
 
-def _bareiss_det(rows, k0, state, floating: bool):
+def _bareiss_det(rows, k0, state, floating: bool, corner=None):
     """Determinant of the square ``rows`` after steps 0..k0-1, which left
     ``state``: 1 for no rows, and a zero of the entries' own kind on an
-    exactly zero pivot."""
+    exactly zero pivot, ``rows[0][0] * 0`` or, when ``rows`` is only the
+    trailing block of a matrix, ``corner * 0`` with ``corner`` that
+    matrix's top-left entry."""
     if not rows:
         return 1
     state = _bareiss_steps(rows, k0, len(rows) - 1, state, floating)
     if state is None:
-        return rows[0][0] * 0
+        return (rows[0][0] if corner is None else corner) * 0
     result = rows[-1][-1]
     return -result if state[0] < 0 else result
 
@@ -427,8 +431,11 @@ def adjugate(a: Matrix) -> Matrix:
     O(n^4), exact on singular matrices.  Floats and complex: Bareiss minors
     on a shared prefix, since Cayley-Hamilton is numerically unstable; the
     ``det_bareiss`` kernel runs each shared step once and finishes each
-    minor, so every minor keeps the bits of its own ``det_bareiss``.  At
-    order 1 each path gives 1: the int 1 for numbers, the ring's 1 for
+    minor on the trailing block it still eliminates, so every minor keeps
+    the bits (a zero pivot's signed zero included) of its own
+    ``det_bareiss``, and the corners adj[n-1, n-1], adj[0, 0] and
+    (-1)^(n-1) adj[0, n-1], adj[n-1, 0] are ``contiguous_minors`` exactly.
+    At order 1 each path gives 1: the int 1 for numbers, the ring's 1 for
     polynomials."""
     _require_square(a)
     n = a.rows
@@ -443,16 +450,17 @@ def adjugate(a: Matrix) -> Matrix:
     out = [None] * (n * n)
     for j in range(n):
         # the rows other than j, eliminated once; the minor without column
-        # i shares its steps 0..i-1 and branches off after them
+        # i shares its steps 0..k-1, k = min(i, n - 2), and eliminates only
+        # the block they leave, whose zero pivot gives rect[0][0] * 0 if k
         rect = [list(r) for r in rows[:j] + rows[j + 1:]]
         state = (1, 1)
         for i in range(n):
+            k = max(0, min(i, n - 2))
             if state is None:  # a shared pivot was exactly zero
                 minor = rect[0][0] * 0
             else:
-                minor = _bareiss_det(
-                    [r[:i] + r[i + 1:] for r in rect], min(i, n - 2), state, floating=True
-                )
+                minor = _bareiss_det([r[k:i] + r[i + 1:] for r in rect[k:]], 0, state,
+                                     True, rect[0][0] if k else None)
                 if i < n - 2:
                     state = _bareiss_steps(rect, i, i + 1, state, floating=True)
             out[i * n + j] = -minor if (i + j) % 2 else minor

@@ -173,10 +173,26 @@ def _jacobi(h: Matrix, vectors: bool):
     return tuple(w[j][j] for j in order), order, v
 
 
-def _assemble(eig: EigenResult, diag_values) -> Matrix:
-    q = eig.vectors
-    scaled = [x * y for row in q.to_rows() for x, y in zip(row, diag_values)]
-    return Matrix(q.rows, q.rows, scaled) @ q.T
+def _sqrt_pair(eig: EigenResult):
+    """H^{1/2} and H^{-1/2}: the symmetric parts of Q diag(f(lambda)) Q^T for
+    f = sqrt and 1/sqrt, built in one pass over the eigenvectors Q with the
+    products and the left-to-right sums from 0 of ``Matrix.__matmul__``."""
+    q = eig.vectors.to_rows()
+    n = len(q)
+    roots = [math.sqrt(v) for v in eig.values]
+    inv = [1.0 / r for r in roots]
+    sq, isq = [], []
+    for row in q:
+        sr = [x * y for x, y in zip(row, roots)]
+        ir = [x * y for x, y in zip(row, inv)]
+        for qj in q:
+            s = t = 0
+            for x, y, z in zip(sr, ir, qj):
+                s = s + x * z
+                t = t + y * z
+            sq.append(s)
+            isq.append(t)
+    return _sym_part(Matrix(n, n, sq)), _sym_part(Matrix(n, n, isq))
 
 
 def _sym_part(a: Matrix) -> Matrix:
@@ -217,7 +233,8 @@ def inverse(a: Matrix) -> Matrix:
 class Accretive:
     """A real square matrix A checked to be accretive (built by
     :func:`accretive`), with its symmetric part H = (A + A^T)/2 and the
-    eigendecomposition of H that every verifier below reuses."""
+    eigendecomposition of H that every verifier below reuses; the
+    factorization and the adjugate are each built at most once."""
 
     def __init__(self, matrix: Matrix, sym: Matrix, eig: EigenResult):
         self.matrix, self.sym, self.eig = matrix, sym, eig
@@ -232,6 +249,11 @@ class Accretive:
     def factorization(self):
         """``accretive_factorize(self)``, built at most once per instance."""
         return accretive_factorize(self)
+
+    @cached_property
+    def adjugate(self) -> Matrix:
+        """``adjugate(self.matrix)``, built at most once per instance."""
+        return adjugate(self.matrix)
 
 
 def accretive(a: Matrix) -> Accretive:
@@ -261,10 +283,9 @@ def accretive_factorize(acc: Accretive):
     """
     if not acc.strict:
         raise ValueError("symmetric part is not strictly positive definite")
-    a, eig = acc.matrix, acc.eig
+    a = acc.matrix
     n = a.rows
-    h_sqrt = _sym_part(_assemble(eig, [math.sqrt(v) for v in eig.values]))
-    h_isqrt = _sym_part(_assemble(eig, [1.0 / math.sqrt(v) for v in eig.values]))
+    h_sqrt, h_isqrt = _sqrt_pair(acc.eig)
     s = h_isqrt @ ((a - a.T) / 2.0) @ h_isqrt
     skew_res = max_abs(s + s.T)
     eye = identity_matrix(n).map(float)
@@ -327,7 +348,7 @@ ACCRETIVE_TOL = 1e-8  # relative tolerance of adjugate accretivity and the margi
 def verify_adjugate_accretive(acc: Accretive) -> CertificateReport:
     """Certifies that the adjugate of an accretive matrix is accretive."""
     n = acc.matrix.rows
-    values = _jacobi(_sym_part(adjugate(acc.matrix)), False)[0]
+    values = _jacobi(_sym_part(acc.adjugate), False)[0]
     lam_min, lam_max = values[0], values[-1]
     residual = max(0.0, -lam_min / max(1.0, lam_max))
     return CertificateReport(
@@ -341,13 +362,19 @@ def verify_adjugate_accretive(acc: Accretive) -> CertificateReport:
 
 def minor_witness(a: Matrix, label: str) -> AccretiveWitness:
     """Evaluates both sides of the minor inequality on a real or complex A
-    of order >= 2.  A complex product d11*d22 goes under the square root by
-    its modulus; a negative real one (roundoff on a true zero) is clamped to
-    zero and the clamp magnitude recorded.  The caller judges the margin
-    against its own tolerance."""
+    of order >= 2, from ``contiguous_minors``.  A complex product d11*d22
+    goes under the square root by its modulus; a negative real one (roundoff
+    on a true zero) is clamped to zero and the clamp magnitude recorded.  The
+    caller judges the margin against its own tolerance.  ``accretive_suite``
+    builds the same witness from its adjugate's corners instead."""
     if a.rows < 2:
         raise ValueError("needs order >= 2")
-    d11, d22, d12, d21 = contiguous_minors(a)
+    return _witness(a, label, contiguous_minors(a))
+
+
+def _witness(a: Matrix, label: str, minors) -> AccretiveWitness:
+    """The witness of ``minor_witness`` from the minors (d11, d22, d12, d21)."""
+    d11, d22, d12, d21 = minors
     product = d11 * d22
     clamp = 0.0
     if isinstance(product, complex):
@@ -359,7 +386,7 @@ def minor_witness(a: Matrix, label: str) -> AccretiveWitness:
     return AccretiveWitness(
         label=label,
         matrix=a,
-        minors=(d11, d22, d12, d21),
+        minors=minors,
         lhs=lhs,
         rhs=rhs,
         margin=lhs - rhs,
@@ -386,7 +413,10 @@ def accretive_suite(dim: int, trials: int, seed: int) -> list[CertificateReport]
     """Per trial: draw an accretive instance (order 2..dim, every fourth one
     on the PSD boundary) and check determinant nonnegativity, adjugate
     accretivity, the minor inequality margin, and (strict instances only)
-    the factorization reconstruction."""
+    the factorization reconstruction.  The margin reads the four minors off
+    the corners of the adjugate that the accretivity check builds, d11 =
+    adj[n-1, n-1], d22 = adj[0, 0], d12 = (-1)^(n-1) adj[0, n-1] and d21 =
+    (-1)^(n-1) adj[n-1, 0], so no minor is eliminated twice."""
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     reports = []
@@ -397,7 +427,12 @@ def accretive_suite(dim: int, trials: int, seed: int) -> list[CertificateReport]
         acc = accretive(random_accretive(stream, n, boundary=boundary))
         det_rep = verify_det_positive(acc)
         adj_rep = verify_adjugate_accretive(acc)
-        witness = minor_witness(acc.matrix, f"accretive_inequality_n{n}")
+        adj, m = acc.adjugate, n - 1
+        d12, d21 = adj[0, m], adj[m, 0]
+        if m % 2:
+            d12, d21 = -d12, -d21
+        witness = _witness(acc.matrix, f"accretive_inequality_n{n}",
+                           (adj[m, m], adj[0, 0], d12, d21))
         margin_scale = max(1.0, witness.lhs + witness.rhs)
         margin_ok = witness.margin >= -ACCRETIVE_TOL * margin_scale
         checks = {

@@ -1,10 +1,11 @@
 """Deterministic pseudo-randomness for every seeded run.
 
 The generator is SplitMix64: a 64-bit counter advanced by the golden-gamma
-constant and passed through a two-round mixer.  It is tiny, fast, and easy to
-reproduce in any language, which is all a verification harness needs.
-Independent substreams come from mixing a stream index into the master seed
-with the same finalizer, so claim k always sees the same stream regardless of
+constant and passed through a two-round mixer, which lives in ``next_u64``
+alone.  It is tiny, fast, and easy to reproduce in any language, which is all
+a verification harness needs.  Independent substreams come from mixing a
+stream index into the master seed with the same finalizer (the first draw of
+a stream seeded there), so claim k always sees the same stream regardless of
 execution order or parallelism.
 
 Also hosts the seeded instance samplers (integer, polynomial and skew
@@ -32,16 +33,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
-
-
 class SplitMix64:
     __slots__ = ("_state",)
 
@@ -49,8 +40,12 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix(self._state)
+        z = self._state = (self._state + _GOLDEN) & _MASK64
+        z ^= z >> 30
+        z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+        z ^= z >> 27
+        z = (z * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi].  Plain modulo reduction; the bias is
@@ -71,8 +66,9 @@ class SplitMix64:
 
 
 def substream(master_seed: int, index: int) -> SplitMix64:
-    """Independent stream #index derived from the master seed."""
-    return SplitMix64(_mix((master_seed + (index + 1) * _GOLDEN) & _MASK64))
+    """Independent stream #index derived from the master seed: seeded with
+    the first draw of the stream at master_seed + index * golden gamma."""
+    return SplitMix64(SplitMix64(master_seed + index * _GOLDEN).next_u64())
 
 
 def random_int_matrix(stream: SplitMix64, n: int) -> Matrix:

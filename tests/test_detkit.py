@@ -431,6 +431,22 @@ def test_floating_adjugate_stays_on_the_per_minor_bareiss_path(n):
         assert got == _reprs(_adjugate_by_minors(a, naive))
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_floating_adjugate_corners_are_the_contiguous_minors(n):
+    # the accretive suite reads its four minors off the adjugate's corners:
+    # d11 = adj[n-1, n-1], d22 = adj[0, 0] and d12, d21 = (-1)^(n-1) times
+    # adj[0, n-1], adj[n-1, 0]; the branches that eliminate only a trailing
+    # block must keep every bit, the sign of a zero from a zero pivot included
+    m = n - 1
+    for a in _floating_adjugate_cases(n):
+        adj = adjugate(a)
+        d12, d21 = adj[0, m], adj[m, 0]
+        if m % 2:
+            d12, d21 = -d12, -d21
+        corners = Matrix(1, 4, [adj[m, m], adj[0, 0], d12, d21])
+        assert _bits(corners) == _bits(Matrix(1, 4, list(contiguous_minors(a))))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_floating_contiguous_minors_keep_the_bits_of_det_bareiss(n):
     stream = substream(325, n)

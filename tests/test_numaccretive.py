@@ -310,6 +310,41 @@ def test_accretive_suite_decomposes_each_matrix_once(monkeypatch):
     assert calls == {"sym_eig": trials, "_jacobi": 2 * trials, "accretive_factorize": strict}
 
 
+def test_accretive_suite_reads_its_minors_off_one_adjugate(monkeypatch):
+    # per claim one adjugate, which the accretivity check and the minor
+    # inequality share; no minor is eliminated a second time
+    calls = {"adjugate": 0, "contiguous_minors": 0, "minor_witness": 0}
+    for name in calls:
+        original = getattr(numaccretive, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(numaccretive, name, counted)
+    trials = 40
+    reports = numaccretive.accretive_suite(8, trials, seed=27)
+    assert all(r.verified for r in reports)
+    assert calls == {"adjugate": trials, "contiguous_minors": 0, "minor_witness": 0}
+
+
+def test_suite_minors_are_the_contiguous_minors_by_bits(monkeypatch):
+    # the corners the suite reads keep the bits of minor_witness's minors
+    seen = []
+    original = numaccretive._witness
+
+    def spy(a, label, minors):
+        seen.append((a, minors))
+        return original(a, label, minors)
+
+    monkeypatch.setattr(numaccretive, "_witness", spy)
+    accretive_suite(8, 40, seed=27)
+    assert len(seen) == 40
+    for a, minors in seen:
+        want = numaccretive.contiguous_minors(a)
+        assert [x.hex() for x in minors] == [x.hex() for x in want]
+
+
 def test_remark45_values():
     w = remark45_repro()
     assert abs(w.lhs - 168.78) <= 0.01
