@@ -2,7 +2,7 @@
 """Run the full verification battery and print a one-line summary per claim.
 
 Covers every certificate family: the symbolic minor identity for orders
-2..DEFAULT_SYMBOLIC_CAP (11; order 11 takes about 2 s), the reduced-case and
+2..DEFAULT_SYMBOLIC_CAP (11; order 11 takes about 1 s), the reduced-case and
 lemma suites up to the cap, the specialization values for block orders
 2..33 (about 0.3 s in all, two O(m^4) adjugates per odd order), the
 rank-one equality (exact, up to order 30, where its integer-scaled minors

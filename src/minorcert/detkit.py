@@ -14,14 +14,15 @@ One production engine per scalar world:
   adjugate: the division-free memoized Laplace expansion, which expands
   once along the columns its minors share, closes each minor along its own
   extra column and never divides, so its intermediate results are
-  sub-minors and stay small where Bareiss swells.  Each minor is one
-  ``ring.sum_of_products`` call: its signed products go into a single
-  accumulator, with no intermediate product or partial sum.  The level
-  step ``_expand_level`` lists a level's index sets itself and drops each
-  sub-minor once its last reader is built (the sub-minor plus the largest
-  index it lacks), and the minors of a level share one key object per
-  monomial, so the two levels of a step are never both whole and a
-  monomial's key is stored once per level, not once per term.
+  sub-minors and stay small where Bareiss swells.  It runs in the index
+  space of one ``ring.MonomialTable`` per call: a sub-minor maps monomial
+  numbers to coefficients, and each minor is one accumulator of its signed
+  products, each shifted through the table, with no packed key built and
+  no intermediate product or partial sum; the results become polynomials
+  only on the way out.  The level step ``_expand_level`` lists a level's
+  index sets itself and drops each sub-minor once its last reader is built
+  (the sub-minor plus the largest index it lacks), so the two levels of a
+  step are never both whole.
 
 ``adjugate`` (cofactor transpose, exact on singular matrices) takes one path
 per scalar world, chosen by the kind of its entries:
@@ -66,7 +67,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .matrix import Matrix
-from .ring import MultiPoly, exact_div, is_floating, sum_of_products
+from .ring import MonomialTable, MultiPoly, exact_div, is_floating, sum_of_products
 
 __all__ = [
     "COFACTOR_CAP",
@@ -250,11 +251,14 @@ def shared_column_minors(a: Matrix, shared, extra) -> list:
 
     D[{}] = 1, by the level step ``_expand_level`` with each column for its
     row (a determinant is its transpose's): 2^m - 2 sub-minors, built once
-    for every c.  Each c is then one ``sum_of_products`` call along its
+    for every c.  Each c is then one more sum of the same kind along its
     column, taken last, over the m sub-minors of the last level, with the
     sign (-1)^(number of shared columns greater than c) that moves it into
-    place; the calls share one ``keys`` table.  No ring division is made, so
-    nothing swells beyond the minors themselves.
+    place.  Every sum runs in the index form of one ``MonomialTable`` for
+    the call, so a monomial is numbered, and its degree checked, once, and
+    only the results are turned into polynomials (plain numbers when no
+    entry is a polynomial).  No ring division is made, so nothing swells
+    beyond the minors themselves.
     """
     cols, extra = sorted(shared), list(extra)
     m = len(cols) + 1
@@ -264,24 +268,25 @@ def shared_column_minors(a: Matrix, shared, extra) -> list:
     if len(set(idx)) != len(idx) or not all(0 <= i < a.cols for i in idx):
         raise ValueError(f"columns {idx} repeat or leave a {a.rows}x{a.cols} matrix")
     picked = a.to_rows()[:m]
-    prev = {0: 1}
+    poly = next((x for r in picked for x in r if isinstance(x, MultiPoly)), None)
+    table = MonomialTable(None if poly is None else poly.nvars)
+    prev = {0: {0: 1}}
     for k, c in enumerate(cols, 1):
-        prev = _expand_level([r[c] for r in picked], k, prev)
+        prev = _expand_level(table, [r[c] for r in picked], k, prev)
     full = (1 << m) - 1
-    keys = {}
     results = []
     for c in extra:
         base = m - 1 + sum(1 for s in cols if s > c)
         pairs = []
         for i, r in enumerate(picked):
-            e, d = r[c], prev[full ^ (1 << i)]
-            if e and d:
-                pairs.append((-1 if (base + i) % 2 else 1, e, d))
-        results.append(sum_of_products(pairs, keys=keys))
+            f, d = table.factor(r[c]), prev[full ^ (1 << i)]
+            if f and d:
+                pairs.append((-1 if (base + i) % 2 else 1, f, d))
+        results.append(table.element(table.sum_of_products(pairs)))
     return results
 
 
-def _expand_level(line, k, prev) -> dict:
+def _expand_level(table, line, k, prev) -> dict:
     """One level of the Laplace expansion, along rows or, with each column
     for its row, along columns (a determinant is its transpose's): for each
     k-subset S of the indices of ``line``, in ``combinations`` order and
@@ -290,29 +295,29 @@ def _expand_level(line, k, prev) -> dict:
 
         D[S] = sum_{p, j = S[p]} (-1)^(k-1+p) line[j] prev[S - {j}].
 
-    Zero entries and zero sub-minors are skipped, and each D[S] is one
-    ``sum_of_products`` call.  Two things keep the step small.  Each
-    sub-minor T is deleted from ``prev`` as soon as its last reader is
-    built, T plus the largest index T lacks: right after S, each S - {j}
-    with j above S's largest missing index; so ``prev`` is left empty, and a
-    caller that reads it afterwards passes a copy.  And the minors of the
-    level share one key object per monomial, through one ``keys`` table for
-    all their calls."""
+    The minors are in the index form of ``table``, the ``MonomialTable``
+    of the whole expansion, so each line entry is a few shift tables and
+    each D[S] is one ``table.sum_of_products`` call; zero entries and zero
+    sub-minors are skipped.  Each sub-minor T is deleted from ``prev`` as
+    soon as its last reader is built, T plus the largest index T lacks:
+    right after S, each S - {j} with j above S's largest missing index; so
+    ``prev`` is left empty, and a caller that reads it afterwards passes a
+    copy, and the two levels of a step are never both whole."""
     n = len(line)
     full = (1 << n) - 1
-    keys = {}
+    factors = [table.factor(e) for e in line]
     cur = {}
     for sub in combinations(range(n), k):
         mask = sum(1 << j for j in sub)
         pairs = []
         for p, j in enumerate(sub):
-            e = line[j]
-            if not e:
+            f = factors[j]
+            if not f:
                 continue
             d = prev[mask ^ (1 << j)]
             if d:
-                pairs.append((-1 if (k - 1 + p) % 2 else 1, e, d))
-        cur[mask] = sum_of_products(pairs, keys=keys)
+                pairs.append((-1 if (k - 1 + p) % 2 else 1, f, d))
+        cur[mask] = table.sum_of_products(pairs)
         for j in range((full ^ mask).bit_length(), n):
             del prev[mask ^ (1 << j)]
     return cur
@@ -376,47 +381,53 @@ def _adjugate_split_laplace(rows, zero) -> Matrix:
     over the j-subsets S of C_i = [n] - {i}, with pos(S) the sum of the
     0-based positions of S in C_i, T_j[S] the minor on rows 0..j-1 and
     B_k[U] the minor on the last k rows, each keyed by the bit mask of its
-    columns.  The B levels are built first, from the last row up by the
-    same level step, which reads their rows in reverse order and so gives
-    (-1)^(k(k-1)/2) B_k; the step gets a copy of each, since it empties the
-    level it reads.  Each B level is popped for its column of the adjugate
-    and then dropped, and only the current T level is kept.  The signs,
-    the cofactor's (-1)^(i+j) included, go into the pairs, so each entry is
-    one ``sum_of_products`` call, and all n^2 calls share one ``keys`` table,
-    so that a monomial's key is one object per adjugate, not one per entry;
-    the table is local, so it holds no key once the adjugate is returned.
-    Adding ``zero``, the zero of the entries' ring, lifts an int result (a
-    join with no nonzero product, or one of int entries only) into it: at
-    n = 1 the one entry is that ring's 1."""
+    columns.  Both expansions run in the index form of one
+    ``MonomialTable``.  The B levels are built first, from the last row up
+    by the same level step, which reads their rows in reverse order and so
+    gives (-1)^(k(k-1)/2) B_k; the step gets a copy of each, since it
+    empties the level it reads.  For column j of the adjugate, the B level
+    it needs is popped and turned into polynomials, and so is each minor
+    of the current T level as it is read; these packed copies are dropped
+    before the next T level is built.  The signs, the cofactor's (-1)^(i+j)
+    included, go into the pairs, so each entry is one ``sum_of_products``
+    call, and all n^2 calls share one ``keys`` table, so that a monomial's
+    key is one object per adjugate, not one per entry; both tables are
+    local, so they hold no key once the adjugate is returned.  Adding
+    ``zero``, the zero of the entries' ring, lifts an int result (a join
+    with no nonzero product) into it: at n = 1 the one entry is that
+    ring's 1."""
     n = len(rows)
-    bottom = [{0: 1}]
+    table = MonomialTable(zero.nvars)
+    bottom = [{0: {0: 1}}]
     for k in range(1, n):
-        bottom.append(_expand_level(rows[n - k], k, dict(bottom[-1])))
+        bottom.append(_expand_level(table, rows[n - k], k, dict(bottom[-1])))
     full = (1 << n) - 1
     odd = sum(1 << c for c in range(1, n, 2))
     out = [None] * (n * n)
     keys = {}
-    top = {0: 1}
+    top = {0: {0: 1}}
     for j in range(n):
         k = n - 1 - j
-        low = bottom.pop()
+        low = {u: table.element(d) for u, d in bottom.pop().items() if d}
         base = j * (j - 1) // 2 + k * (k - 1) // 2 + j
         pairs = [[] for _ in range(n)]
         for s, t in top.items():
             if not t:
                 continue
+            t = table.element(t)
             rest = full ^ s
             parity = base + (s & odd).bit_count()
             for i in range(n):
                 if rest >> i & 1:
-                    b = low[rest ^ (1 << i)]
-                    if b:
+                    b = low.get(rest ^ (1 << i))
+                    if b is not None:
                         e = parity + i + (s >> (i + 1)).bit_count()
                         pairs[i].append((-1 if e % 2 else 1, t, b))
         for i in range(n):
             out[i * n + j] = sum_of_products(pairs[i], keys=keys) + zero
+        del low, pairs
         if k:
-            top = _expand_level(rows[j], j + 1, top)
+            top = _expand_level(table, rows[j], j + 1, top)
     return Matrix(n, n, out)
 
 

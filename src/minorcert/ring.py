@@ -17,6 +17,7 @@ from fractions import Fraction
 
 __all__ = [
     "ExactDivisionError",
+    "MonomialTable",
     "MultiPoly",
     "exact_div",
     "is_floating",
@@ -342,9 +343,10 @@ def sum_of_products(pairs, *, keys=None):
     ``keys`` is an optional dict from packed monomial to itself that
     several calls share: the result's keys are taken from it, and its new
     monomials added to it, so that equal monomials of those results are one
-    int object in place of one per polynomial.  The Laplace expansion
-    passes one table per level and one for the minors it closes, and the
-    split-Laplace adjugate one for all its entries.
+    int object in place of one per polynomial.  The split-Laplace adjugate
+    passes one table for the cofactor joins of all its entries; its row
+    expansions, like every Laplace level step, multiply in the index space
+    of a ``MonomialTable`` instead.
     """
     pairs = list(pairs)
     ref = next(
@@ -405,3 +407,95 @@ def _product_sum(nvars: int, triples, keys=None) -> dict[int, int]:
         return {k: v for k, v in out.items() if v}
     share = keys.setdefault
     return {share(k, k): v for k, v in out.items() if v}
+
+
+class MonomialTable:
+    """The monomials of one Laplace expansion, numbered as they first appear.
+
+    The expansion holds polynomials in index form, dicts from monomial
+    number to coefficient, and multiplies them by line entries (in the
+    certificates ``+-b_k`` or ``1 +- b_k``).  Each monomial u of an entry
+    has a shift table, a list whose item i is the number of u times monomial i,
+    filled only where a sub-minor reaches an item not filled yet; a product
+    is then one lookup per term, with no packed key built or hashed, and a
+    new monomial passes the 15-bit degree guard once, when it is numbered.
+    Number 0 is the monomial 1.  ``nvars`` is None when every entry is a
+    number; the index form then holds the value under number 0.
+    """
+
+    __slots__ = ("nvars", "_keys", "_index", "_shifts")
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self._keys = [0]           # number -> packed key
+        self._index = {0: 0}       # packed key -> number
+        self._shifts = {}          # packed key of a line monomial -> shift table
+
+    def factor(self, x) -> tuple:
+        """A line entry as (packed key, shift table, coefficient) per term,
+        with no shift table for the constant term; a zero gives ()."""
+        if isinstance(x, MultiPoly):
+            if x.nvars != self.nvars:
+                raise ValueError(f"mixed variable counts: {self.nvars} vs {x.nvars}")
+            shifts = self._shifts
+            return tuple(
+                (k, shifts.setdefault(k, []) if k else None, c) for k, c in x._terms.items()
+            )
+        if self.nvars is not None and type(x) is not int:
+            raise TypeError("a MultiPoly can only be multiplied by a MultiPoly or int")
+        return ((0, None, x),) if x else ()
+
+    def sum_of_products(self, pairs) -> dict:
+        """The index form of the sum of ``sign * f * d`` over ``pairs`` of
+        ``(sign, f, d)``: a sign +1 or -1, a line entry ``f`` from
+        ``factor`` and a polynomial ``d`` in index form.  One accumulator,
+        zeros dropped once at the end, and a +-1 coefficient adds or
+        subtracts without multiplying, as in ``ring.sum_of_products``."""
+        keys = self._keys
+        out: dict = {}
+        get = out.get
+        for sign, f, d in pairs:
+            for ka, shift, c in f:
+                if ka:
+                    if len(shift) < len(keys):
+                        shift += [None] * (len(keys) - len(shift))
+                    if None in map(shift.__getitem__, d):
+                        self._fill(ka, shift, d)
+                    items = zip(map(shift.__getitem__, d), d.values())
+                else:
+                    items = d.items()
+                if sign < 0:
+                    c = -c
+                if c == 1:
+                    for i, v in items:
+                        out[i] = get(i, 0) + v
+                elif c == -1:
+                    for i, v in items:
+                        out[i] = get(i, 0) - v
+                else:
+                    for i, v in items:
+                        out[i] = get(i, 0) + c * v
+        return {i: v for i, v in out.items() if v}
+
+    def _fill(self, ka, shift, d):
+        # number each new product ka + key once, after the degree guard
+        keys, index = self._keys, self._index
+        cap = (_EXP_CAP + 1) << _layout(self.nvars)[0]
+        for i in d:
+            if shift[i] is None:
+                k = keys[i] + ka
+                j = index.get(k)
+                if j is None:
+                    if k >= cap:
+                        raise OverflowError("product degree exceeds the 15-bit exponent cap")
+                    j = index[k] = len(keys)
+                    keys.append(k)
+                shift[i] = j
+
+    def element(self, d):
+        """The ring element of the index form ``d``: a MultiPoly whose keys
+        are the table's own objects, or a number if ``nvars`` is None."""
+        if self.nvars is None:
+            return d.get(0, 0)
+        keys = self._keys
+        return MultiPoly._raw(self.nvars, {keys[i]: c for i, c in d.items()})

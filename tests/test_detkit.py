@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -28,7 +29,7 @@ from minorcert.matrix import (
     skew_toeplitz,
     zeros,
 )
-from minorcert.ring import ExactDivisionError, MultiPoly, variables
+from minorcert.ring import ExactDivisionError, MonomialTable, MultiPoly, variables
 from minorcert.rng import (
     random_int_matrix,
     random_poly_matrix,
@@ -730,8 +731,8 @@ def test_level_step_drops_spent_sub_minors_and_shares_keys():
     # zero entries (every row of width >= 2 has one) and so zero sub-minors:
     # each step lists its k-subsets in `combinations` order, gives the
     # Bareiss minors of the leading k rows, empties `prev` by deleting each
-    # sub-minor after its last reader, and shares one key object per
-    # monomial among the minors of its level
+    # sub-minor after its last reader, and the minors of the whole
+    # expansion share one key object per monomial
     for width in range(1, 10):
         stream = substream(314, width)
         for a in (random_int_matrix(stream, width), random_poly_matrix(stream, width)):
@@ -740,7 +741,9 @@ def test_level_step_drops_spent_sub_minors_and_shares_keys():
                 [zero if (i + j) % 3 == 1 else x for j, x in enumerate(row)]
                 for i, row in enumerate(a.to_rows())
             ]
-            prev = {0: 1}
+            table = MonomialTable(getattr(zero, "nvars", None))
+            prev = {0: {0: 1}}
+            first = {}
             for k in range(1, width + 1):
                 subsets = list(combinations(range(width), k))
                 want = [
@@ -748,15 +751,105 @@ def test_level_step_drops_spent_sub_minors_and_shares_keys():
                     for s in subsets
                 ]
                 spent = prev
-                cur = detkit_module._expand_level(rows[k - 1], k, spent)
+                cur = detkit_module._expand_level(table, rows[k - 1], k, spent)
                 assert spent == {}
                 assert list(cur) == [sum(1 << c for c in s) for s in subsets]
-                assert list(cur.values()) == want
-                first = {}
-                for d in cur.values():
+                got = [table.element(d) for d in cur.values()]
+                assert got == want
+                for d in got:
                     for key in getattr(d, "_terms", ()):
                         assert first.setdefault(key, key) is key
                 prev = dict(cur)
+
+
+def test_shared_column_minors_of_int_matrices_are_plain_ints():
+    for width in range(1, 8):
+        a = random_int_matrix(substream(315, width), width)
+        got = shared_column_minors(a, range(1, width), (0,))
+        assert got == [det_bareiss(a)] and type(got[0]) is int
+    got = shared_column_minors(HAND_EXAMPLE, (1,), (0, 2)) + shared_column_minors(
+        ones(4), (1, 2, 3), (0,))
+    assert got == [-3, -3, 0] and all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_shared_column_minors_of_the_bordered_skew_matrix_match_bareiss(n):
+    # the int border and polynomial body of `verify_reduced_case`'s odd
+    # case, taken here at every order
+    b = generic_skew_toeplitz(n)
+    bordered = Matrix.from_rows([[0] + [1] * n] + [[1] + r for r in b.to_rows()])
+    shared = (0, *range(2, n))
+    got = shared_column_minors(bordered, shared, (1, n))
+    want = [_bareiss_minor(bordered, range(n), sorted((*shared, c))) for c in (1, n)]
+    assert got == want
+    assert all(isinstance(x, MultiPoly) for x in got)
+
+
+def test_shared_column_minors_of_many_term_entries_match_bareiss():
+    # entries of up to four terms with coefficients up to 5 in size, where
+    # the Johnson family has only +-b_k and 1 +- b_k
+    mats = [
+        random_poly_matrix(substream(316, t), 2 + t % 5, nvars=3, max_terms=4, max_exp=2,
+                           coeff_bound=5)
+        for t in range(6)
+    ]
+    entries = [x for a in mats for x in a.entries()]
+    assert any(len(x.terms()) >= 3 for x in entries)
+    assert any(abs(c) > 1 for x in entries for _, c in x.terms())
+    for a in mats:
+        for shared in combinations(range(a.rows), a.rows - 1):
+            extra = [c for c in range(a.rows) if c not in shared]
+            assert shared_column_minors(a, shared, extra) == [det_bareiss(a)]
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_level_step_guards_the_degree_of_each_new_monomial(order):
+    # the shared columns hold Vandermonde multiples of b1^e, whose minors
+    # keep their top terms, and the closing column is 1, so the expansion
+    # first makes degree (order - 1) * e in the level step of level
+    # order - 1 and the closing sum makes no new monomial; one degree less
+    # stays under the cap, with the cofactor oracle (Bareiss's own products
+    # would pass the cap)
+    cap = (1 << 15) - 1
+    for e in (cap // (order - 1), cap // (order - 1) + 1):
+        big = MultiPoly(1, {(e,): 1})
+        rows = [[(i + 1) ** j * big for j in range(order - 1)] + [1] for i in range(order)]
+        a = Matrix.from_rows(rows)
+        shared, extra = range(order - 1), (order - 1,)
+        if (order - 1) * e <= cap:
+            assert shared_column_minors(a, shared, extra) == [det_cofactor(a)]
+            continue
+        with pytest.raises(OverflowError) as info:
+            shared_column_minors(a, shared, extra)
+        assert any(entry.name == "_expand_level" for entry in info.traceback)
+
+
+def test_no_monomial_state_outlives_an_expansion():
+    # two expansions with different variable counts, back to back, each a
+    # shared-column expansion and a split-Laplace adjugate: each call's
+    # table goes with it, so the traced memory comes back near where it
+    # started once the results are dropped (what stays is the interpreter's
+    # free lists, about 18 KB here; the four tables, if kept, hold 480 KB)
+    mats = [
+        random_poly_matrix(substream(317, nvars), 7, nvars=nvars, max_terms=3, max_exp=2)
+        for nvars in (2, 3)
+    ]
+    dets = [det_bareiss(a) for a in mats]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for a, d in zip(mats, dets):
+            got = shared_column_minors(a, range(1, 7), (0,))
+            assert got == [d]
+            adj = adjugate(a)
+            assert all(adj[j, i] == _bareiss_minor(a, [r for r in range(7) if r != i],
+                                                    [c for c in range(7) if c != j])
+                       * (-1) ** (i + j) for i, j in ((0, 0), (2, 5), (6, 1)))
+            del got, adj
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, f"{grown} bytes outlive the expansions"
 
 
 def test_polynomial_adjugate_entries_share_keys():

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from minorcert import detkit as detkit_module
 from minorcert import identity as identity_module
 from minorcert.detkit import (
     adjugate,
@@ -39,7 +38,7 @@ from minorcert.matrix import (
     zeros,
 )
 from minorcert.report import UndecidedError
-from minorcert.ring import MultiPoly, sum_of_products, variables
+from minorcert.ring import MonomialTable, MultiPoly, variables
 from minorcert.rng import random_skew, substream
 
 
@@ -67,18 +66,20 @@ def test_johnson_symbolic_small_orders(n):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_johnson_symbolic_builds_at_most_2_to_the_m_minors(monkeypatch, n):
-    # one sum_of_products call per minor built: the 2^m - 2 sub-minors on
-    # the shared columns and the two targets (m = n - 1); a row expansion
-    # over the column subsets of both targets makes 2^m - 1 + 2^(m-1)
+    # one MonomialTable.sum_of_products call per minor built: the 2^m - 2
+    # sub-minors on the shared columns and the two targets (m = n - 1); a
+    # row expansion over the column subsets of both targets makes
+    # 2^m - 1 + 2^(m-1)
     calls = []
+    built = MonomialTable.sum_of_products
 
-    def counted(pairs, **kwargs):
+    def counted(table, pairs):
         calls.append(1)
-        return sum_of_products(pairs, **kwargs)
+        return built(table, pairs)
 
-    monkeypatch.setattr(detkit_module, "sum_of_products", counted)
+    monkeypatch.setattr(MonomialTable, "sum_of_products", counted)
     assert verify_johnson_symbolic(n).verified
-    assert len(calls) <= 2 ** (n - 1)
+    assert 0 < len(calls) <= 2 ** (n - 1)
 
 
 def test_johnson_rejects_out_of_range():
@@ -92,8 +93,9 @@ def test_johnson_rejects_out_of_range():
 
 def test_johnson_symbolic_order_9_peaks_under_2_mib():
     # the column expansion drops each sub-minor after its last superset and
-    # shares monomial keys within a level; two whole levels with one key
-    # object per term peak at 2.9 MiB
+    # keeps the sub-minors in index form, one small int per term that its
+    # monomial table numbered; two whole levels with one key object per term
+    # peak at 2.9 MiB
     tracemalloc.start()
     try:
         assert verify_johnson_symbolic(9).verified

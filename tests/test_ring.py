@@ -8,6 +8,7 @@ from minorcert.detkit import shared_column_minors
 from minorcert.matrix import Matrix
 from minorcert.ring import (
     ExactDivisionError,
+    MonomialTable,
     MultiPoly,
     exact_div,
     sum_of_products,
@@ -188,6 +189,31 @@ def test_sum_of_products_guards_every_product_degree():
         sum_of_products([(1, small, small), (1, big, big)])
     with pytest.raises(OverflowError):
         shared_column_minors(Matrix.from_rows([[big, 1], [1, big]]), (1,), (0,))
+
+
+def test_monomial_table_guards_a_product_when_it_is_first_made():
+    table = MonomialTable(1)
+    big = table.factor(MultiPoly(1, {(16384,): 1}))
+    once = table.sum_of_products([(1, big, {0: 1})])
+    assert table.element(once) == MultiPoly(1, {(16384,): 1})
+    with pytest.raises(OverflowError):
+        table.sum_of_products([(1, big, once)])
+
+
+def test_monomial_table_factors_follow_the_ring_rules():
+    b1, b2 = variables(2)
+    table = MonomialTable(2)
+    assert table.factor(0) == () and table.factor(MultiPoly(2)) == ()
+    with pytest.raises(ValueError):
+        table.factor(variables(3)[0])
+    with pytest.raises(TypeError):
+        table.factor(Fraction(1, 2))
+    x = table.sum_of_products([(1, table.factor(3), {0: 1})])
+    y = table.sum_of_products([(-1, table.factor(b1 - 2 * b2), x), (1, table.factor(b2), x)])
+    assert table.element(y) == -3 * b1 + 9 * b2
+    numbers = MonomialTable(None)
+    half = numbers.sum_of_products([(1, numbers.factor(Fraction(1, 2)), {0: 3})])
+    assert numbers.element(half) == Fraction(3, 2) and numbers.element({}) == 0
 
 
 @settings(max_examples=60, deadline=None)
