@@ -6,9 +6,15 @@ One production engine per scalar world:
   one-step fraction-free elimination whose every intermediate division is
   exact over an integral domain (floating matrices run the same sweep with
   magnitude pivoting and true division).  One step function,
-  ``_bareiss_steps``, and one finisher, ``_bareiss_det``, hold that loop for
-  every number kind; ``det_bareiss``, ``contiguous_minors`` and the float
-  adjugate all call them.  Every kind stops only on an exactly zero pivot.
+  ``_bareiss_steps``, and one finisher, ``_bareiss_det``, hold that loop;
+  ``det_bareiss``, ``contiguous_minors`` and the float adjugate all call
+  them.  The entries are looked at once per determinant and pick one of
+  three arms of the step (``_scalar_kind``): "float" for any float or
+  complex entry, "int" for all plain ints, which divide inline by
+  ``divmod``, and "ring" for the rest (rationals, polynomials, either
+  mixed with ints), whose numerator is one ``sum_of_products`` and whose
+  division is ``exact_div``.  Every arm stops only on an exactly zero
+  pivot.
 - ``shared_column_minors`` serves every polynomial determinant of the
   certificates over Z[b1..bk], and its level step every polynomial
   adjugate: the division-free memoized Laplace expansion, which expands
@@ -59,7 +65,8 @@ order 7 (``COFACTOR_CAP``), which bounds its memo and fixes the orders
 
 and rescues any entry whose interior divisor vanishes by calling Bareiss on
 the corresponding block, so it returns the true determinant on every exact
-input.
+input; its levels (``_condense``) take the "int" and "ring" arms of
+Bareiss.
 ``DET_ALGOS`` lists the square-matrix engines that ``bench det`` times.
 """
 from __future__ import annotations
@@ -67,7 +74,14 @@ from __future__ import annotations
 from itertools import combinations
 
 from .matrix import Matrix
-from .ring import MonomialTable, MultiPoly, exact_div, is_floating, sum_of_products
+from .ring import (
+    ExactDivisionError,
+    MonomialTable,
+    MultiPoly,
+    exact_div,
+    is_floating,
+    sum_of_products,
+)
 
 __all__ = [
     "COFACTOR_CAP",
@@ -87,10 +101,6 @@ COFACTOR_CAP = 7
 def _require_square(a: Matrix):
     if not a.is_square:
         raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
-
-
-def _is_floating_matrix(a: Matrix) -> bool:
-    return any(is_floating(x) for x in a.entries())
 
 
 def det_cofactor(a: Matrix):
@@ -137,32 +147,53 @@ def det_bareiss(a: Matrix):
     """Fraction-free (Bareiss) determinant, through the one elimination
     kernel of every number determinant (``_bareiss_steps``).
 
-    Row swaps bring a pivot to the diagonal: for floating scalars the first
-    row of largest magnitude (ties go to the upper row, and a NaN is never
-    preferred to the row already chosen), for exact ones the first nonzero,
-    whose every division is then exact (a remainder raises
-    ExactDivisionError, i.e. a ring-contract bug).  The matrix is singular
-    only when the chosen pivot is exactly zero; the result is then a zero of
-    the entries' own kind.  No cutoff applies: the pivots are leading
-    minors, which may be legitimately tiny.  The floating arms of the kernel
-    stay only while float verdicts take them: the float minors of ``search
-    complex`` and the float checks of ``verify accretive`` (ROADMAP item 4).
+    The entries are looked at once and pick the kernel's arm
+    (``_scalar_kind``): any float or complex entry takes the floating arm,
+    all plain ints the integer arm, and anything else (rationals,
+    polynomials, either mixed with ints) the ring arm.  Row swaps bring a
+    pivot to the diagonal: for floating scalars the first row of largest
+    magnitude (ties go to the upper row, and a NaN is never preferred to the
+    row already chosen), for exact ones the first nonzero, whose every
+    division is then exact (a remainder raises ExactDivisionError, i.e. a
+    ring-contract bug).  The matrix is singular only when the chosen pivot
+    is exactly zero; the result is then a zero of the entries' own kind.  No
+    cutoff applies: the pivots are leading minors, which may be legitimately
+    tiny.  The floating arm of the kernel stays only while float verdicts
+    take it: the float minors of ``search complex`` and the float checks of
+    ``verify accretive`` (ROADMAP item 4).
     """
     _require_square(a)
-    return _bareiss_det(a.to_rows(), 0, (1, 1), _is_floating_matrix(a))
+    return _bareiss_det(a.to_rows(), 0, (1, 1), _scalar_kind(a))
 
 
-def _bareiss_steps(rows, k0, k1, state, floating: bool):
+def _scalar_kind(a: Matrix) -> str:
+    """The arm of the Bareiss and condensation kernels for the entries of
+    ``a``: "float" if any is a float or complex, else "int" if every one is
+    a plain int (not a bool or other subclass), else "ring"."""
+    kind = "int"
+    for x in a.entries():
+        if type(x) is not int:
+            if is_floating(x):
+                return "float"
+            kind = "ring"
+    return kind
+
+
+def _bareiss_steps(rows, k0, k1, state, kind: str):
     """Bareiss steps k0..k1-1 on the fresh row lists ``rows`` (possibly
     wider than square), in place; ``state`` is (sign, previous pivot) before
     them, and the result is the state after them, or None on an exactly zero
-    pivot.  ``floating`` picks, once per step, the pivot rule (first row of
-    largest magnitude, else first nonzero row) and the update (true
-    division, else ``exact_div``)."""
+    pivot.  ``kind``, from ``_scalar_kind``, picks the pivot rule (first row
+    of largest magnitude for "float", else first nonzero row) and the
+    update of each entry x below the pivot row, y its pivot-row entry:
+    "float" divides pk * x - rik * y by the previous pivot; "int" takes the
+    same numerator and one inline ``divmod``; "ring" builds the numerator as
+    one ``sum_of_products`` accumulator and divides it by ``exact_div``.
+    Both exact arms raise ExactDivisionError on a remainder."""
     sign, prev = state
     n, width = len(rows), len(rows[0])
     for k in range(k0, k1):
-        if floating:
+        if kind == "float":
             pr, big = k, abs(rows[k][k])
             for r in range(k + 1, n):
                 mag = abs(rows[r][k])
@@ -177,21 +208,30 @@ def _bareiss_steps(rows, k0, k1, state, floating: bool):
             sign = -sign
         base = rows[k]
         pk = base[k]
-        if floating:
+        if kind == "float":
             for ri in rows[k + 1:]:
                 rik = ri[k]
                 for j in range(k + 1, width):
                     ri[j] = (pk * ri[j] - rik * base[j]) / prev
+        elif kind == "int":
+            for ri in rows[k + 1:]:
+                rik = ri[k]
+                for j in range(k + 1, width):
+                    q, r = divmod(pk * ri[j] - rik * base[j], prev)
+                    if r:
+                        raise ExactDivisionError(f"Bareiss step {k}: {prev} leaves {r}")
+                    ri[j] = q
         else:
             for ri in rows[k + 1:]:
                 rik = ri[k]
                 for j in range(k + 1, width):
-                    ri[j] = exact_div(pk * ri[j] - rik * base[j], prev)
+                    ri[j] = exact_div(sum_of_products(((1, pk, ri[j]), (-1, rik, base[j]))),
+                                      prev)
         prev = pk
     return sign, prev
 
 
-def _bareiss_det(rows, k0, state, floating: bool, corner=None):
+def _bareiss_det(rows, k0, state, kind: str, corner=None):
     """Determinant of the square ``rows`` after steps 0..k0-1, which left
     ``state``: 1 for no rows, and a zero of the entries' own kind on an
     exactly zero pivot, ``rows[0][0] * 0`` or, when ``rows`` is only the
@@ -199,7 +239,7 @@ def _bareiss_det(rows, k0, state, floating: bool, corner=None):
     matrix's top-left entry."""
     if not rows:
         return 1
-    state = _bareiss_steps(rows, k0, len(rows) - 1, state, floating)
+    state = _bareiss_steps(rows, k0, len(rows) - 1, state, kind)
     if state is None:
         return (rows[0][0] if corner is None else corner) * 0
     result = rows[-1][-1]
@@ -208,33 +248,62 @@ def _bareiss_det(rows, k0, state, floating: bool, corner=None):
 
 def det_condensation(a: Matrix):
     """Iterated 2x2 condensation with a Bareiss rescue for zero interiors;
-    exact scalars only (float or complex entries raise TypeError)."""
+    exact scalars only (float or complex entries raise TypeError).
+
+    The entries pick the arm of every level (``_condense``) once: all plain
+    ints divide inline, anything else builds each numerator as one
+    ``sum_of_products`` and divides by ``exact_div``.  An entry whose
+    interior divisor is zero is the Bareiss determinant of its block."""
     _require_square(a)
-    if _is_floating_matrix(a):
+    kind = _scalar_kind(a)
+    if kind == "float":
         raise TypeError("condensation is an exact engine; got float or complex entries")
-    n = a.rows
-    if n == 0:
+    if a.rows == 0:
         return 1
     cur = a.to_rows()
     prev = None
     k = 1  # cur[i][j] = det of the k x k block at 1-based (i+1, j+1)
     while len(cur) > 1:
-        s = len(cur) - 1
-        nxt = [[None] * s for _ in range(s)]
-        for i in range(s):
-            for j in range(s):
-                num = cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
-                if prev is None:
-                    nxt[i][j] = num
-                    continue
-                d = prev[i + 1][j + 1]
-                if d:
-                    nxt[i][j] = exact_div(num, d)
-                else:
-                    nxt[i][j] = det_bareiss(a.block(k + 1, i + 1, j + 1))
-        prev, cur = cur, nxt
         k += 1
+        prev, cur = cur, _condense(
+            cur, prev, kind, lambda i, j: det_bareiss(a.block(k, i + 1, j + 1))
+        )
     return cur[0][0]
+
+
+def _condense(cur, prev, kind: str, rescue) -> list:
+    """One condensation level: from the k x k contiguous minors ``cur`` and
+    the (k-1) x (k-1) ones ``prev`` (None when k = 1), the (k+1) x (k+1)
+    ones,
+
+        next[i][j] = (cur[i][j] cur[i+1][j+1] - cur[i][j+1] cur[i+1][j])
+                     / prev[i+1][j+1],
+
+    by Desnanot-Jacobi; ``rescue(i, j)`` gives next[i][j] where the interior
+    prev[i+1][j+1] is zero.  ``kind`` "int" divides by an inline ``divmod``,
+    "ring" builds the numerator as one ``sum_of_products`` and divides by
+    ``exact_div``; both raise ExactDivisionError on a remainder."""
+    nxt = []
+    for i in range(len(cur) - 1):
+        top, low = cur[i], cur[i + 1]
+        blocks = zip(top, top[1:], low, low[1:])  # the 2x2 block at (i, j)
+        interior = () if prev is None else prev[i + 1][1:-1]
+        if kind == "int":
+            row = [w * z - x * y for w, x, y, z in blocks]
+            for j, d in enumerate(interior):
+                if d:
+                    q, r = divmod(row[j], d)
+                    if r:
+                        raise ExactDivisionError(f"condensation: {d} leaves {r}")
+                    row[j] = q
+                else:
+                    row[j] = rescue(i, j)
+        else:
+            row = [sum_of_products(((1, w, z), (-1, x, y))) for w, x, y, z in blocks]
+            for j, d in enumerate(interior):
+                row[j] = exact_div(row[j], d) if d else rescue(i, j)
+        nxt.append(row)
+    return nxt
 
 
 def shared_column_minors(a: Matrix, shared, extra) -> list:
@@ -456,7 +525,7 @@ def adjugate(a: Matrix) -> Matrix:
     rows = a.to_rows()
     if poly is not None:
         return _adjugate_split_laplace(rows, MultiPoly(poly.nvars))
-    if not _is_floating_matrix(a):
+    if _scalar_kind(a) != "float":
         return _adjugate_cayley_hamilton(rows)
     out = [None] * (n * n)
     for j in range(n):
@@ -471,9 +540,9 @@ def adjugate(a: Matrix) -> Matrix:
                 minor = rect[0][0] * 0
             else:
                 minor = _bareiss_det([r[k:i] + r[i + 1:] for r in rect[k:]], 0, state,
-                                     True, rect[0][0] if k else None)
+                                     "float", rect[0][0] if k else None)
                 if i < n - 2:
-                    state = _bareiss_steps(rect, i, i + 1, state, floating=True)
+                    state = _bareiss_steps(rect, i, i + 1, state, "float")
             out[i * n + j] = -minor if (i + j) % 2 else minor
     return Matrix(n, n, out)
 
@@ -492,11 +561,11 @@ def contiguous_minors(a: Matrix):
     if a.rows < 2:
         raise ValueError("contiguous minors need order >= 2")
     m = a.rows - 1
-    floating = _is_floating_matrix(a)
+    kind = _scalar_kind(a)
     rows = a.to_rows()
     corners = ((0, 0), (1, 1), (0, 1), (1, 0))
     return tuple(
-        _bareiss_det([r[j:j + m] for r in rows[i:i + m]], 0, (1, 1), floating)
+        _bareiss_det([r[j:j + m] for r in rows[i:i + m]], 0, (1, 1), kind)
         for i, j in corners
     )
 

@@ -304,8 +304,8 @@ def exact_div(a, b):
     Polynomials use leading-term reduction, integers use divmod and
     rationals ordinary division.  Floating operands raise TypeError: a float
     quotient is never exact, so it has no place on the exact paths.  Two
-    plain ints, the bulk of the calls from the integer engines, skip the
-    kind checks.
+    plain ints skip the kind checks; the integer arms of the Bareiss and
+    condensation kernels do not call it, but divide inline.
     """
     if type(a) is not int or type(b) is not int:
         if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
@@ -330,15 +330,17 @@ def sum_of_products(pairs, *, keys=None):
     """The signed sum of ``sign * a * b`` over ``pairs`` of ``(sign, a, b)``,
     each sign +1 or -1; an empty sequence gives 0.
 
-    If any factor is a MultiPoly (int factors then act as constants), every
-    product is added term by term into one accumulator keyed by packed
-    monomial, so no product or partial sum is built as a polynomial of its
-    own, and zero coefficients are dropped once, at the end.  A term whose
-    coefficient is +1 or -1 adds or subtracts the other factor's
-    coefficients without multiplying them, and a constant such term keeps
-    the other factor's key objects.  Each product passes the same
-    15-bit degree guard as ``*``.  Numbers get the plain sum from 0, left to
-    right.
+    If any factor is a MultiPoly, the first one found sets the ring: a
+    factor that is not already a MultiPoly of its ``nvars`` is coerced (an
+    int becomes a constant, another ``nvars`` raises ValueError and any
+    other kind TypeError), and every product is added term by term into
+    one accumulator keyed by packed monomial, so no product or partial sum
+    is built as a polynomial of its own, and zero coefficients are dropped
+    once, at the end.  A term whose coefficient is +1 or -1 adds or
+    subtracts the other factor's coefficients without multiplying them, and
+    a constant such term keeps the other factor's key objects.  Each
+    product passes the same 15-bit degree guard as ``*``.  Numbers get the
+    plain sum from 0, left to right.
 
     ``keys`` is an optional dict from packed monomial to itself that
     several calls share: the result's keys are taken from it, and its new
@@ -349,21 +351,29 @@ def sum_of_products(pairs, *, keys=None):
     of a ``MonomialTable`` instead.
     """
     pairs = list(pairs)
-    ref = next(
-        (x for _, a, b in pairs for x in (a, b) if isinstance(x, MultiPoly)), None
-    )
-    if ref is None:
+    for _, a, b in pairs:
+        if isinstance(a, MultiPoly):
+            ref = a
+            break
+        if isinstance(b, MultiPoly):
+            ref = b
+            break
+    else:
         acc = 0
         for sign, a, b in pairs:
             acc = acc - a * b if sign < 0 else acc + a * b
         return acc
+    nvars = ref.nvars
     triples = []
     for sign, a, b in pairs:
-        a, b = ref._coerce(a), ref._coerce(b)
+        if type(a) is not MultiPoly or a.nvars != nvars:
+            a = ref._coerce(a)
+        if type(b) is not MultiPoly or b.nvars != nvars:
+            b = ref._coerce(b)
         if a is None or b is None:
             raise TypeError("a MultiPoly can only be multiplied by a MultiPoly or int")
         triples.append((sign, a._terms, b._terms))
-    return MultiPoly._raw(ref.nvars, _product_sum(ref.nvars, triples, keys))
+    return MultiPoly._raw(nvars, _product_sum(nvars, triples, keys))
 
 
 def _product_sum(nvars: int, triples, keys=None) -> dict[int, int]:

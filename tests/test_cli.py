@@ -173,6 +173,28 @@ def test_bench_det_hashes_are_seed_deterministic(tmp_path):
     assert h1 == h2  # same instances, engines agree
 
 
+# det_hash of bench det at the default seed, trials 0-4; the exact engines
+# must give these on every Python version, whatever their arithmetic path
+GOLDEN_DET_HASHES = {
+    ("int", 12): ["2b777950d1706914", "81a2ca711c279638", "705bec121ba4f027",
+                  "d092fbb8efb7e9cb", "44add40da5fbd9eb"],
+    ("poly", 6): ["46926211793069d7", "51c35504e9836fda", "172945efdb171496",
+                  "f56f940197f25c17", "c9ef2927ed71a3a7"],
+}
+
+
+@pytest.mark.parametrize("algo", ["bareiss", "condensation"])
+@pytest.mark.parametrize("scalar,order", sorted(GOLDEN_DET_HASHES))
+def test_bench_det_hashes_at_the_default_seed_are_pinned(tmp_path, algo, scalar, order):
+    rc, raw = run_to_file(
+        tmp_path, "g.json",
+        ["bench", "det", "--algo", algo, "--scalar", scalar, "--order", str(order),
+         "--trials", "5"],
+    )
+    assert rc == 0
+    assert _det_hashes(raw) == GOLDEN_DET_HASHES[scalar, order]
+
+
 def test_byte_identical_reports(tmp_path):
     for name, argv in [
         ("a", ["verify", "johnson", "--n", "5"]),

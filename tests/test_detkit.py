@@ -171,6 +171,117 @@ def test_condensation_on_polynomials():
     assert det_condensation(b) == det_bareiss(b)
 
 
+KINDS = ["int", "fraction", "int+fraction", "poly", "int+poly"]
+RESULT_TYPE = {"int": int, "fraction": Fraction, "poly": MultiPoly}
+
+
+def _kind_cases(kind, n, stream):
+    """Seeded n x n matrices whose entries are of ``kind``: one dense, one
+    sparse (zero pivots, row swaps, singular blocks, zero interiors) and,
+    from order 3, one with zero interior entries, so that condensation
+    rescues at its first dividing level.  A "+" kind mixes plain ints into
+    about half the entries."""
+    def entry(sparse):
+        if sparse and stream.randint(0, 2):
+            x = {"fraction": Fraction(0), "poly": MultiPoly(2)}.get(kind, 0)
+        elif kind.endswith("poly"):
+            x = random_poly_matrix(stream, 1).entries()[0]
+        elif kind.endswith("fraction"):
+            x = Fraction(stream.randint(-9, 9), stream.randint(1, 7))
+        else:
+            x = stream.randint(-9, 9)
+        if kind.startswith("int+") and stream.randint(0, 1):
+            x = stream.randint(-3, 3)
+        return x
+
+    dense = [[entry(False) for _ in range(n)] for _ in range(n)]
+    sparse = [[entry(True) for _ in range(n)] for _ in range(n)]
+    cases = [Matrix.from_rows(dense), Matrix.from_rows(sparse)]
+    if n >= 3:
+        holes = [list(r) for r in dense]
+        for i in range(1, n - 1, 2):
+            holes[i][i] = holes[i][i] * 0
+        cases.append(Matrix.from_rows(holes))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, COFACTOR_CAP + 1))
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_exact_kind_matches_the_cofactor_oracle(kind, n):
+    # Bareiss, condensation and the contiguous minors by their kernel arm
+    # ("int" or "ring") against the independent oracle; a matrix of one
+    # kind gives a result of that kind, so ints stay plain ints
+    stream = substream(327, 10 * KINDS.index(kind) + n)
+    want = RESULT_TYPE.get(kind)
+    corners = ((1, 1), (2, 2), (1, 2), (2, 1))
+    for a in _kind_cases(kind, n, stream):
+        if want is not None:
+            assert all(type(x) is want for x in a.entries())
+        expected = det_cofactor(a)
+        got = [det_bareiss(a), det_condensation(a)]
+        if n >= 2:
+            minors = contiguous_minors(a)
+            assert minors == tuple(det_cofactor(a.block(n - 1, i, j)) for i, j in corners)
+            got += minors
+        assert got[:2] == [expected, expected]
+        if want is not None:
+            assert all(type(x) is want for x in got)
+
+
+def test_integer_kernels_divide_inline(monkeypatch):
+    # the "int" arm of both kernels makes no ring call per entry; only the
+    # Bareiss rescue of condensation's zero interiors runs, on an int block
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integer kernel called into the ring")
+
+    stream = substream(328, 0)
+    cases = _kind_cases("int", 6, stream)
+    expected = [(det_cofactor(a), contiguous_minors(a)) for a in cases]
+    monkeypatch.setattr(detkit_module, "exact_div", refuse)
+    monkeypatch.setattr(detkit_module, "sum_of_products", refuse)
+    for a, (det, minors) in zip(cases, expected):
+        assert det_bareiss(a) == det_condensation(a) == det
+        assert contiguous_minors(a) == minors
+
+
+def test_a_doctored_bareiss_pivot_raises_in_the_integer_arm():
+    # 2*7 - 5*3 = -1 is not a multiple of the claimed previous pivot 3
+    rows = [[2, 3], [5, 7]]
+    with pytest.raises(ExactDivisionError):
+        detkit_module._bareiss_steps(rows, 0, 1, (1, 3), "int")
+    assert detkit_module._bareiss_steps([[2, 3], [5, 7]], 0, 1, (1, -1), "int") == (1, 2)
+
+
+def test_a_doctored_bareiss_pivot_raises_in_the_ring_arm():
+    # b1*b2 - 1 over polynomial rows is not a multiple of 2 or of b1
+    b1, b2 = variables(2)
+    one = MultiPoly.const(1, 2)
+    for prev in (2, 2 * b1, b1):
+        rows = [[b1, one], [one, b2]]
+        with pytest.raises(ExactDivisionError):
+            detkit_module._bareiss_steps(rows, 0, 1, (1, prev), "ring")
+    rows = [[b1, one], [one, b2]]
+    assert detkit_module._bareiss_steps(rows, 0, 1, (1, -1), "ring") == (1, b1)
+    assert rows[1][1] == 1 - b1 * b2
+
+
+@pytest.mark.parametrize("kind", ["int", "ring"])
+def test_a_doctored_condensation_interior_raises(kind):
+    # the 2x2 minors [[1, 2], [3, 5]] give 1*5 - 2*3 = -1, not a multiple
+    # of the claimed interior 3; a zero interior goes to the rescue
+    def rescue(i, j):
+        raise AssertionError("no interior is zero")
+
+    cur = [[1, 2], [3, 5]]
+    prev = [[1, 1, 1], [1, 3, 1], [1, 1, 1]]
+    with pytest.raises(ExactDivisionError):
+        detkit_module._condense(cur, prev, kind, rescue)
+    prev[1][1] = -1
+    assert detkit_module._condense(cur, prev, kind, rescue) == [[1]]
+    prev[1][1] = 0
+    assert detkit_module._condense(cur, prev, kind, lambda i, j: (i, j)) == [[(0, 0)]]
+
+
 def test_adjugate_basics():
     assert adjugate(identity(3)) == identity(3)
     y = Matrix.from_rows([[0, 1], [-1, 0]])
@@ -479,6 +590,33 @@ def test_exact_contiguous_minors_match_the_cofactor_oracle(n):
     for a in cases:
         minors = contiguous_minors(a)
         assert minors == tuple(det_cofactor(a.block(m, i, j)) for i, j in corners)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_one_float_entry_makes_every_minor_floating(n):
+    # an int matrix with one float entry, in the top-left corner that only
+    # d11 contains: every minor still takes the floating arm, with the bits
+    # of the float elimination of its own block
+    stream = substream(329, n)
+    rows = random_int_matrix(stream, n).to_rows()
+    rows[0][0] = float(rows[0][0]) + 0.5
+    a = Matrix.from_rows(rows)
+    m = n - 1
+    blocks = [a.block(m, i, j).to_rows() for i, j in ((1, 1), (2, 2), (1, 2), (2, 1))]
+    want = [_float_bareiss_choosing(b, _max_key) for b in blocks]
+    minors = contiguous_minors(a)
+    assert all(type(d) is float for d in minors)
+    assert [d.hex() for d in minors] == [w.hex() for w in want]
+    assert det_bareiss(a).hex() == _float_bareiss_choosing(rows, _max_key).hex()
+
+
+def test_a_float_entry_after_a_rational_one_still_floats():
+    # the magnitude pivot 3 swaps rows: -(3 * 1 - 1/2 * 0.25) in floats
+    a = Matrix.from_rows([[Fraction(1, 2), 1], [3, 0.25]])
+    d = det_bareiss(a)
+    assert type(d) is float and d == -2.875
+    with pytest.raises(TypeError):
+        det_condensation(a)
 
 
 def test_contiguous_minors_need_a_square_matrix_of_order_two():

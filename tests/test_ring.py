@@ -180,6 +180,10 @@ def test_sum_of_products_rejects_non_integer_factors_of_polynomials():
     b1, = variables(1)
     with pytest.raises(TypeError):
         sum_of_products([(1, b1, Fraction(1, 2))])
+    # on either side of a product, before or after the first polynomial
+    for pairs in ([(1, 2.0, b1)], [(1, 3, 4), (-1, True, b1)], [(1, b1, b1), (1, 1, 0.5)]):
+        with pytest.raises(TypeError):
+            sum_of_products(pairs)
 
 
 def test_sum_of_products_guards_every_product_degree():
