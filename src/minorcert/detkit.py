@@ -9,12 +9,14 @@ One production engine per scalar world:
   ``_bareiss_steps``, and one finisher, ``_bareiss_det``, hold that loop;
   ``det_bareiss``, ``contiguous_minors`` and the float adjugate all call
   them.  The entries are looked at once per determinant and pick one of
-  three arms of the step (``_scalar_kind``): "float" for any float or
+  four arms of the step (``_scalar_kind``): "float" for any float or
   complex entry, "int" for all plain ints, which divide inline by
-  ``divmod``, and "ring" for the rest (rationals, polynomials, either
-  mixed with ints), whose numerator is one ``sum_of_products`` and whose
-  division is ``exact_div``.  Every arm stops only on an exactly zero
-  pivot.
+  ``divmod``, "ring" for any polynomial (mixed with ints or not), whose
+  numerator is one ``sum_of_products`` and whose division is
+  ``exact_div``, and "rational" for the rest (rationals, mixed with ints
+  or not), whose numerator takes the numbers' own operators, which the
+  fused accumulator does not beat, before ``exact_div``.  Every arm stops
+  only on an exactly zero pivot.
 - ``shared_column_minors`` serves every polynomial determinant of the
   certificates over Z[b1..bk], and its level step every polynomial
   adjugate: the division-free memoized Laplace expansion, which expands
@@ -28,16 +30,20 @@ One production engine per scalar world:
   only on the way out.  The level step ``_expand_level`` lists a level's
   index sets itself and drops each sub-minor once its last reader is built
   (the sub-minor plus the largest index it lacks), so the two levels of a
-  step are never both whole.
+  step are never both whole.  No two polynomials are ever multiplied
+  together: each product is a line entry times a sub-minor.
 
 ``adjugate`` (cofactor transpose, exact on singular matrices) takes one path
 per scalar world, chosen by the kind of its entries:
 
-- polynomials: split Laplace.  One row expansion down from the top row and
-  one up from the bottom row give the minors of every leading and every
-  trailing row set, and each cofactor joins the two around its dropped row
-  in one ``sum_of_products`` call (Berkowitz measured 3.4-3.7 times slower
-  there);
+- polynomials: leave-one-row-out expansion by the same level step, in one
+  ``MonomialTable``.  Column j of adj(A) is the last level of a row
+  expansion that skips row j; a recursion halves the range of dropped rows,
+  and each half expands the other half's rows on its own copy of the
+  level, so levels 1..n/2 are built twice and level n - 1 once per column,
+  and the minors become polynomials only as they are written out (a split
+  Laplace that joined a downward and an upward expansion by polynomial
+  products measured up to 2.5 times slower, and Berkowitz 3.4-3.7 times);
 - exact numbers (ints, rationals): Cayley-Hamilton on the division-free
   Berkowitz characteristic polynomial, O(n^4) ring operations in place of
   the O(n^5) of n^2 Bareiss minors, and valid on singular matrices, where
@@ -65,8 +71,7 @@ order 7 (``COFACTOR_CAP``), which bounds its memo and fixes the orders
 
 and rescues any entry whose interior divisor vanishes by calling Bareiss on
 the corresponding block, so it returns the true determinant on every exact
-input; its levels (``_condense``) take the "int" and "ring" arms of
-Bareiss.
+input; its levels (``_condense``) take the exact arms of Bareiss.
 ``DET_ALGOS`` lists the square-matrix engines that ``bench det`` times.
 """
 from __future__ import annotations
@@ -149,18 +154,18 @@ def det_bareiss(a: Matrix):
 
     The entries are looked at once and pick the kernel's arm
     (``_scalar_kind``): any float or complex entry takes the floating arm,
-    all plain ints the integer arm, and anything else (rationals,
-    polynomials, either mixed with ints) the ring arm.  Row swaps bring a
-    pivot to the diagonal: for floating scalars the first row of largest
-    magnitude (ties go to the upper row, and a NaN is never preferred to the
-    row already chosen), for exact ones the first nonzero, whose every
-    division is then exact (a remainder raises ExactDivisionError, i.e. a
-    ring-contract bug).  The matrix is singular only when the chosen pivot
-    is exactly zero; the result is then a zero of the entries' own kind.  No
-    cutoff applies: the pivots are leading minors, which may be legitimately
-    tiny.  The floating arm of the kernel stays only while float verdicts
-    take it: the float minors of ``search complex`` and the float checks of
-    ``verify accretive`` (ROADMAP item 4).
+    all plain ints the integer arm, any polynomial the ring arm, and
+    anything else (rationals, mixed with ints or not) the rational arm.
+    Row swaps bring a pivot to the diagonal: for floating scalars the first
+    row of largest magnitude (ties go to the upper row, and a NaN is never
+    preferred to the row already chosen), for exact ones the first nonzero,
+    whose every division is then exact (a remainder raises
+    ExactDivisionError, i.e. a ring-contract bug).  The matrix is singular
+    only when the chosen pivot is exactly zero; the result is then a zero of
+    the entries' own kind.  No cutoff applies: the pivots are leading
+    minors, which may be legitimately tiny.  The floating arm of the kernel
+    stays only while float verdicts take it: the float minors of ``search
+    complex`` and the float checks of ``verify accretive`` (ROADMAP item 4).
     """
     _require_square(a)
     return _bareiss_det(a.to_rows(), 0, (1, 1), _scalar_kind(a))
@@ -169,13 +174,15 @@ def det_bareiss(a: Matrix):
 def _scalar_kind(a: Matrix) -> str:
     """The arm of the Bareiss and condensation kernels for the entries of
     ``a``: "float" if any is a float or complex, else "int" if every one is
-    a plain int (not a bool or other subclass), else "ring"."""
+    a plain int (not a bool or other subclass), else "ring" if any is a
+    polynomial, else "rational"."""
     kind = "int"
     for x in a.entries():
         if type(x) is not int:
             if is_floating(x):
                 return "float"
-            kind = "ring"
+            if kind != "ring":
+                kind = "ring" if isinstance(x, MultiPoly) else "rational"
     return kind
 
 
@@ -187,9 +194,10 @@ def _bareiss_steps(rows, k0, k1, state, kind: str):
     of largest magnitude for "float", else first nonzero row) and the
     update of each entry x below the pivot row, y its pivot-row entry:
     "float" divides pk * x - rik * y by the previous pivot; "int" takes the
-    same numerator and one inline ``divmod``; "ring" builds the numerator as
-    one ``sum_of_products`` accumulator and divides it by ``exact_div``.
-    Both exact arms raise ExactDivisionError on a remainder."""
+    same numerator and one inline ``divmod``; "rational" the same numerator
+    and ``exact_div``; "ring" builds the numerator as one
+    ``sum_of_products`` accumulator and divides it by ``exact_div``.  The
+    exact arms raise ExactDivisionError on a remainder."""
     sign, prev = state
     n, width = len(rows), len(rows[0])
     for k in range(k0, k1):
@@ -221,6 +229,11 @@ def _bareiss_steps(rows, k0, k1, state, kind: str):
                     if r:
                         raise ExactDivisionError(f"Bareiss step {k}: {prev} leaves {r}")
                     ri[j] = q
+        elif kind == "rational":
+            for ri in rows[k + 1:]:
+                rik = ri[k]
+                for j in range(k + 1, width):
+                    ri[j] = exact_div(pk * ri[j] - rik * base[j], prev)
         else:
             for ri in rows[k + 1:]:
                 rik = ri[k]
@@ -251,9 +264,10 @@ def det_condensation(a: Matrix):
     exact scalars only (float or complex entries raise TypeError).
 
     The entries pick the arm of every level (``_condense``) once: all plain
-    ints divide inline, anything else builds each numerator as one
-    ``sum_of_products`` and divides by ``exact_div``.  An entry whose
-    interior divisor is zero is the Bareiss determinant of its block."""
+    ints divide inline, rationals divide the plain numerator by
+    ``exact_div``, and polynomials build each numerator as one
+    ``sum_of_products`` before ``exact_div``.  An entry whose interior
+    divisor is zero is the Bareiss determinant of its block."""
     _require_square(a)
     kind = _scalar_kind(a)
     if kind == "float":
@@ -281,15 +295,19 @@ def _condense(cur, prev, kind: str, rescue) -> list:
 
     by Desnanot-Jacobi; ``rescue(i, j)`` gives next[i][j] where the interior
     prev[i+1][j+1] is zero.  ``kind`` "int" divides by an inline ``divmod``,
-    "ring" builds the numerator as one ``sum_of_products`` and divides by
-    ``exact_div``; both raise ExactDivisionError on a remainder."""
+    "rational" divides the same numerator by ``exact_div``, and "ring"
+    builds the numerator as one ``sum_of_products`` and divides by
+    ``exact_div``; each raises ExactDivisionError on a remainder."""
     nxt = []
     for i in range(len(cur) - 1):
         top, low = cur[i], cur[i + 1]
         blocks = zip(top, top[1:], low, low[1:])  # the 2x2 block at (i, j)
         interior = () if prev is None else prev[i + 1][1:-1]
-        if kind == "int":
+        if kind == "ring":
+            row = [sum_of_products(((1, w, z), (-1, x, y))) for w, x, y, z in blocks]
+        else:
             row = [w * z - x * y for w, x, y, z in blocks]
+        if kind == "int":
             for j, d in enumerate(interior):
                 if d:
                     q, r = divmod(row[j], d)
@@ -299,7 +317,6 @@ def _condense(cur, prev, kind: str, rescue) -> list:
                 else:
                     row[j] = rescue(i, j)
         else:
-            row = [sum_of_products(((1, w, z), (-1, x, y))) for w, x, y, z in blocks]
             for j, d in enumerate(interior):
                 row[j] = exact_div(row[j], d) if d else rescue(i, j)
         nxt.append(row)
@@ -371,7 +388,9 @@ def _expand_level(table, line, k, prev) -> dict:
     soon as its last reader is built, T plus the largest index T lacks:
     right after S, each S - {j} with j above S's largest missing index; so
     ``prev`` is left empty, and a caller that reads it afterwards passes a
-    copy, and the two levels of a step are never both whole."""
+    copy, and the two levels of a step are never both whole.  The
+    polynomial adjugate runs it on rows in any order (``line`` the row
+    expanded k-th), and the shared-column expansion on columns."""
     n = len(line)
     full = (1 << n) - 1
     factors = [table.factor(e) for e in line]
@@ -439,73 +458,53 @@ def _adjugate_cayley_hamilton(rows) -> Matrix:
     return Matrix(n, n, [sign * x for r in b for x in r])
 
 
-def _adjugate_split_laplace(rows, zero) -> Matrix:
-    """adj(A) of order n >= 1 from one row expansion downwards and one
-    upwards, joined by Laplace expansion along the rows above the dropped one.
+def _adjugate_leave_one_out(rows, table, lo, hi, state, parity, out):
+    """Columns lo..hi-1 of the adjugate of the square ``rows`` into the flat
+    ``out``, from ``state``, the level of minors on the n - (hi - lo) rows
+    outside [lo, hi), in the order they were expanded, keyed by the bit mask
+    of their columns in the index form of ``table``; ``parity`` counts the
+    inversions of that order.
 
-    The minor without row j and column i splits along rows 0..j-1:
-
-        det = sum_S (-1)^(j(j-1)/2 + pos(S)) T_j[S] B_(n-1-j)[C_i - S],
-
-    over the j-subsets S of C_i = [n] - {i}, with pos(S) the sum of the
-    0-based positions of S in C_i, T_j[S] the minor on rows 0..j-1 and
-    B_k[U] the minor on the last k rows, each keyed by the bit mask of its
-    columns.  Both expansions run in the index form of one
-    ``MonomialTable``.  The B levels are built first, from the last row up
-    by the same level step, which reads their rows in reverse order and so
-    gives (-1)^(k(k-1)/2) B_k; the step gets a copy of each, since it
-    empties the level it reads.  For column j of the adjugate, the B level
-    it needs is popped and turned into polynomials, and so is each minor
-    of the current T level as it is read; these packed copies are dropped
-    before the next T level is built.  The signs, the cofactor's (-1)^(i+j)
-    included, go into the pairs, so each entry is one ``sum_of_products``
-    call, and all n^2 calls share one ``keys`` table, so that a monomial's
-    key is one object per adjugate, not one per entry; both tables are
-    local, so they hold no key once the adjugate is returned.  Adding
-    ``zero``, the zero of the entries' ring, lifts an int result (a join
-    with no nonzero product) into it: at n = 1 the one entry is that
-    ring's 1."""
+    Column j of adj(A) holds the n minors of A without row j, the last level
+    of a row expansion that skips row j.  The range splits at mid: the left
+    half expands rows mid..hi-1 on a copy of ``state`` (the level step
+    empties the level it reads), the right half rows lo..mid-1 on ``state``
+    itself.  The left half's own rows, all but the dropped one, come after
+    the hi - mid larger rows it expands, which adds (hi - mid) (mid - lo - 1)
+    inversions; the right half's come after smaller rows and add none.  A
+    leaf [j, j + 1) writes adj[i][j] = (-1)^(parity + i + j) times the minor
+    without column i, each taken out of ``state`` as it becomes a
+    polynomial.  The recursion is a module-level function with its table
+    and output as arguments, not a closure, so that no reference cycle
+    keeps them alive after the call."""
     n = len(rows)
-    table = MonomialTable(zero.nvars)
-    bottom = [{0: {0: 1}}]
-    for k in range(1, n):
-        bottom.append(_expand_level(table, rows[n - k], k, dict(bottom[-1])))
-    full = (1 << n) - 1
-    odd = sum(1 << c for c in range(1, n, 2))
-    out = [None] * (n * n)
-    keys = {}
-    top = {0: {0: 1}}
-    for j in range(n):
-        k = n - 1 - j
-        low = {u: table.element(d) for u, d in bottom.pop().items() if d}
-        base = j * (j - 1) // 2 + k * (k - 1) // 2 + j
-        pairs = [[] for _ in range(n)]
-        for s, t in top.items():
-            if not t:
-                continue
-            t = table.element(t)
-            rest = full ^ s
-            parity = base + (s & odd).bit_count()
-            for i in range(n):
-                if rest >> i & 1:
-                    b = low.get(rest ^ (1 << i))
-                    if b is not None:
-                        e = parity + i + (s >> (i + 1)).bit_count()
-                        pairs[i].append((-1 if e % 2 else 1, t, b))
+    k = n - (hi - lo)
+    if hi - lo == 1:
+        full = (1 << n) - 1
         for i in range(n):
-            out[i * n + j] = sum_of_products(pairs[i], keys=keys) + zero
-        del low, pairs
-        if k:
-            top = _expand_level(table, rows[j], j + 1, top)
-    return Matrix(n, n, out)
+            sign = -1 if (parity + i + lo) % 2 else 1
+            out[i * n + lo] = table.element(state.pop(full ^ (1 << i)), sign)
+        return
+    mid = (lo + hi) // 2
+    left = dict(state)
+    for r in range(mid, hi):
+        left = _expand_level(table, rows[r], k + 1 + r - mid, left)
+    _adjugate_leave_one_out(rows, table, lo, mid, left,
+                            parity + (hi - mid) * (mid - lo - 1), out)
+    del left
+    for r in range(lo, mid):
+        state = _expand_level(table, rows[r], k + 1 + r - lo, state)
+    _adjugate_leave_one_out(rows, table, mid, hi, state, parity, out)
 
 
 def adjugate(a: Matrix) -> Matrix:
     """Transpose of the cofactor matrix: adj(A)_{ij} = (-1)^{i+j} det of A
     with row j and column i deleted; satisfies A adj(A) = det(A) I.
 
-    One path per scalar world.  Polynomial entries: split Laplace, one
-    downward and one upward row expansion joined around each dropped row,
+    One path per scalar world.  Polynomial entries: leave-one-row-out
+    expansion (``_adjugate_leave_one_out``), whose column j is the last
+    level of a row expansion that skips row j, built in the index space of
+    one ``MonomialTable`` by the level step of ``shared_column_minors``,
     where Bareiss would divide and swell and Berkowitz is slower.  Ints and
     rationals: Cayley-Hamilton on the Berkowitz characteristic polynomial,
     O(n^4), exact on singular matrices.  Floats and complex: Bareiss minors
@@ -524,7 +523,9 @@ def adjugate(a: Matrix) -> Matrix:
     poly = next((x for x in a.entries() if isinstance(x, MultiPoly)), None)
     rows = a.to_rows()
     if poly is not None:
-        return _adjugate_split_laplace(rows, MultiPoly(poly.nvars))
+        out = [None] * (n * n)
+        _adjugate_leave_one_out(rows, MonomialTable(poly.nvars), 0, n, {0: {0: 1}}, 0, out)
+        return Matrix(n, n, out)
     if _scalar_kind(a) != "float":
         return _adjugate_cayley_hamilton(rows)
     out = [None] * (n * n)

@@ -326,7 +326,7 @@ def exact_div(a, b):
     return q
 
 
-def sum_of_products(pairs, *, keys=None):
+def sum_of_products(pairs):
     """The signed sum of ``sign * a * b`` over ``pairs`` of ``(sign, a, b)``,
     each sign +1 or -1; an empty sequence gives 0.
 
@@ -340,15 +340,8 @@ def sum_of_products(pairs, *, keys=None):
     subtracts the other factor's coefficients without multiplying them, and
     a constant such term keeps the other factor's key objects.  Each
     product passes the same 15-bit degree guard as ``*``.  Numbers get the
-    plain sum from 0, left to right.
-
-    ``keys`` is an optional dict from packed monomial to itself that
-    several calls share: the result's keys are taken from it, and its new
-    monomials added to it, so that equal monomials of those results are one
-    int object in place of one per polynomial.  The split-Laplace adjugate
-    passes one table for the cofactor joins of all its entries; its row
-    expansions, like every Laplace level step, multiply in the index space
-    of a ``MonomialTable`` instead.
+    plain sum from 0, left to right.  The Laplace level steps multiply in
+    the index space of a ``MonomialTable`` instead.
     """
     pairs = list(pairs)
     for _, a, b in pairs:
@@ -373,13 +366,12 @@ def sum_of_products(pairs, *, keys=None):
         if a is None or b is None:
             raise TypeError("a MultiPoly can only be multiplied by a MultiPoly or int")
         triples.append((sign, a._terms, b._terms))
-    return MultiPoly._raw(nvars, _product_sum(nvars, triples, keys))
+    return MultiPoly._raw(nvars, _product_sum(nvars, triples))
 
 
-def _product_sum(nvars: int, triples, keys=None) -> dict[int, int]:
+def _product_sum(nvars: int, triples) -> dict[int, int]:
     # The one product loop of the ring: sum of sign * a * b over packed term
-    # dicts, accumulated in place and filtered for zeros once, with the
-    # surviving keys taken from ``keys`` when it is given.
+    # dicts, accumulated in place and filtered for zeros once.
     deg_shift = _layout(nvars)[0]
     out: dict[int, int] = {}
     get = out.get
@@ -413,10 +405,7 @@ def _product_sum(nvars: int, triples, keys=None) -> dict[int, int]:
                 for kb, cb in bitems:
                     k = ka + kb
                     out[k] = get(k, 0) - cb
-    if keys is None:
-        return {k: v for k, v in out.items() if v}
-    share = keys.setdefault
-    return {share(k, k): v for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v}
 
 
 class MonomialTable:
@@ -502,10 +491,14 @@ class MonomialTable:
                     keys.append(k)
                 shift[i] = j
 
-    def element(self, d):
-        """The ring element of the index form ``d``: a MultiPoly whose keys
-        are the table's own objects, or a number if ``nvars`` is None."""
+    def element(self, d, sign=1):
+        """The ring element of ``sign`` (+1 or -1) times the index form
+        ``d``: a MultiPoly whose keys are the table's own objects, or a
+        number if ``nvars`` is None."""
         if self.nvars is None:
-            return d.get(0, 0)
+            v = d.get(0, 0)
+            return -v if sign < 0 else v
         keys = self._keys
+        if sign < 0:
+            return MultiPoly._raw(self.nvars, {keys[i]: -c for i, c in d.items()})
         return MultiPoly._raw(self.nvars, {keys[i]: c for i, c in d.items()})

@@ -29,7 +29,13 @@ from minorcert.matrix import (
     skew_toeplitz,
     zeros,
 )
-from minorcert.ring import ExactDivisionError, MonomialTable, MultiPoly, variables
+from minorcert.ring import (
+    ExactDivisionError,
+    MonomialTable,
+    MultiPoly,
+    sum_of_products,
+    variables,
+)
 from minorcert.rng import (
     random_int_matrix,
     random_poly_matrix,
@@ -244,6 +250,32 @@ def test_integer_kernels_divide_inline(monkeypatch):
         assert contiguous_minors(a) == minors
 
 
+def test_rational_kernels_take_the_plain_numerator(monkeypatch):
+    # the "rational" arm of both kernels builds pk * x - rik * y with the
+    # numbers' own operators and never the fused ``sum_of_products``, which
+    # gains nothing on numbers; mixed int entries take it too, and any
+    # polynomial entry keeps the fused "ring" arm
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational kernel called sum_of_products")
+
+    cases = [
+        a
+        for kind in ("fraction", "int+fraction")
+        for n in (1, 4, 6)
+        for a in _kind_cases(kind, n, substream(329, 10 * n + len(kind)))
+        if detkit_module._scalar_kind(a) == "rational"
+    ]
+    assert len(cases) >= 10
+    polys = _kind_cases("poly", 4, substream(329, 0))
+    assert {detkit_module._scalar_kind(a) for a in polys} == {"ring"}
+    expected = [(det_cofactor(a), a.rows > 1 and contiguous_minors(a)) for a in cases]
+    monkeypatch.setattr(detkit_module, "sum_of_products", refuse)
+    for a, (det, minors) in zip(cases, expected):
+        assert det_bareiss(a) == det_condensation(a) == det
+        if a.rows > 1:
+            assert contiguous_minors(a) == minors
+
+
 def test_a_doctored_bareiss_pivot_raises_in_the_integer_arm():
     # 2*7 - 5*3 = -1 is not a multiple of the claimed previous pivot 3
     rows = [[2, 3], [5, 7]]
@@ -344,7 +376,7 @@ def _check_polynomial_adjugate(a):
 
 
 def test_polynomial_adjugate_entries_are_all_polynomials():
-    # the zero diagonal of a skew adjugate joins no nonzero product
+    # the zero diagonal of a skew adjugate has no nonzero term
     adj = adjugate(generic_skew_toeplitz(6))
     assert all(isinstance(x, MultiPoly) for x in adj.entries())
     assert adj[0, 0].negate_variables() == 0
@@ -360,8 +392,8 @@ def test_adjugate_of_order_one_of_a_number_is_the_int_one(entry):
 
 
 def test_adjugate_of_order_one_of_a_polynomial_is_the_ring_one():
-    # split Laplace gives the one of the entry's ring at order 1, for a
-    # variable, a constant and the zero polynomial
+    # the leave-one-row-out adjugate gives the one of the entry's ring at
+    # order 1, for a variable, a constant and the zero polynomial
     for nvars in (1, 2, 3):
         for entry in (variables(nvars)[-1], MultiPoly.const(-4, nvars), MultiPoly(nvars)):
             (one,) = adjugate(Matrix(1, 1, [entry])).entries()
@@ -371,8 +403,9 @@ def test_adjugate_of_order_one_of_a_polynomial_is_the_ring_one():
 
 @pytest.mark.parametrize("r", range(5))
 def test_polynomial_adjugate_with_a_zero_row_or_column(r):
-    # the split at row j empties the upper or lower minors it joins when the
-    # zero row or column falls on either side of it; r runs over every side
+    # a zero row zeroes every minor of each level that has expanded it, and
+    # a zero column every minor on it; r runs over both halves of the
+    # uneven five-row split
     rows = random_poly_matrix(substream(313, r), 5, nvars=3).to_rows()
     zero_row = [list(row) for row in rows]
     zero_row[r] = [MultiPoly(3)] * 5
@@ -406,10 +439,37 @@ def test_polynomial_adjugate_gives_det_times_identity(n):
         assert adj @ a == d * identity(n)
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", range(2, 9))
 def test_generic_skew_toeplitz_adjugate_matches_bareiss_minors(m):
     y = generic_skew_toeplitz(m)
     assert adjugate(y) == _adjugate_by_minors(y, det_bareiss)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_johnson_family_adjugate_matches_bareiss_minors(n):
+    # entries 1 +- b_k with a constant term; the odd orders split their
+    # rows unevenly, and each leaf's sign counts the inversions of its
+    # expansion order
+    a = johnson_family(n)
+    assert adjugate(a) == _adjugate_by_minors(a, det_bareiss)
+
+
+def _ring_matmul(x, y):
+    """x @ y with one ``sum_of_products`` accumulator per entry, where the
+    generic ``@`` copies its running sum once per product."""
+    cols = y.T.to_rows()
+    return Matrix(x.rows, y.cols, [sum_of_products((1, p, q) for p, q in zip(r, c))
+                                   for r in x.to_rows() for c in cols])
+
+
+@pytest.mark.parametrize("family", [generic_skew_toeplitz, johnson_family])
+def test_order_9_adjugate_gives_det_times_identity(family):
+    # one order past the per-minor oracles: A adj(A) = adj(A) A = det(A) I,
+    # with det(A) from the shared-column expansion
+    a = family(9)
+    adj = adjugate(a)
+    (d,) = shared_column_minors(a, range(1, 9), (0,))
+    assert _ring_matmul(a, adj) == _ring_matmul(adj, a) == d * identity(9)
 
 
 def _check_exact_adjugate(a):
@@ -964,7 +1024,7 @@ def test_level_step_guards_the_degree_of_each_new_monomial(order):
 
 def test_no_monomial_state_outlives_an_expansion():
     # two expansions with different variable counts, back to back, each a
-    # shared-column expansion and a split-Laplace adjugate: each call's
+    # shared-column expansion and a leave-one-row-out adjugate: each call's
     # table goes with it, so the traced memory comes back near where it
     # started once the results are dropped (what stays is the interpreter's
     # free lists, about 18 KB here; the four tables, if kept, hold 480 KB)
@@ -991,7 +1051,7 @@ def test_no_monomial_state_outlives_an_expansion():
 
 
 def test_polynomial_adjugate_entries_share_keys():
-    # the n^2 cofactor joins of the split-Laplace adjugate share one key
+    # the n^2 entries of the polynomial adjugate come out of one monomial
     # table, so equal monomials of two different entries are one object
     entries = adjugate(generic_skew_toeplitz(6)).entries()
     first = {}

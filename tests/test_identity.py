@@ -106,8 +106,9 @@ def test_johnson_symbolic_order_9_peaks_under_2_mib():
 
 
 def test_skew_facts_order_8_peaks_under_1_4_mib():
-    # the entries of the split-Laplace adjugate share one key table; one
-    # key object per entry and term peaks at 1.7 MiB
+    # the entries of the leave-one-row-out adjugate take their key objects
+    # from one monomial table; one key object per entry and term peaks at
+    # 1.7 MiB
     tracemalloc.start()
     try:
         assert verify_skew_facts(generic_skew_toeplitz(8)).verified

@@ -108,34 +108,6 @@ def test_sum_of_products_matches_operators_on_random_polynomials():
         assert all(c for _, c in got.terms())
 
 
-def test_sum_of_products_with_a_shared_key_table():
-    b1, b2, b3 = variables(3)
-    keys = {}
-    results = []
-    for t in range(6):
-        stream = substream(414, t)
-        many = random_poly(stream, 3, max_terms=12, max_exp=3, coeff_bound=7)
-        other = random_poly(stream, 3, max_terms=4, max_exp=2, coeff_bound=5)
-        pairs = [(1, b1 - b2, many), (-1, other, many), (1, 1 + b3, other)]
-        got = sum_of_products(pairs, keys=keys)
-        assert got == _operator_sum(pairs)
-        results.append(got)
-
-    def same_objects(p, q):
-        # for each monomial of both p and q, whether they hold one key object
-        q_keys = {k: k for k in q._terms}
-        return [q_keys[k] is k for k in p._terms if k in q_keys]
-
-    # equal monomials of results built with one table are one object
-    shared = [same_objects(p, q) for p in results for q in results if p is not q]
-    assert sum(map(len, shared)) > 0
-    assert all(all(s) for s in shared)
-    # without the table, each result makes its own key objects
-    pairs = [(1, b1 - b2, b1 * b2 * b3 + b2), (1, b1 * b2 * b3, b3)]
-    p, q = sum_of_products(pairs), sum_of_products(pairs)
-    assert p == q and not any(same_objects(p, q))
-
-
 def test_sum_of_products_mixes_int_constants_into_polynomials():
     b1, b2 = variables(2)
     pairs = [(1, 3, b1), (-1, b2, 2), (1, 5, 1), (-1, 0, b1), (1, b1, b1 - b2)]
@@ -215,9 +187,11 @@ def test_monomial_table_factors_follow_the_ring_rules():
     x = table.sum_of_products([(1, table.factor(3), {0: 1})])
     y = table.sum_of_products([(-1, table.factor(b1 - 2 * b2), x), (1, table.factor(b2), x)])
     assert table.element(y) == -3 * b1 + 9 * b2
+    assert table.element(y, -1) == 3 * b1 - 9 * b2 and table.element({}, -1) == 0
     numbers = MonomialTable(None)
     half = numbers.sum_of_products([(1, numbers.factor(Fraction(1, 2)), {0: 3})])
     assert numbers.element(half) == Fraction(3, 2) and numbers.element({}) == 0
+    assert numbers.element(half, -1) == Fraction(-3, 2)
 
 
 @settings(max_examples=60, deadline=None)
