@@ -60,19 +60,22 @@ The all-ones quadratic form ``s_functional`` and the four contiguous minors
 ``contiguous_minors`` sit on top.  ``det_cofactor`` and ``det_condensation``
 (exact scalars only) are oracles, and Bareiss is the oracle for the Laplace
 expansion on polynomials and, minor by minor, for the polynomial and
-exact-number adjugates.  The cofactor oracle is Laplace expansion along the first row of
-each block, memoized on the column sets of the trailing sub-minors:
-O(n 2^n) products in place of O(n!), with plain ``*``, ``+`` and ``-`` and
-none of the production code, so that it stays independent.  It is capped at
-order 7 (``COFACTOR_CAP``), which bounds its memo and fixes the orders
-``bench det`` runs it at.  Condensation iterates the 2x2 recurrence
+exact-number adjugates.  The cofactor oracle is Laplace expansion along the
+first row of each block, built bottom up over the bit masks of the column
+sets of the trailing sub-minors: O(n 2^n) products in place of O(n!), with
+plain ``*``, ``+`` and ``-`` and none of the production code, so that it
+stays independent.  It is capped at order 7 (``COFACTOR_CAP``), which bounds
+its levels and fixes the orders ``bench det`` runs it at.  Condensation
+iterates the 2x2 recurrence
 
     det(M_{k+1} block) * interior = m11*m22 - m12*m21
 
-and rescues any entry whose interior divisor vanishes by calling Bareiss on
-the corresponding block, so it returns the true determinant on every exact
-input; its levels (``_condense``) take the exact arms of Bareiss.
-``DET_ALGOS`` lists the square-matrix engines that ``bench det`` times.
+and rescues any entry whose interior divisor vanishes, so it returns the
+true determinant on every exact input: a 3x3 block around a zero entry by
+its first-row expansion, whose outer minors the level already holds, and a
+larger block by the Bareiss kernel.  Its levels (``_condense``) take the
+exact arms of Bareiss.  ``DET_ALGOS`` lists the square-matrix engines that
+``bench det`` times.
 """
 from __future__ import annotations
 
@@ -112,40 +115,33 @@ def det_cofactor(a: Matrix):
     """Laplace expansion along the first row of each block, memoized on the
     trailing sub-minors; the exponential-time oracle.
 
-    Each sub-minor on the last k rows is computed once, keyed by its columns,
-    so an order-n determinant costs O(n 2^n) products in place of O(n!).  It
-    uses only the scalars' own ``*``, ``+`` and ``-``, never the production
-    engines, so it stays an independent oracle.  The cap keeps its 2^n memo
-    small and fixes the ``bench det`` command set."""
+    It is built bottom up: level k holds the minors on the last k rows,
+    one for each set of k columns, keyed by the bit mask of the set, and
+    each one expands along its first row over the level below, which is then
+    dropped.  So an order-n determinant costs O(n 2^n) products in place of
+    O(n!).  It uses only the scalars' own ``*``, ``+`` and ``-``, never the
+    production engines, so it stays an independent oracle.  The cap keeps
+    its 2^n minors small and fixes the ``bench det`` command set."""
     _require_square(a)
-    if a.rows > COFACTOR_CAP:
-        raise ValueError(
-            f"cofactor oracle is capped at order {COFACTOR_CAP}, got {a.rows}"
-        )
-    return _laplace(a.to_rows(), tuple(range(a.rows)), {(): 1})
-
-
-def _laplace(rows, cols, memo):
-    """det of the last len(cols) rows on the columns ``cols``, expanded along
-    its first row.  Every value is kept in ``memo`` under its columns; the
-    memo is an argument, not a closure, so that no reference cycle keeps it
-    alive after the call."""
-    got = memo.get(cols)
-    if got is not None:
-        return got
-    first = rows[len(rows) - len(cols)]
-    if len(cols) == 1:
-        got = first[cols[0]]
-    elif len(cols) == 2:
-        last = rows[-1]
-        got = first[cols[0]] * last[cols[1]] - first[cols[1]] * last[cols[0]]
-    else:
-        got = 0
-        for j, c in enumerate(cols):
-            term = first[c] * _laplace(rows, cols[:j] + cols[j + 1:], memo)
-            got = got - term if j % 2 else got + term
-    memo[cols] = got
-    return got
+    n = a.rows
+    if n > COFACTOR_CAP:
+        raise ValueError(f"cofactor oracle is capped at order {COFACTOR_CAP}, got {n}")
+    if n == 0:
+        return 1
+    rows = a.to_rows()
+    bits = [1 << c for c in range(n)]
+    minors = dict(zip(bits, rows[-1]))
+    for k in range(2, n + 1):
+        level = {}
+        for xs, bs in zip(combinations(rows[n - k], k), combinations(bits, k)):
+            mask = sum(bs)
+            got = xs[0] * minors[mask ^ bs[0]]
+            for j in range(1, k):
+                term = xs[j] * minors[mask ^ bs[j]]
+                got = got - term if j % 2 else got + term
+            level[mask] = got
+        minors = level
+    return minors[(1 << n) - 1]
 
 
 def det_bareiss(a: Matrix):
@@ -260,65 +256,75 @@ def _bareiss_det(rows, k0, state, kind: str, corner=None):
 
 
 def det_condensation(a: Matrix):
-    """Iterated 2x2 condensation with a Bareiss rescue for zero interiors;
-    exact scalars only (float or complex entries raise TypeError).
+    """Iterated 2x2 condensation that rescues zero interiors; exact scalars
+    only (float or complex entries raise TypeError).
 
     The entries pick the arm of every level (``_condense``) once: all plain
     ints divide inline, rationals divide the plain numerator by
     ``exact_div``, and polynomials build each numerator as one
-    ``sum_of_products`` before ``exact_div``.  An entry whose interior
-    divisor is zero is the Bareiss determinant of its block."""
+    ``sum_of_products`` before ``exact_div``."""
     _require_square(a)
     kind = _scalar_kind(a)
     if kind == "float":
         raise TypeError("condensation is an exact engine; got float or complex entries")
     if a.rows == 0:
         return 1
-    cur = a.to_rows()
-    prev = None
-    k = 1  # cur[i][j] = det of the k x k block at 1-based (i+1, j+1)
+    rows = a.to_rows()
+    cur, prev = rows, None
     while len(cur) > 1:
-        k += 1
-        prev, cur = cur, _condense(
-            cur, prev, kind, lambda i, j: det_bareiss(a.block(k, i + 1, j + 1))
-        )
+        prev, cur = cur, _condense(cur, prev, kind, rows)
     return cur[0][0]
 
 
-def _condense(cur, prev, kind: str, rescue) -> list:
-    """One condensation level: from the k x k contiguous minors ``cur`` and
-    the (k-1) x (k-1) ones ``prev`` (None when k = 1), the (k+1) x (k+1)
-    ones,
+def _condense(cur, prev, kind: str, rows) -> list:
+    """One condensation level of the matrix ``rows``: from the k x k
+    contiguous minors ``cur`` and the (k-1) x (k-1) ones ``prev`` (None when
+    k = 1), the (k+1) x (k+1) ones, in one pass,
 
         next[i][j] = (cur[i][j] cur[i+1][j+1] - cur[i][j+1] cur[i+1][j])
                      / prev[i+1][j+1],
 
-    by Desnanot-Jacobi; ``rescue(i, j)`` gives next[i][j] where the interior
-    prev[i+1][j+1] is zero.  ``kind`` "int" divides by an inline ``divmod``,
+    by Desnanot-Jacobi.  ``kind`` "int" divides by an inline ``divmod``,
     "rational" divides the same numerator by ``exact_div``, and "ring"
     builds the numerator as one ``sum_of_products`` and divides by
-    ``exact_div``; each raises ExactDivisionError on a remainder."""
+    ``exact_div``; each raises ExactDivisionError on a remainder.  An entry
+    whose interior prev[i+1][j+1] is zero builds no numerator: at k = 2 its
+    3 x 3 block, whose centre is that zero, expands along its first row,
+    where the outer two minors are cur[i+1][j+1] and cur[i+1][j] and the
+    middle one is a 2 x 2 product; a larger block goes to ``_bareiss_det``
+    with the same ``kind``."""
+    if prev is None:
+        ring = kind == "ring"
+        return [[sum_of_products(((1, w, z), (-1, x, y))) if ring else w * z - x * y
+                 for w, x, y, z in zip(top, top[1:], low, low[1:])]
+                for top, low in zip(cur, cur[1:])]
+    size = len(rows) - len(cur) + 2
     nxt = []
     for i in range(len(cur) - 1):
         top, low = cur[i], cur[i + 1]
-        blocks = zip(top, top[1:], low, low[1:])  # the 2x2 block at (i, j)
-        interior = () if prev is None else prev[i + 1][1:-1]
-        if kind == "ring":
-            row = [sum_of_products(((1, w, z), (-1, x, y))) for w, x, y, z in blocks]
-        else:
-            row = [w * z - x * y for w, x, y, z in blocks]
-        if kind == "int":
-            for j, d in enumerate(interior):
-                if d:
-                    q, r = divmod(row[j], d)
+        interior = prev[i + 1][1:-1]
+        row = []
+        for j, d in enumerate(interior):
+            if d:
+                w, x, y, z = top[j], top[j + 1], low[j], low[j + 1]
+                if kind == "int":
+                    q, r = divmod(w * z - x * y, d)
                     if r:
                         raise ExactDivisionError(f"condensation: {d} leaves {r}")
-                    row[j] = q
+                elif kind == "ring":
+                    q = exact_div(sum_of_products(((1, w, z), (-1, x, y))), d)
                 else:
-                    row[j] = rescue(i, j)
-        else:
-            for j, d in enumerate(interior):
-                row[j] = exact_div(row[j], d) if d else rescue(i, j)
+                    q = exact_div(w * z - x * y, d)
+            elif size > 3:
+                q = _bareiss_det([r[j:j + size] for r in rows[i:i + size]], 0, (1, 1), kind)
+            else:  # expand the 3x3 block along its first row
+                (t0, t1, t2), (m0, _, m2), (l0, _, l2) = (r[j:j + 3] for r in rows[i:i + 3])
+                if kind == "ring":
+                    mid = sum_of_products(((1, m0, l2), (-1, m2, l0)))
+                    q = sum_of_products(((1, t0, low[j + 1]), (-1, t1, mid), (1, t2, low[j])))
+                else:
+                    q = t0 * low[j + 1] - t1 * (m0 * l2 - m2 * l0) + t2 * low[j]
+            row.append(q)
         nxt.append(row)
     return nxt
 

@@ -300,18 +300,53 @@ def test_a_doctored_bareiss_pivot_raises_in_the_ring_arm():
 @pytest.mark.parametrize("kind", ["int", "ring"])
 def test_a_doctored_condensation_interior_raises(kind):
     # the 2x2 minors [[1, 2], [3, 5]] give 1*5 - 2*3 = -1, not a multiple
-    # of the claimed interior 3; a zero interior goes to the rescue
-    def rescue(i, j):
-        raise AssertionError("no interior is zero")
-
+    # of the claimed interior 3; a zero interior goes to the rescue, which
+    # expands the 3x3 block along its first row
+    rows = [[1, 1, 1], [1, 3, 1], [1, 1, 1]]
     cur = [[1, 2], [3, 5]]
-    prev = [[1, 1, 1], [1, 3, 1], [1, 1, 1]]
     with pytest.raises(ExactDivisionError):
-        detkit_module._condense(cur, prev, kind, rescue)
-    prev[1][1] = -1
-    assert detkit_module._condense(cur, prev, kind, rescue) == [[1]]
-    prev[1][1] = 0
-    assert detkit_module._condense(cur, prev, kind, lambda i, j: (i, j)) == [[(0, 0)]]
+        detkit_module._condense(cur, rows, kind, rows)
+    rows[1][1] = -1
+    assert detkit_module._condense(cur, rows, kind, rows) == [[1]]
+    rows = [[2, 7, 1], [3, 0, 4], [5, 6, 8]]
+    cur = detkit_module._condense(rows, None, kind, rows)
+    assert detkit_module._condense(cur, rows, kind, rows) == [[-58]]
+
+
+@pytest.mark.parametrize("n", range(3, COFACTOR_CAP + 1))
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_centred_blocks_expand_without_the_bareiss_kernel(monkeypatch, kind, n):
+    # every interior entry is zero and every border entry nonzero, so
+    # condensation rescues every 3x3 block of its first dividing level by
+    # the first-row expansion, and from order 4 the 4x4 blocks around the
+    # zero 2x2 interior minors by Bareiss
+    stream = substream(330, 10 * KINDS.index(kind) + n)
+    one = {"fraction": Fraction(1), "poly": MultiPoly.const(1, 2)}.get(kind, 1)
+    rows = _kind_cases(kind, n, stream)[0].to_rows()
+    for i in range(n):
+        for j in range(n):
+            interior = 0 < i < n - 1 and 0 < j < n - 1
+            rows[i][j] = rows[i][j] * 0 if interior else rows[i][j] or one
+    a = Matrix.from_rows(rows)
+    expected = det_cofactor(a)
+    arm = detkit_module._scalar_kind(a)
+    level2 = detkit_module._condense(rows, None, arm, rows)
+    level3 = detkit_module._condense(level2, rows, arm, rows)
+    assert level3 == [[det_cofactor(a.block(3, i + 1, j + 1)) for j in range(n - 2)]
+                      for i in range(n - 2)]
+    sizes = []
+    kernel = detkit_module._bareiss_det
+
+    def counted(rows, *args):
+        sizes.append(len(rows))
+        return kernel(rows, *args)
+
+    monkeypatch.setattr(detkit_module, "_bareiss_det", counted)
+    got = det_condensation(a)
+    assert got == expected
+    assert type(got) is RESULT_TYPE.get(kind, type(got))
+    assert 3 not in sizes
+    assert sizes.count(4) == (n - 3) ** 2
 
 
 def test_adjugate_basics():
