@@ -20,9 +20,10 @@ One production engine per scalar world:
 - ``shared_column_minors`` serves every polynomial determinant of the
   certificates over Z[b1..bk], and its level step every polynomial
   adjugate: the division-free memoized Laplace expansion, which expands
-  once along the columns its minors share, closes each minor along its own
-  extra column and never divides, so its intermediate results are
-  sub-minors and stay small where Bareiss swells.  It runs in the index
+  once along the columns its minors share, closes each minor by one more
+  level step along its own extra column and never divides, so its
+  intermediate results are sub-minors and stay small where Bareiss
+  swells.  It runs in the index
   space of one ``ring.MonomialTable`` per call: a sub-minor maps monomial
   numbers to coefficients, and each minor is one accumulator of its signed
   products, each shifted through the table, with no packed key built and
@@ -41,9 +42,7 @@ per scalar world, chosen by the kind of its entries:
   expansion that skips row j; a recursion halves the range of dropped rows,
   and each half expands the other half's rows on its own copy of the
   level, so levels 1..n/2 are built twice and level n - 1 once per column,
-  and the minors become polynomials only as they are written out (a split
-  Laplace that joined a downward and an upward expansion by polynomial
-  products measured up to 2.5 times slower, and Berkowitz 3.4-3.7 times);
+  and the minors become polynomials only as they are written out;
 - exact numbers (ints, rationals): Cayley-Hamilton on the division-free
   Berkowitz characteristic polynomial, O(n^4) ring operations in place of
   the O(n^5) of n^2 Bareiss minors, and valid on singular matrices, where
@@ -164,7 +163,7 @@ def det_bareiss(a: Matrix):
     complex`` and the float checks of ``verify accretive`` (ROADMAP item 4).
     """
     _require_square(a)
-    return _bareiss_det(a.to_rows(), 0, (1, 1), _scalar_kind(a))
+    return _bareiss_det(a.to_rows(), (1, 1), _scalar_kind(a))
 
 
 def _scalar_kind(a: Matrix) -> str:
@@ -240,15 +239,16 @@ def _bareiss_steps(rows, k0, k1, state, kind: str):
     return sign, prev
 
 
-def _bareiss_det(rows, k0, state, kind: str, corner=None):
-    """Determinant of the square ``rows`` after steps 0..k0-1, which left
-    ``state``: 1 for no rows, and a zero of the entries' own kind on an
-    exactly zero pivot, ``rows[0][0] * 0`` or, when ``rows`` is only the
-    trailing block of a matrix, ``corner * 0`` with ``corner`` that
-    matrix's top-left entry."""
+def _bareiss_det(rows, state, kind: str, corner=None):
+    """Determinant of the square ``rows`` by Bareiss steps from ``state``,
+    (1, 1) for a whole matrix, or the state that earlier steps on a larger
+    matrix left when ``rows`` is the trailing block they leave: 1 for no
+    rows, and a zero of the entries' own kind on an exactly zero pivot,
+    ``rows[0][0] * 0`` or, for a trailing block, ``corner * 0`` with
+    ``corner`` the larger matrix's top-left entry."""
     if not rows:
         return 1
-    state = _bareiss_steps(rows, k0, len(rows) - 1, state, kind)
+    state = _bareiss_steps(rows, 0, len(rows) - 1, state, kind)
     if state is None:
         return (rows[0][0] if corner is None else corner) * 0
     result = rows[-1][-1]
@@ -316,7 +316,7 @@ def _condense(cur, prev, kind: str, rows) -> list:
                 else:
                     q = exact_div(w * z - x * y, d)
             elif size > 3:
-                q = _bareiss_det([r[j:j + size] for r in rows[i:i + size]], 0, (1, 1), kind)
+                q = _bareiss_det([r[j:j + size] for r in rows[i:i + size]], (1, 1), kind)
             else:  # expand the 3x3 block along its first row
                 (t0, t1, t2), (m0, _, m2), (l0, _, l2) = (r[j:j + 3] for r in rows[i:i + 3])
                 if kind == "ring":
@@ -343,14 +343,14 @@ def shared_column_minors(a: Matrix, shared, extra) -> list:
 
     D[{}] = 1, by the level step ``_expand_level`` with each column for its
     row (a determinant is its transpose's): 2^m - 2 sub-minors, built once
-    for every c.  Each c is then one more sum of the same kind along its
-    column, taken last, over the m sub-minors of the last level, with the
-    sign (-1)^(number of shared columns greater than c) that moves it into
-    place.  Every sum runs in the index form of one ``MonomialTable`` for
-    the call, so a monomial is numbered, and its degree checked, once, and
-    only the results are turned into polynomials (plain numbers when no
-    entry is a polynomial).  No ring division is made, so nothing swells
-    beyond the minors themselves.
+    for every c.  Each c is then one more level step, along its column
+    taken last, on a copy of the last level, with the column's entries
+    times the sign (-1)^(number of shared columns greater than c) that
+    moves it into place.  Every step runs in the index form of one
+    ``MonomialTable`` for the call, so a monomial is numbered, and its
+    degree checked, once, and only the results are turned into polynomials
+    (plain numbers when no entry is a polynomial).  No ring division is
+    made, so nothing swells beyond the minors themselves.
     """
     cols, extra = sorted(shared), list(extra)
     m = len(cols) + 1
@@ -365,16 +365,11 @@ def shared_column_minors(a: Matrix, shared, extra) -> list:
     prev = {0: {0: 1}}
     for k, c in enumerate(cols, 1):
         prev = _expand_level(table, [r[c] for r in picked], k, prev)
-    full = (1 << m) - 1
     results = []
     for c in extra:
-        base = m - 1 + sum(1 for s in cols if s > c)
-        pairs = []
-        for i, r in enumerate(picked):
-            f, d = table.factor(r[c]), prev[full ^ (1 << i)]
-            if f and d:
-                pairs.append((-1 if (base + i) % 2 else 1, f, d))
-        results.append(table.element(table.sum_of_products(pairs)))
+        sign = (-1) ** sum(s > c for s in cols)
+        (d,) = _expand_level(table, [sign * r[c] for r in picked], m, dict(prev)).values()
+        results.append(table.element(d))
     return results
 
 
@@ -546,7 +541,7 @@ def adjugate(a: Matrix) -> Matrix:
             if state is None:  # a shared pivot was exactly zero
                 minor = rect[0][0] * 0
             else:
-                minor = _bareiss_det([r[k:i] + r[i + 1:] for r in rect[k:]], 0, state,
+                minor = _bareiss_det([r[k:i] + r[i + 1:] for r in rect[k:]], state,
                                      "float", rect[0][0] if k else None)
                 if i < n - 2:
                     state = _bareiss_steps(rect, i, i + 1, state, "float")
@@ -572,7 +567,7 @@ def contiguous_minors(a: Matrix):
     rows = a.to_rows()
     corners = ((0, 0), (1, 1), (0, 1), (1, 0))
     return tuple(
-        _bareiss_det([r[j:j + m] for r in rows[i:i + m]], 0, (1, 1), kind)
+        _bareiss_det([r[j:j + m] for r in rows[i:i + m]], (1, 1), kind)
         for i, j in corners
     )
 

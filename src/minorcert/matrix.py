@@ -110,10 +110,7 @@ class Matrix:
             raise TypeError("use @ for the matrix product")
         return Matrix(self._r, self._c, [a * scalar for a in self._d])
 
-    def __rmul__(self, scalar):
-        if isinstance(scalar, Matrix):
-            raise TypeError("use @ for the matrix product")
-        return Matrix(self._r, self._c, [scalar * a for a in self._d])
+    __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         return Matrix(self._r, self._c, [a / scalar for a in self._d])

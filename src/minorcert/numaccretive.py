@@ -75,21 +75,11 @@ class AccretiveWitness(namedtuple(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        d11, d22, d12, d21 = self.minors
-        return {
-            "label": self.label,
+        return jsonable({
+            **self._asdict(),
             "matrix": matrix_to_json(self.matrix),
-            "minors": {
-                "d11": jsonable(d11),
-                "d22": jsonable(d22),
-                "d12": jsonable(d12),
-                "d21": jsonable(d21),
-            },
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "clamp": self.clamp,
-        }
+            "minors": dict(zip(("d11", "d22", "d12", "d21"), self.minors, strict=True)),
+        })
 
 
 # -- symmetric eigensolver ------------------------------------------------

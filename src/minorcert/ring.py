@@ -124,27 +124,21 @@ class MultiPoly:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in o._terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return MultiPoly._raw(self.nvars, out)
+        return self._signed_sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        return self._signed_sum(other, -1)
+
+    def _signed_sum(self, other, sign):
+        # self + sign * other, term by term into a copy of self's terms
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out = dict(self._terms)
         for k, c in o._terms.items():
-            v = out.get(k, 0) - c
+            v = out.get(k, 0) + sign * c
             if v:
                 out[k] = v
             else:
@@ -336,12 +330,9 @@ def sum_of_products(pairs):
     other kind TypeError), and every product is added term by term into
     one accumulator keyed by packed monomial, so no product or partial sum
     is built as a polynomial of its own, and zero coefficients are dropped
-    once, at the end.  A term whose coefficient is +1 or -1 adds or
-    subtracts the other factor's coefficients without multiplying them, and
-    a constant such term keeps the other factor's key objects.  Each
-    product passes the same 15-bit degree guard as ``*``.  Numbers get the
-    plain sum from 0, left to right.  The Laplace level steps multiply in
-    the index space of a ``MonomialTable`` instead.
+    once, at the end.  Each product passes the same 15-bit degree guard as
+    ``*``.  Numbers get the plain sum from 0, left to right.  The Laplace
+    level steps multiply in the index space of a ``MonomialTable`` instead.
     """
     pairs = list(pairs)
     for _, a, b in pairs:
@@ -371,7 +362,8 @@ def sum_of_products(pairs):
 
 def _product_sum(nvars: int, triples) -> dict[int, int]:
     # The one product loop of the ring: sum of sign * a * b over packed term
-    # dicts, accumulated in place and filtered for zeros once.
+    # dicts, one multiply-add per pair of terms into one accumulator,
+    # filtered for zeros once.
     deg_shift = _layout(nvars)[0]
     out: dict[int, int] = {}
     get = out.get
@@ -386,25 +378,9 @@ def _product_sum(nvars: int, triples) -> dict[int, int]:
         for ka, ca in a.items():
             if sign < 0:
                 ca = -ca
-            if ca != 1 and ca != -1:
-                for kb, cb in bitems:
-                    k = ka + kb
-                    out[k] = get(k, 0) + ca * cb
-            elif not ka:  # the constant +-1 keeps b's own key objects
-                if ca == 1:
-                    for kb, cb in bitems:
-                        out[kb] = get(kb, 0) + cb
-                else:
-                    for kb, cb in bitems:
-                        out[kb] = get(kb, 0) - cb
-            elif ca == 1:
-                for kb, cb in bitems:
-                    k = ka + kb
-                    out[k] = get(k, 0) + cb
-            else:
-                for kb, cb in bitems:
-                    k = ka + kb
-                    out[k] = get(k, 0) - cb
+            for kb, cb in bitems:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
 
 
@@ -448,8 +424,9 @@ class MonomialTable:
         """The index form of the sum of ``sign * f * d`` over ``pairs`` of
         ``(sign, f, d)``: a sign +1 or -1, a line entry ``f`` from
         ``factor`` and a polynomial ``d`` in index form.  One accumulator,
-        zeros dropped once at the end, and a +-1 coefficient adds or
-        subtracts without multiplying, as in ``ring.sum_of_products``."""
+        zeros dropped once at the end; a +-1 coefficient, which the
+        certificates' entries ``+-b_k`` and ``1 +- b_k`` are made of, adds
+        or subtracts without multiplying."""
         keys = self._keys
         out: dict = {}
         get = out.get

@@ -1040,7 +1040,7 @@ def test_level_step_guards_the_degree_of_each_new_monomial(order):
     # the shared columns hold Vandermonde multiples of b1^e, whose minors
     # keep their top terms, and the closing column is 1, so the expansion
     # first makes degree (order - 1) * e in the level step of level
-    # order - 1 and the closing sum makes no new monomial; one degree less
+    # order - 1 and the closing step makes no new monomial; one degree less
     # stays under the cap, with the cofactor oracle (Bareiss's own products
     # would pass the cap)
     cap = (1 << 15) - 1

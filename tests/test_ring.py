@@ -87,25 +87,42 @@ def _operator_sum(pairs):
     return acc
 
 
-def test_sum_of_products_matches_operators_on_random_polynomials():
+def _naive_sum(pairs):
+    # the oracle: every pair of terms multiplied on exponent tuples, with no
+    # packed key and no ring operator
+    acc = {}
+    for sign, a, b in pairs:
+        for ea, ca in a.terms():
+            for eb, cb in b.terms():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                acc[e] = acc.get(e, 0) + sign * ca * cb
+    return MultiPoly(pairs[0][1].nvars, acc)
+
+
+def test_sum_of_products_matches_a_naive_product_on_random_polynomials():
     b1, b2, b3 = variables(3)
-    # binomials with coefficients +-1 (the +-1 path) and one without
-    binomials = [1 + b1, b2 - 1, -b1 - b3, b3 - b2, 3 * b1 - b2]
-    for t in range(20):
+    one = MultiPoly.const(1, 3)
+    # factors with +-1 coefficients, the constants +-1 and one without +-1;
+    # each is mostly the shorter factor, whose terms drive the product loop
+    special = [1 + b1, b2 - 1, -b1 - b3, b3 - b2 + 1, one, -one, 3 * b1 - b2]
+    for t in range(21):
         stream = substream(412, t)
-        a = random_poly_matrix(stream, 4, nvars=3, max_terms=4, max_exp=2)
-        entries = a.entries()
-        pairs = [
-            (1 - 2 * stream.randint(0, 1), entries[2 * i], entries[2 * i + 1])
-            for i in range(1 + t % 8)
-        ]
+        entries = random_poly_matrix(stream, 4, nvars=3, max_terms=4, max_exp=2).entries()
+        signs = [1 - 2 * stream.randint(0, 1) for _ in range(9)]
+        pairs = [(signs[i], entries[2 * i], entries[2 * i + 1]) for i in range(1 + t % 8)]
         many = random_poly(stream, 3, max_terms=12, max_exp=3, coeff_bound=7)
-        for sign in (1, -1):
-            pairs.append((sign, binomials[t % len(binomials)], many))
-            pairs.append((sign, many, binomials[(t + 1) % len(binomials)]))
+        f, g = special[t % 7], special[(t + 3) % 7]
+        pairs += [(signs[8], f, many), (-1, many, g)]
         got = sum_of_products(pairs)
-        assert got == _operator_sum(pairs)
+        assert got == _naive_sum(pairs)
         assert all(c for _, c in got.terms())
+        assert f * many == _naive_sum([(1, f, many)])
+        assert many * g == _naive_sum([(1, many, g)])
+        # products that cancel to zero, through +-1 and constant factors
+        for zero in (sum_of_products([(1, f, many), (-1, many, f)]),
+                     sum_of_products([(-1, -one, many), (-1, many, one)]),
+                     sum_of_products([(1, f, g), (1, -one, g * f)])):
+            assert isinstance(zero, MultiPoly) and zero == 0 and not zero
 
 
 def test_sum_of_products_mixes_int_constants_into_polynomials():
