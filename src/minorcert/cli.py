@@ -14,6 +14,13 @@ Commands
 All randomness flows from ``--seed`` (fixed default, never time-based)
 through SplitMix64 substreams, and reports are emitted in a deterministic
 order, so identical invocations produce byte-identical output.
+
+The seeded suites (``verify accretive``, ``verify bt``, ``verify johnson
+--mode numeric`` and the rank-one part of ``verify lemmas``) split their
+trials across the CPUs of the affinity mask (``rng.map_trials``), with the
+same bytes as one CPU; no option sets the count.  ``search complex`` stays
+sequential, since each step of its hill climb starts from the best so far,
+and so does ``bench det``, since it times each determinant.
 """
 
 from __future__ import annotations
@@ -83,6 +90,8 @@ def _search_complex(args):
 def _bench_det(args):
     import hashlib  # only this command hashes; every other one skips the import
 
+    # one process, one trial at a time: a worker busy beside a timed
+    # determinant would skew its nanos
     rows = []
     fn = DET_ALGOS[args.algo]
     for t in range(args.trials):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from .detkit import (
     adjugate,
@@ -34,8 +35,8 @@ from .matrix import (
 )
 from .numaccretive import minor_witness
 from .report import CertificateReport, UndecidedError, verdict
-from .ring import MultiPoly, is_floating, sum_of_products
-from .rng import random_int_matrix, random_skew, substream
+from .ring import MultiPoly, is_floating, poly_sum
+from .rng import map_trials, random_int_matrix, random_skew, substream
 
 __all__ = [
     "BT_TOL",
@@ -167,7 +168,7 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     transpose_ok = all(adj[j, i] == (adj[i, j] if odd else -adj[i, j]) for i, j in upper)
     instance = {"m": m, "parity": "odd" if odd else "even"}
     if not odd:
-        s_val = sum_of_products((1, 1, e) for e in adj.entries())
+        s_val = poly_sum(adj.entries())
         ok = transpose_ok and s_val == 0
         residual = str(s_val)
     else:
@@ -340,46 +341,52 @@ def johnson_numeric_suite(max_n: int, trials: int, seed: int) -> list[Certificat
     """Floating smoke test, to ``JOHNSON_NUMERIC_TOL``, of the minor identity
     on random numeric members of the family (b_k uniform in [-2, 2], order
     drawn from 2..max_n).  A minor or residual that is not finite (the minors
-    overflow from about order 230) raises UndecidedError, not a refutation."""
+    overflow from about order 230) raises UndecidedError, not a refutation.
+
+    From ``rng.SPLIT_MIN_TRIALS`` trials on, the trials run in one process
+    per CPU of the affinity mask (``rng.map_trials``; no option sets the
+    count), with byte-identical reports and the same first error as one
+    CPU: each trial draws only from its own substream."""
     if max_n < 2:
         raise ValueError("max order must be at least 2")
-    reports = []
-    for t in range(trials):
-        stream = substream(seed, t)
-        n = stream.randint(2, max_n)
-        b = [stream.uniform(-2.0, 2.0) for _ in range(n - 1)]
-        a = ones(n) + skew_toeplitz(b)
-        m = n - 1
-        d12 = det_bareiss(a.block(m, 1, 2))
-        d21 = det_bareiss(a.block(m, 2, 1))
-        d11 = det_bareiss(a.block(m, 1, 1))
-        residual = abs(d12 + d21 - 2.0 * d11)
-        _require_finite(
-            f"johnson_numeric_t{t:03d} (order {n})", d11, d12, d21, residual
-        )
-        scale = max(1.0, abs(d11), abs(d12), abs(d21))
-        reports.append(
-            CertificateReport(
-                claim=f"johnson_numeric_t{t:03d}",
-                status=verdict(residual <= JOHNSON_NUMERIC_TOL * scale),
-                residual=residual,
-                instance={"n": n, "b": b},
-                tolerance=JOHNSON_NUMERIC_TOL,
-            )
-        )
-    return reports
+    return map_trials(partial(_johnson_numeric_trial, max_n, seed), trials)
+
+
+def _johnson_numeric_trial(max_n: int, seed: int, t: int) -> CertificateReport:
+    stream = substream(seed, t)
+    n = stream.randint(2, max_n)
+    b = [stream.uniform(-2.0, 2.0) for _ in range(n - 1)]
+    a = ones(n) + skew_toeplitz(b)
+    m = n - 1
+    d12 = det_bareiss(a.block(m, 1, 2))
+    d21 = det_bareiss(a.block(m, 2, 1))
+    d11 = det_bareiss(a.block(m, 1, 1))
+    residual = abs(d12 + d21 - 2.0 * d11)
+    _require_finite(
+        f"johnson_numeric_t{t:03d} (order {n})", d11, d12, d21, residual
+    )
+    scale = max(1.0, abs(d11), abs(d12), abs(d21))
+    return CertificateReport(
+        claim=f"johnson_numeric_t{t:03d}",
+        status=verdict(residual <= JOHNSON_NUMERIC_TOL * scale),
+        residual=residual,
+        instance={"n": n, "b": b},
+        tolerance=JOHNSON_NUMERIC_TOL,
+    )
 
 
 def rankone_suite(trials: int, seed: int) -> list[CertificateReport]:
-    """Random exact order-5 instances of the all-ones rank-one expansion."""
-    reports = []
-    for t in range(trials):
-        stream = substream(seed, 1000 + t)
-        x = random_int_matrix(stream, 5)
-        t_val = stream.randint(-5, 5)
-        rep = verify_rank_one_expansion(x, t_val)
-        reports.append(rep._replace(claim=f"rankone_expansion_t{t:03d}"))
-    return reports
+    """Random exact order-5 instances of the all-ones rank-one expansion,
+    run across the CPUs like ``johnson_numeric_suite``."""
+    return map_trials(partial(_rankone_trial, seed), trials)
+
+
+def _rankone_trial(seed: int, t: int) -> CertificateReport:
+    stream = substream(seed, 1000 + t)
+    x = random_int_matrix(stream, 5)
+    t_val = stream.randint(-5, 5)
+    rep = verify_rank_one_expansion(x, t_val)
+    return rep._replace(claim=f"rankone_expansion_t{t:03d}")
 
 
 def lemmas_suite(max_n: int, trials: int, seed: int) -> list[CertificateReport]:
@@ -398,27 +405,28 @@ def lemmas_suite(max_n: int, trials: int, seed: int) -> list[CertificateReport]:
 def bt_suite(dim: int, trials: int, seed: int, scalar: str = "rat") -> list[CertificateReport]:
     """Random rank-one symmetric-part instances; every fifth weight vector
     gets a forced zero component.  ``scalar`` picks exact rationals or
-    floats."""
+    floats.  Run across the CPUs like ``johnson_numeric_suite``."""
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     if scalar not in ("rat", "real"):
         raise ValueError(f"unknown scalar kind {scalar!r}")
-    reports = []
-    for t in range(trials):
-        stream = substream(seed, 2000 + t)
-        n = stream.randint(2, dim)
-        if scalar == "rat":
-            skew = random_skew(n, lambda: stream.randint(-4, 4))
-            alpha = stream.randint(-5, 5)
-            w = [stream.randint(-4, 4) for _ in range(n)]
-        else:
-            skew = random_skew(n, lambda: stream.uniform(-2.0, 2.0))
-            alpha = stream.uniform(-3.0, 3.0)
-            w = [stream.uniform(-2.0, 2.0) for _ in range(n)]
-        if t % 5 == 0:
-            w[t % n] = 0.0 if scalar == "real" else 0
-        if all(not x for x in w):
-            w[0] = 1.0 if scalar == "real" else 1
-        rep = verify_bt(skew, alpha, w)
-        reports.append(rep._replace(claim=f"bt_{scalar}_t{t:03d}"))
-    return reports
+    return map_trials(partial(_bt_trial, dim, seed, scalar), trials)
+
+
+def _bt_trial(dim: int, seed: int, scalar: str, t: int) -> CertificateReport:
+    stream = substream(seed, 2000 + t)
+    n = stream.randint(2, dim)
+    if scalar == "rat":
+        skew = random_skew(n, lambda: stream.randint(-4, 4))
+        alpha = stream.randint(-5, 5)
+        w = [stream.randint(-4, 4) for _ in range(n)]
+    else:
+        skew = random_skew(n, lambda: stream.uniform(-2.0, 2.0))
+        alpha = stream.uniform(-3.0, 3.0)
+        w = [stream.uniform(-2.0, 2.0) for _ in range(n)]
+    if t % 5 == 0:
+        w[t % n] = 0.0 if scalar == "real" else 0
+    if all(not x for x in w):
+        w[0] = 1.0 if scalar == "real" else 1
+    rep = verify_bt(skew, alpha, w)
+    return rep._replace(claim=f"bt_{scalar}_t{t:03d}")

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 
 from .detkit import adjugate, contiguous_minors, det_bareiss
 from .matrix import Matrix, identity as identity_matrix, matrix_to_json, max_abs
 from .report import CertificateReport, UndecidedError, jsonable, verdict
-from .rng import SplitMix64, random_skew, substream
+from .rng import SplitMix64, map_trials, random_skew, substream
 
 __all__ = [
     "ACCRETIVE_TOL",
@@ -406,58 +406,62 @@ def accretive_suite(dim: int, trials: int, seed: int) -> list[CertificateReport]
     the factorization reconstruction.  The margin reads the four minors off
     the corners of the adjugate that the accretivity check builds, d11 =
     adj[n-1, n-1], d22 = adj[0, 0], d12 = (-1)^(n-1) adj[0, n-1] and d21 =
-    (-1)^(n-1) adj[n-1, 0], so no minor is eliminated twice."""
+    (-1)^(n-1) adj[n-1, 0], so no minor is eliminated twice.
+
+    From ``rng.SPLIT_MIN_TRIALS`` trials on, the trials run in one process
+    per CPU of the affinity mask (``rng.map_trials``; no option sets the
+    count), with byte-identical reports and the same first error as one
+    CPU: each trial draws only from its own substream."""
     if dim < 2:
         raise ValueError("dimension must be at least 2")
-    reports = []
-    for t in range(trials):
-        stream = substream(seed, 3000 + t)
-        n = stream.randint(2, dim)
-        boundary = t % 4 == 3
-        acc = accretive(random_accretive(stream, n, boundary=boundary))
-        det_rep = verify_det_positive(acc)
-        adj_rep = verify_adjugate_accretive(acc)
-        adj, m = acc.adjugate, n - 1
-        d12, d21 = adj[0, m], adj[m, 0]
-        if m % 2:
-            d12, d21 = -d12, -d21
-        witness = _witness(acc.matrix, f"accretive_inequality_n{n}",
-                           (adj[m, m], adj[0, 0], d12, d21))
-        margin_scale = max(1.0, witness.lhs + witness.rhs)
-        margin_ok = witness.margin >= -ACCRETIVE_TOL * margin_scale
-        checks = {
-            "n": n,
-            "kind": "boundary" if boundary else "strict",
-            "det": det_rep.residual,
-            "adjugate": adj_rep.residual,
-            "margin": witness.margin,
-        }
-        ok = det_rep.verified and adj_rep.verified and margin_ok
-        if not boundary:
-            _, _, fact_rep = acc.factorization
-            checks["factorization"] = fact_rep.residual
-            ok = ok and fact_rep.verified
-        # each component normalized by its own tolerance, so a residual above
-        # the tolerance always means "refuted"; the converse fails, since
-        # some checks refute without raising the residual: on strict
-        # instances det > 0 and the product-formula relerr <= 1e-6, and a
-        # factorization skew residual in (1e-9, FACTOR_TOL]
-        worst = ACCRETIVE_TOL * max(
-            float(det_rep.residual) / DET_TOL,
-            float(adj_rep.residual) / ACCRETIVE_TOL,
-            max(0.0, -witness.margin / margin_scale) / ACCRETIVE_TOL,
-            float(checks.get("factorization", 0.0)) / FACTOR_TOL,
-        )
-        reports.append(
-            CertificateReport(
-                claim=f"accretive_t{t:03d}",
-                status=verdict(ok),
-                residual=worst,
-                instance=checks,
-                tolerance=ACCRETIVE_TOL,
-            )
-        )
-    return reports
+    return map_trials(partial(_accretive_trial, dim, seed), trials)
+
+
+def _accretive_trial(dim: int, seed: int, t: int) -> CertificateReport:
+    stream = substream(seed, 3000 + t)
+    n = stream.randint(2, dim)
+    boundary = t % 4 == 3
+    acc = accretive(random_accretive(stream, n, boundary=boundary))
+    det_rep = verify_det_positive(acc)
+    adj_rep = verify_adjugate_accretive(acc)
+    adj, m = acc.adjugate, n - 1
+    d12, d21 = adj[0, m], adj[m, 0]
+    if m % 2:
+        d12, d21 = -d12, -d21
+    witness = _witness(acc.matrix, f"accretive_inequality_n{n}",
+                       (adj[m, m], adj[0, 0], d12, d21))
+    margin_scale = max(1.0, witness.lhs + witness.rhs)
+    margin_ok = witness.margin >= -ACCRETIVE_TOL * margin_scale
+    checks = {
+        "n": n,
+        "kind": "boundary" if boundary else "strict",
+        "det": det_rep.residual,
+        "adjugate": adj_rep.residual,
+        "margin": witness.margin,
+    }
+    ok = det_rep.verified and adj_rep.verified and margin_ok
+    if not boundary:
+        _, _, fact_rep = acc.factorization
+        checks["factorization"] = fact_rep.residual
+        ok = ok and fact_rep.verified
+    # each component normalized by its own tolerance, so a residual above
+    # the tolerance always means "refuted"; the converse fails, since
+    # some checks refute without raising the residual: on strict
+    # instances det > 0 and the product-formula relerr <= 1e-6, and a
+    # factorization skew residual in (1e-9, FACTOR_TOL]
+    worst = ACCRETIVE_TOL * max(
+        float(det_rep.residual) / DET_TOL,
+        float(adj_rep.residual) / ACCRETIVE_TOL,
+        max(0.0, -witness.margin / margin_scale) / ACCRETIVE_TOL,
+        float(checks.get("factorization", 0.0)) / FACTOR_TOL,
+    )
+    return CertificateReport(
+        claim=f"accretive_t{t:03d}",
+        status=verdict(ok),
+        residual=worst,
+        instance=checks,
+        tolerance=ACCRETIVE_TOL,
+    )
 
 
 # -- complex diagnostic ------------------------------------------------------
@@ -547,7 +551,8 @@ def search_complex_violation(
     ``iters`` is an upper bound: the search stops once it holds
     ``MAX_WITNESSES`` witnesses.  The list only grows until that cap and
     the running best only steers later candidates, so no later iteration
-    could change the result."""
+    could change the result.  Unlike the suites it runs in one process:
+    each step starts from the best candidate so far."""
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     if init not in ("random", "remark45"):

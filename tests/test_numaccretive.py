@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from minorcert import cli, numaccretive
+from minorcert import cli, numaccretive, rng
 from minorcert.detkit import adjugate
 from minorcert.matrix import Matrix, identity, max_abs, ones
 from minorcert.numaccretive import (
@@ -289,11 +289,18 @@ def test_accretive_suite():
     assert kinds == {"strict", "boundary"}
 
 
+def _one_process(monkeypatch):
+    # the counters below live in this process, so no trial may run in a
+    # worker process (see tests/test_map_trials.py for the split)
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 1)
+
+
 def test_accretive_suite_decomposes_each_matrix_once(monkeypatch):
     # per claim: one eigendecomposition of H and one eigenvalue-only run on
     # the adjugate's symmetric part, which does not go through sym_eig; per
     # strict claim one factorization that the determinant cross-check and
     # the suite share
+    _one_process(monkeypatch)
     calls = {"sym_eig": 0, "_jacobi": 0, "accretive_factorize": 0}
     for name in calls:
         original = getattr(numaccretive, name)
@@ -313,6 +320,7 @@ def test_accretive_suite_decomposes_each_matrix_once(monkeypatch):
 def test_accretive_suite_reads_its_minors_off_one_adjugate(monkeypatch):
     # per claim one adjugate, which the accretivity check and the minor
     # inequality share; no minor is eliminated a second time
+    _one_process(monkeypatch)
     calls = {"adjugate": 0, "contiguous_minors": 0, "minor_witness": 0}
     for name in calls:
         original = getattr(numaccretive, name)
@@ -330,6 +338,7 @@ def test_accretive_suite_reads_its_minors_off_one_adjugate(monkeypatch):
 
 def test_suite_minors_are_the_contiguous_minors_by_bits(monkeypatch):
     # the corners the suite reads keep the bits of minor_witness's minors
+    _one_process(monkeypatch)
     seen = []
     original = numaccretive._witness
 
