@@ -9,14 +9,13 @@ One production engine per scalar world:
   ``_bareiss_steps``, and one finisher, ``_bareiss_det``, hold that loop;
   ``det_bareiss``, ``contiguous_minors`` and the float adjugate all call
   them.  The entries are looked at once per determinant and pick one of
-  four arms of the step (``_scalar_kind``): "float" for any float or
+  three arms of the step (``_scalar_kind``): "float" for any float or
   complex entry, "int" for all plain ints, which divide inline by
-  ``divmod``, "ring" for any polynomial (mixed with ints or not), whose
-  numerator is one ``sum_of_products`` and whose division is
-  ``exact_div``, and "rational" for the rest (rationals, mixed with ints
-  or not), whose numerator takes the numbers' own operators, which the
-  fused accumulator does not beat, before ``exact_div``.  Every arm stops
-  only on an exactly zero pivot.
+  ``divmod``, and "ring" for every other exact entry (rationals and
+  polynomials, mixed with ints or not), whose numerator is one
+  ``sum_of_products`` and whose division is ``exact_div``; rationals take
+  that accumulator's plain sum of numbers.  Every arm stops only on an
+  exactly zero pivot.
 - ``shared_column_minors`` serves every polynomial determinant of the
   certificates over Z[b1..bk], and its level step every polynomial
   adjugate: the division-free memoized Laplace expansion, which expands
@@ -149,8 +148,8 @@ def det_bareiss(a: Matrix):
 
     The entries are looked at once and pick the kernel's arm
     (``_scalar_kind``): any float or complex entry takes the floating arm,
-    all plain ints the integer arm, any polynomial the ring arm, and
-    anything else (rationals, mixed with ints or not) the rational arm.
+    all plain ints the integer arm, and any other exact entry (a rational
+    or a polynomial, mixed with ints or not) the ring arm.
     Row swaps bring a pivot to the diagonal: for floating scalars the first
     row of largest magnitude (ties go to the upper row, and a NaN is never
     preferred to the row already chosen), for exact ones the first nonzero,
@@ -167,17 +166,16 @@ def det_bareiss(a: Matrix):
 
 
 def _scalar_kind(a: Matrix) -> str:
-    """The arm of the Bareiss and condensation kernels for the entries of
-    ``a``: "float" if any is a float or complex, else "int" if every one is
-    a plain int (not a bool or other subclass), else "ring" if any is a
-    polynomial, else "rational"."""
+    """One of the three arms of the Bareiss and condensation kernels for
+    the entries of ``a``: "float" if any is a float or complex, else "int"
+    if every one is a plain int (not a bool or other subclass), else
+    "ring", rationals and polynomials alike."""
     kind = "int"
     for x in a.entries():
         if type(x) is not int:
             if is_floating(x):
                 return "float"
-            if kind != "ring":
-                kind = "ring" if isinstance(x, MultiPoly) else "rational"
+            kind = "ring"
     return kind
 
 
@@ -189,10 +187,10 @@ def _bareiss_steps(rows, k0, k1, state, kind: str):
     of largest magnitude for "float", else first nonzero row) and the
     update of each entry x below the pivot row, y its pivot-row entry:
     "float" divides pk * x - rik * y by the previous pivot; "int" takes the
-    same numerator and one inline ``divmod``; "rational" the same numerator
-    and ``exact_div``; "ring" builds the numerator as one
-    ``sum_of_products`` accumulator and divides it by ``exact_div``.  The
-    exact arms raise ExactDivisionError on a remainder."""
+    same numerator and one inline ``divmod``; "ring" builds the numerator
+    as one ``sum_of_products`` accumulator, the plain sum from 0 on
+    rationals, and divides it by ``exact_div``.  The exact arms raise
+    ExactDivisionError on a remainder."""
     sign, prev = state
     n, width = len(rows), len(rows[0])
     for k in range(k0, k1):
@@ -224,11 +222,6 @@ def _bareiss_steps(rows, k0, k1, state, kind: str):
                     if r:
                         raise ExactDivisionError(f"Bareiss step {k}: {prev} leaves {r}")
                     ri[j] = q
-        elif kind == "rational":
-            for ri in rows[k + 1:]:
-                rik = ri[k]
-                for j in range(k + 1, width):
-                    ri[j] = exact_div(pk * ri[j] - rik * base[j], prev)
         else:
             for ri in rows[k + 1:]:
                 rik = ri[k]
@@ -259,9 +252,9 @@ def det_condensation(a: Matrix):
     """Iterated 2x2 condensation that rescues zero interiors; exact scalars
     only (float or complex entries raise TypeError).
 
-    The entries pick the arm of every level (``_condense``) once: all plain
-    ints divide inline, rationals divide the plain numerator by
-    ``exact_div``, and polynomials build each numerator as one
+    The entries pick one of the two exact arms of every level
+    (``_condense``) once: all plain ints divide inline, and any other
+    entries, rationals or polynomials, build each numerator as one
     ``sum_of_products`` before ``exact_div``."""
     _require_square(a)
     kind = _scalar_kind(a)
@@ -285,9 +278,8 @@ def _condense(cur, prev, kind: str, rows) -> list:
                      / prev[i+1][j+1],
 
     by Desnanot-Jacobi.  ``kind`` "int" divides by an inline ``divmod``,
-    "rational" divides the same numerator by ``exact_div``, and "ring"
-    builds the numerator as one ``sum_of_products`` and divides by
-    ``exact_div``; each raises ExactDivisionError on a remainder.  An entry
+    and "ring" builds the numerator as one ``sum_of_products`` and divides
+    by ``exact_div``; each raises ExactDivisionError on a remainder.  An entry
     whose interior prev[i+1][j+1] is zero builds no numerator: at k = 2 its
     3 x 3 block, whose centre is that zero, expands along its first row,
     where the outer two minors are cur[i+1][j+1] and cur[i+1][j] and the
@@ -311,10 +303,8 @@ def _condense(cur, prev, kind: str, rows) -> list:
                     q, r = divmod(w * z - x * y, d)
                     if r:
                         raise ExactDivisionError(f"condensation: {d} leaves {r}")
-                elif kind == "ring":
-                    q = exact_div(sum_of_products(((1, w, z), (-1, x, y))), d)
                 else:
-                    q = exact_div(w * z - x * y, d)
+                    q = exact_div(sum_of_products(((1, w, z), (-1, x, y))), d)
             elif size > 3:
                 q = _bareiss_det([r[j:j + size] for r in rows[i:i + size]], (1, 1), kind)
             else:  # expand the 3x3 block along its first row

@@ -223,6 +223,11 @@ def test_every_exact_kind_matches_the_cofactor_oracle(kind, n):
     for a in _kind_cases(kind, n, stream):
         if want is not None:
             assert all(type(x) is want for x in a.entries())
+        # every exact case that is not all plain ints takes the ring arm; an
+        # "int+" case may draw only ints, and then it is an int case
+        ints = all(type(x) is int for x in a.entries())
+        assert ints == (kind == "int") or kind.startswith("int+")
+        assert detkit_module._scalar_kind(a) == ("int" if ints else "ring")
         expected = det_cofactor(a)
         got = [det_bareiss(a), det_condensation(a)]
         if n >= 2:
@@ -250,30 +255,18 @@ def test_integer_kernels_divide_inline(monkeypatch):
         assert contiguous_minors(a) == minors
 
 
-def test_rational_kernels_take_the_plain_numerator(monkeypatch):
-    # the "rational" arm of both kernels builds pk * x - rik * y with the
-    # numbers' own operators and never the fused ``sum_of_products``, which
-    # gains nothing on numbers; mixed int entries take it too, and any
-    # polynomial entry keeps the fused "ring" arm
-    def refuse(*args, **kwargs):
-        raise AssertionError("a rational kernel called sum_of_products")
-
-    cases = [
-        a
-        for kind in ("fraction", "int+fraction")
-        for n in (1, 4, 6)
-        for a in _kind_cases(kind, n, substream(329, 10 * n + len(kind)))
-        if detkit_module._scalar_kind(a) == "rational"
-    ]
-    assert len(cases) >= 10
-    polys = _kind_cases("poly", 4, substream(329, 0))
-    assert {detkit_module._scalar_kind(a) for a in polys} == {"ring"}
-    expected = [(det_cofactor(a), a.rows > 1 and contiguous_minors(a)) for a in cases]
-    monkeypatch.setattr(detkit_module, "sum_of_products", refuse)
-    for a, (det, minors) in zip(cases, expected):
-        assert det_bareiss(a) == det_condensation(a) == det
-        if a.rows > 1:
-            assert contiguous_minors(a) == minors
+@pytest.mark.parametrize("engine", [det_bareiss, det_condensation, contiguous_minors])
+def test_fractions_and_polynomials_do_not_mix(engine):
+    # both are "ring" entries, but Z[b1, b2] holds no rationals: every 2x2
+    # contiguous block mixes them, so each engine meets a mixed product
+    # before it can return a value or take a quotient
+    b1, b2 = variables(2)
+    a = Matrix.from_rows([[Fraction(1, 2), b1, Fraction(1, 3)],
+                          [b2, Fraction(2, 3), 1 + b1],
+                          [Fraction(3, 4), b2 - b1, Fraction(1, 5)]])
+    assert detkit_module._scalar_kind(a) == "ring"
+    with pytest.raises(TypeError):
+        engine(a)
 
 
 def test_a_doctored_bareiss_pivot_raises_in_the_integer_arm():
