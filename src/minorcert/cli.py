@@ -17,10 +17,11 @@ order, so identical invocations produce byte-identical output.
 
 The seeded suites (``verify accretive``, ``verify bt``, ``verify johnson
 --mode numeric`` and the rank-one part of ``verify lemmas``) split their
-trials across the CPUs of the affinity mask (``rng.map_trials``), with the
-same bytes as one CPU; no option sets the count.  ``search complex`` stays
-sequential, since each step of its hill climb starts from the best so far,
-and so does ``bench det``, since it times each determinant.
+trials across the CPUs of the affinity mask (``rng.map_trials``), one
+contiguous block of trials per process, with the same bytes as one CPU; no
+option sets the count.  ``search complex`` stays sequential, since each
+step of its hill climb starts from the best so far, and so does ``bench
+det``, since it times each determinant.
 """
 
 from __future__ import annotations

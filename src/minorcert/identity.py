@@ -7,8 +7,9 @@ into a polynomial identity over Z[b1..b_{n-1}], so a residual that is the
 zero polynomial is a complete machine certificate for every field of
 characteristic != 2 at that order, with no sampling involved.
 
-Each verifier returns a :class:`CertificateReport`; batch suites return lists
-of reports with deterministic, label-sorted claims.
+Each verifier returns a :class:`CertificateReport`; ``lemmas_suite`` sorts
+its reports by claim, the seeded suites return theirs in trial order, and
+``cli`` sorts every verify report by claim before it prints them.
 """
 
 from __future__ import annotations

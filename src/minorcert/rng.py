@@ -101,18 +101,17 @@ def map_trials(trial, count: int) -> list:
     process per CPU of the affinity mask.
 
     Every seeded trial draws only from its own substream, so a trial's
-    result does not depend on which process runs it or when.  The parent
-    runs trials t = 0, k, 2k, ... and forks one worker per other residue mod
-    k (interleaved, since a trial's cost varies with its drawn order); each
-    worker pickles its results back through a pipe, and the parent merges
-    them in t order, so the list is the one a sequential loop returns.  If
-    any trial raises, each process stops at its first failure and the
-    exception of the lowest failing t is raised, the one the sequential loop
-    raises (an exception that does not survive pickling comes back as a
-    ``RuntimeError`` with the same text).  A worker that dies raises
-    ``RuntimeError``.  Every worker is reaped before this returns or raises;
-    if the parent fails outside its trials (an interrupt, say), it kills
-    the workers first.
+    result does not depend on which process runs it or when.  Process w of
+    k runs the contiguous block of trials ``w * count // k`` up to ``(w + 1)
+    * count // k``: the parent runs block 0 and forks one worker per other
+    block, each worker pickles its results back through a pipe, and the
+    parent joins the blocks in order.  If any trial raises, each process
+    stops at its first failure and the first failing block's exception is
+    raised, the one the sequential loop raises (an exception that does not
+    survive pickling comes back as a ``RuntimeError`` with the same text).
+    A worker that dies raises ``RuntimeError``.  Every worker is reaped
+    before this returns or raises; if the parent fails outside its trials
+    (an interrupt, say), it kills the workers first.
 
     The loop stays in this process with one CPU, without ``os.fork``, while
     another thread runs (a fork would copy it half-done) and below
@@ -132,11 +131,12 @@ def map_trials(trial, count: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(trial, range(w, count, workers), wr)
+                    lo, hi = w * count // workers, (w + 1) * count // workers
+                    _worker(trial, range(lo, hi), wr)
             finally:
                 os.close(wr)
             pids.append(pid)
-        shares = [_run_share(trial, range(0, count, workers))]
+        shares = [_run_share(trial, range(count // workers))]
         while pids:
             with os.fdopen(reads.pop(0), "rb") as fh:
                 data = fh.read()
@@ -153,25 +153,22 @@ def map_trials(trial, count: int) -> list:
         for pid in pids:  # left only when the parent fails
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    failures = [(t, exc) for t, exc, _ in shares if exc is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    out = [None] * count
-    for w, (_, _, results) in enumerate(shares):
-        out[w::workers] = results
-    return out
+    failed = [exc for exc, _ in shares if exc is not None]
+    if failed:
+        raise failed[0]
+    return [r for _, results in shares for r in results]
 
 
 def _run_share(trial, ts):
-    """(failed t, its exception, results before it); (None, None, results)
-    when every trial of ``ts`` returns."""
+    """(the first exception, results before it); (None, results) when every
+    trial of ``ts`` returns."""
     results = []
     for t in ts:
         try:
             results.append(trial(t))
         except Exception as exc:
-            return t, exc, results
-    return None, None, results
+            return exc, results
+    return None, results
 
 
 def _worker(trial, ts, fd):
@@ -181,14 +178,14 @@ def _worker(trial, ts, fd):
     try:
         import pickle
 
-        failed, exc, results = _run_share(trial, ts)
+        exc, results = _run_share(trial, ts)
         if exc is not None:
             results = None
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 exc = RuntimeError(str(exc))
-        data = pickle.dumps((failed, exc, results), pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps((exc, results), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         code = 0

@@ -7,11 +7,20 @@ that will catch it, so that the change which does has to flip it."""
 import pytest
 
 from minorcert import cli, identity
+from minorcert.matrix import Matrix
 from minorcert.ring import MultiPoly
 
 SILENT_UNTIL_ITEM_7 = (
     "ROADMAP item 7: no check evaluates the minors a symbolic residual "
     "reads, so this fault still gives 'verified'"
+)
+SKEW_FACTS_UNTIL_ITEM_7 = (
+    "ROADMAP item 7: the skew facts hold for a zero, negated, transposed "
+    "or termwise-truncated adjugate, and no check evaluates its entries"
+)
+BT_MINORS_UNTIL_ITEM_13 = (
+    "ROADMAP item 13: no check catches minors that make the margin "
+    "4 d11 d22 - (d12 + d21)^2 zero on their own"
 )
 
 
@@ -38,24 +47,32 @@ COMMANDS = {
 }
 
 
-def _silent(*commands):
+def _marked(faults, silent, reason):
     return [
-        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=SILENT_UNTIL_ITEM_7))
-        if name in commands else name
-        for name in COMMANDS
+        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=reason))
+        if name in silent else name
+        for name in faults
     ]
 
 
-def _exit_status(monkeypatch, capsys, fault, command):
-    real = identity.shared_column_minors
+def _silent(*commands):
+    return _marked(COMMANDS, commands, SILENT_UNTIL_ITEM_7)
 
-    def faulty(a, shared, extra):
-        return fault(real(a, shared, extra))
 
-    monkeypatch.setattr(identity, "shared_column_minors", faulty)
-    rc = cli.main(COMMANDS[command])
+def _caught(monkeypatch, capsys, engine, fault, argv):
+    """Runs argv with ``identity.<engine>`` returning ``fault`` of its
+    result; True when the command exits 1 (refuted) or 2 (error)."""
+    real = getattr(identity, engine)
+    monkeypatch.setattr(identity, engine, lambda *args: fault(real(*args)))
+    rc = cli.main(argv)
     capsys.readouterr()
-    return rc
+    return rc in (1, 2)
+
+
+def _minors_caught(monkeypatch, capsys, fault, command):
+    return _caught(
+        monkeypatch, capsys, "shared_column_minors", fault, COMMANDS[command]
+    )
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -66,21 +83,113 @@ def test_the_unpatched_commands_verify(capsys, command):
 
 @pytest.mark.parametrize("command", _silent("johnson", "lemmas"))
 def test_zero_minors_are_caught(monkeypatch, capsys, command):
-    assert _exit_status(monkeypatch, capsys, _zero_minors, command) in (1, 2)
+    assert _minors_caught(monkeypatch, capsys, _zero_minors, command)
 
 
 @pytest.mark.parametrize("command", _silent("johnson", "lemmas"))
 def test_a_minor_returned_twice_is_caught(monkeypatch, capsys, command):
-    assert _exit_status(monkeypatch, capsys, _first_minor_twice, command) in (1, 2)
+    assert _minors_caught(monkeypatch, capsys, _first_minor_twice, command)
 
 
 # johnson's residual d12 + d12(-b) - 2 d11 reads only the even-degree part
 # of d12, and d12's leading term at order 6 has degree 5
 @pytest.mark.parametrize("command", _silent("johnson"))
 def test_a_dropped_leading_term_is_caught(monkeypatch, capsys, command):
-    assert _exit_status(monkeypatch, capsys, _later_leading_terms_dropped, command) in (1, 2)
+    assert _minors_caught(monkeypatch, capsys, _later_leading_terms_dropped, command)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_flipped_sign_is_caught(monkeypatch, capsys, command):
-    assert _exit_status(monkeypatch, capsys, _later_signs_flipped, command) in (1, 2)
+    assert _minors_caught(monkeypatch, capsys, _later_signs_flipped, command)
+
+
+BT = ["verify", "bt", "--scalar", "rat", "--dim", "5", "--trials", "10"]
+SPECIALIZATION_EVEN = ["verify", "specialization", "--m", "6"]
+SPECIALIZATION_ODD = ["verify", "specialization", "--m", "7"]
+
+
+@pytest.mark.parametrize("argv", [BT, SPECIALIZATION_EVEN, SPECIALIZATION_ODD])
+def test_the_unpatched_engine_commands_verify(capsys, argv):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+
+# -- contiguous_minors: the exact rank-one equality of verify bt -----------
+
+# contiguous_minors returns (d11, d22, d12, d21)
+CONTIGUOUS_FAULTS = {
+    "d12_flipped": lambda d: (d[0], d[1], -d[2], d[3]),
+    "d11_for_d12": lambda d: (d[0], d[1], d[0], d[3]),
+    "d11_swapped_with_d12": lambda d: (d[2], d[1], d[0], d[3]),
+    "zero": lambda d: tuple(x * 0 for x in d),
+    "d11_four_times": lambda d: (d[0],) * 4,
+}
+
+
+@pytest.mark.parametrize(
+    "fault",
+    _marked(CONTIGUOUS_FAULTS, ("zero", "d11_four_times"), BT_MINORS_UNTIL_ITEM_13),
+)
+def test_a_faulty_contiguous_minor_is_caught(monkeypatch, capsys, fault):
+    assert _caught(
+        monkeypatch, capsys, "contiguous_minors", CONTIGUOUS_FAULTS[fault], BT
+    )
+
+
+# -- adjugate: the skew facts of verify lemmas and the odd specialization --
+
+def _columns(adj, first, second):
+    rows = adj.to_rows()
+    return Matrix.from_rows([[r[first], r[second], *r[2:]] for r in rows])
+
+
+def _leading_term_dropped(x):
+    return MultiPoly(x.nvars, x.terms()[1:]) if isinstance(x, MultiPoly) else x
+
+
+ADJUGATE_FAULTS = {
+    "columns_swapped": lambda adj: _columns(adj, 1, 0),
+    "column_duplicated": lambda adj: _columns(adj, 0, 0),
+    "zero": lambda adj: adj.map(lambda x: x * 0),
+    "negated": lambda adj: -adj,
+    "transposed": lambda adj: adj.T,
+    "leading_terms_dropped": lambda adj: adj.map(_leading_term_dropped),
+}
+
+
+@pytest.mark.parametrize(
+    "fault",
+    _marked(
+        ADJUGATE_FAULTS,
+        ("zero", "negated", "transposed", "leading_terms_dropped"),
+        SKEW_FACTS_UNTIL_ITEM_7,
+    ),
+)
+def test_a_faulty_skew_adjugate_is_caught(monkeypatch, capsys, fault):
+    assert _caught(
+        monkeypatch, capsys, "adjugate", ADJUGATE_FAULTS[fault], COMMANDS["lemmas"]
+    )
+
+
+# the specialization's adjugates have integer entries, which keep their
+# terms under leading_terms_dropped, so that fault changes nothing there
+@pytest.mark.parametrize(
+    "fault", [f for f in ADJUGATE_FAULTS if f != "leading_terms_dropped"]
+)
+def test_a_faulty_integer_adjugate_is_caught(monkeypatch, capsys, fault):
+    assert _caught(
+        monkeypatch, capsys, "adjugate", ADJUGATE_FAULTS[fault], SPECIALIZATION_ODD
+    )
+
+
+# -- det_bareiss: the even specialization and the rank-one expansions ------
+
+BAREISS_FAULTS = {"zero": lambda d: d * 0, "flipped": lambda d: -d}
+
+
+@pytest.mark.parametrize("fault", BAREISS_FAULTS)
+@pytest.mark.parametrize(
+    "argv", [SPECIALIZATION_EVEN, COMMANDS["lemmas"]], ids=["specialization", "lemmas"]
+)
+def test_a_faulty_bareiss_determinant_is_caught(monkeypatch, capsys, argv, fault):
+    assert _caught(monkeypatch, capsys, "det_bareiss", BAREISS_FAULTS[fault], argv)

@@ -70,11 +70,15 @@ def test_the_split_calls_each_trial_once_and_merges_in_order(monkeypatch, k):
     got = rng.map_trials(lambda t: (t, os.getpid()), 40)
     _no_children()
     assert [t for t, _ in got] == list(range(40))
-    pids = {pid for _, pid in got}
-    assert len(pids) == k and parent in pids
-    # interleaved: trial t runs in the process of residue t mod k
-    assert all(pid == got[t % k][1] for t, pid in got)
-    assert {pid for t, pid in got if t % k == 0} == {parent}
+    blocks = {}
+    for t, pid in got:
+        blocks.setdefault(pid, []).append(t)
+    assert len(blocks) == k
+    # each process runs one contiguous range, and block 0 runs in the parent
+    assert all(ts == list(range(ts[0], ts[-1] + 1)) for ts in blocks.values())
+    assert blocks[parent][0] == 0
+    sizes = [len(ts) for ts in blocks.values()]
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_the_split_stays_in_process_when_it_cannot_pay_or_fork(monkeypatch):
@@ -123,7 +127,9 @@ class TrialFault(Exception):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("failing", [(5, 8), (4, 7), (9, 10, 11), (3,), (38,)])
+@pytest.mark.parametrize(
+    "failing", [(5, 8), (4, 7), (9, 10, 11), (3,), (38,), (19, 20), (15, 25)]
+)
 def test_the_lowest_failing_trial_wins(monkeypatch, k, failing):
     _workers(monkeypatch, k)
 
@@ -144,7 +150,7 @@ def test_an_exception_that_does_not_pickle_keeps_its_text(monkeypatch):
         pass
 
     def trial(t):
-        if t == 3:
+        if t == 7:  # a worker's trial
             raise Local("no way back")
         return t
 
@@ -153,12 +159,13 @@ def test_an_exception_that_does_not_pickle_keeps_its_text(monkeypatch):
     _no_children()
 
 
-def _fail_odd_trials_with_no_sweeps(monkeypatch):
-    # the odd trials are the ones the worker runs when two processes split
+def _fail_second_half_with_no_sweeps(monkeypatch):
+    # the second half of 12 trials is the block the worker runs when two
+    # processes split
     original = numaccretive._accretive_trial
 
     def trial(dim, seed, t):
-        if t % 2:
+        if t >= 6:
             numaccretive.MAX_SWEEPS = 0
         return original(dim, seed, t)
 
@@ -171,7 +178,7 @@ def test_non_convergence_in_a_worker_exits_2_like_one_process(monkeypatch, capsy
     seen = []
     for k in (1, 2):
         _workers(monkeypatch, k)
-        _fail_odd_trials_with_no_sweeps(monkeypatch)
+        _fail_second_half_with_no_sweeps(monkeypatch)
         rc = cli.main(argv)
         _no_children()
         seen.append((rc, capsys.readouterr()))
@@ -206,7 +213,7 @@ def test_a_parent_that_fails_outside_its_trials_kills_its_workers(monkeypatch):
     parent = os.getpid()
 
     def trial(t):
-        if os.getpid() == parent and t == 6:
+        if os.getpid() == parent and t == 2:
             raise KeyboardInterrupt
         if os.getpid() != parent:
             signal.pause()  # a worker that would never finish on its own
