@@ -36,7 +36,7 @@ from .matrix import (
 )
 from .numaccretive import minor_witness
 from .report import CertificateReport, UndecidedError, verdict
-from .ring import MultiPoly, is_floating, poly_sum
+from .ring import MultiPoly, is_floating
 from .rng import map_trials, random_int_matrix, random_skew, substream
 
 __all__ = [
@@ -97,9 +97,10 @@ def verify_johnson_symbolic(n: int, max_n: int = DEFAULT_SYMBOLIC_CAP) -> Certif
 def verify_reduced_case(n: int) -> CertificateReport:
     """Certifies the parity-reduced identity on the skew blocks K = B_m(1,1),
     C = B_m(1,2) of the generic skew Toeplitz B (m = n-1): det C = det K for
-    even m, and s(C) = s(K) together with s(K)^2 = s(C)^2 for odd m, the
-    square residual taken in the factored form (s(K) - s(C))(s(K) + s(C)) of
-    the proof.
+    even m, and s(C) = s(K) for odd m.  The proof's s(K)^2 = s(C)^2 is
+    reported as ``square_residual``, in its factored form
+    (s(K) - s(C))(s(K) + s(C)), and not checked: it is zero whenever
+    s(C) - s(K) is.
 
     K and C share the rows 1..m and the columns 2..m, so for even m one
     expansion of B along those columns gives both determinants.  For odd m,
@@ -123,7 +124,7 @@ def verify_reduced_case(n: int) -> CertificateReport:
         s_k, s_c = -neg_s_k, -neg_s_c
         residual = s_c - s_k
         square_residual = (s_k - s_c) * (s_k + s_c)
-        ok = residual == 0 and square_residual == 0
+        ok = residual == 0
         instance = {
             "m": m,
             "parity": "odd",
@@ -156,8 +157,13 @@ def verify_rank_one_expansion(x: Matrix, t) -> CertificateReport:
 
 def verify_skew_facts(y: Matrix) -> CertificateReport:
     """Certifies the adjugate facts of a skew-symmetric Y: adj(Y)^T equals
-    (-1)^{m-1} adj(Y); for even m the adjugate is skew and s(Y) = 0; for odd
-    m the determinant vanishes."""
+    (-1)^{m-1} adj(Y); for odd m the determinant vanishes.
+
+    For even m the adjugate is then skew, diagonal included, so its entries
+    cancel in pairs and s(Y) = 1^T adj(Y) 1 = 0 follows: the verdict reads
+    the transpose identity alone, and the residual is its first nonzero
+    defect adj[j, i] + adj[i, j] (i <= j, in row order), the zero
+    polynomial "0" when the identity holds."""
     if not y.is_square:
         raise ValueError("skew facts need a square matrix")
     m = y.rows
@@ -165,13 +171,13 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
         raise ValueError("input is not skew-symmetric")
     adj = adjugate(y)
     odd = m % 2
-    upper = ((i, j) for i in range(m) for j in range(i, m))
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
     transpose_ok = all(adj[j, i] == (adj[i, j] if odd else -adj[i, j]) for i, j in upper)
     instance = {"m": m, "parity": "odd" if odd else "even"}
     if not odd:
-        s_val = poly_sum(adj.entries())
-        ok = transpose_ok and s_val == 0
-        residual = str(s_val)
+        ok = transpose_ok
+        defects = (adj[j, i] + adj[i, j] for i, j in upper)
+        residual = "0" if ok else str(next(d for d in defects if d != 0))
     else:
         (d,) = shared_column_minors(y, range(1, m), (0,))
         ok = transpose_ok and d == 0
@@ -191,9 +197,13 @@ def specialization_certificate(m: int) -> CertificateReport:
     C = B_m(1,2) = I - L^2 of the skew Toeplitz B:
 
     even m: det K = det C = 1;
-    odd m = 2l+1: det C = 1, C^{-1} 1 = (1,1,2,2,..,l,l,l+1)^T, s(C) = (l+1)^2,
-    adj(K) = u u^T with u = (1,0,1,..,0,1)^T, s(K) = (l+1)^2, and the trailing
-    principal (m-1)-block of K has determinant 1."""
+    odd m = 2l+1: det C = 1, C^{-1} 1 = (1,1,2,2,..,l,l,l+1)^T and
+    adj(K) = u u^T with u = (1,0,1,..,0,1)^T.
+
+    For odd m the instance also reports three values these imply, which the
+    verdict does not read: s(C), the sum of C^{-1} 1, is 2(1 + .. + l) + l+1
+    = (l+1)^2; s(K) = (1^T u)^2 = (l+1)^2; and the trailing principal
+    (m-1)-minor of K, adj(K)[0, 0] = u_0^2, is 1."""
     if not 2 <= m <= SPECIALIZATION_CAP:
         raise ValueError(
             f"specialization needs block order in 2..{SPECIALIZATION_CAP}, got {m}"
@@ -221,14 +231,7 @@ def specialization_certificate(m: int) -> CertificateReport:
         adj_k_ok = adj_k == outer(u)
         s_k = sum(adj_k.entries())
         det_k_tail = adj_k[0, 0]  # the trailing principal (m-1)-minor of K
-        ok = (
-            det_c == 1
-            and cinv_one == expected_cinv_one
-            and s_c == expected_s
-            and adj_k_ok
-            and s_k == expected_s
-            and det_k_tail == 1
-        )
+        ok = det_c == 1 and cinv_one == expected_cinv_one and adj_k_ok
         checks.update(
             {
                 "ell": ell,

@@ -21,7 +21,6 @@ __all__ = [
     "MultiPoly",
     "exact_div",
     "is_floating",
-    "poly_sum",
     "sum_of_products",
     "variables",
 ]
@@ -359,30 +358,6 @@ def sum_of_products(pairs):
             raise TypeError("a MultiPoly can only be multiplied by a MultiPoly or int")
         triples.append((sign, a._terms, b._terms))
     return MultiPoly._raw(nvars, _product_sum(nvars, triples))
-
-
-def poly_sum(items):
-    """The sum of ``items``, added term by term into one accumulator, with
-    zero coefficients dropped once, at the end; an empty sum is 0.
-
-    The first MultiPoly among the items sets the ring, and the other items
-    are coerced as in ``sum_of_products``; with no MultiPoly the numbers get
-    the plain sum from 0, left to right."""
-    items = list(items)
-    ref = next((x for x in items if isinstance(x, MultiPoly)), None)
-    if ref is None:
-        return sum(items)
-    nvars = ref.nvars
-    out: dict[int, int] = {}
-    get = out.get
-    for x in items:
-        if type(x) is not MultiPoly or x.nvars != nvars:
-            x = ref._coerce(x)
-            if x is None:
-                raise TypeError("a MultiPoly can only be added to a MultiPoly or int")
-        for k, c in x._terms.items():
-            out[k] = get(k, 0) + c
-    return MultiPoly._raw(nvars, {k: v for k, v in out.items() if v})
 
 
 def _product_sum(nvars: int, triples) -> dict[int, int]:

@@ -105,11 +105,12 @@ def map_trials(trial, count: int) -> list:
     k runs the contiguous block of trials ``w * count // k`` up to ``(w + 1)
     * count // k``: the parent runs block 0 and forks one worker per other
     block, each worker pickles its results back through a pipe, and the
-    parent joins the blocks in order.  If any trial raises, each process
-    stops at its first failure and the first failing block's exception is
-    raised, the one the sequential loop raises (an exception that does not
-    survive pickling comes back as a ``RuntimeError`` with the same text).
-    A worker that dies raises ``RuntimeError``.  Every worker is reaped
+    parent reads the blocks in order.  Each process stops at its first
+    failing trial, and the parent raises at the first block that failed,
+    with its exception, the one the sequential loop raises (an exception
+    that does not survive pickling comes back as a ``RuntimeError`` with the
+    same text); the workers of the later blocks are killed, not read.  A
+    worker that dies raises ``RuntimeError``.  Every worker is reaped
     before this returns or raises; if the parent fails outside its trials
     (an interrupt, say), it kills the workers first.
 
@@ -136,7 +137,9 @@ def map_trials(trial, count: int) -> list:
             finally:
                 os.close(wr)
             pids.append(pid)
-        shares = [_run_share(trial, range(count // workers))]
+        exc, results = _run_share(trial, range(count // workers))
+        if exc is not None:
+            raise exc
         while pids:
             with os.fdopen(reads.pop(0), "rb") as fh:
                 data = fh.read()
@@ -146,17 +149,17 @@ def map_trials(trial, count: int) -> list:
                 raise RuntimeError(f"a trial worker was killed by signal {-code}")
             if code != 0 or not data:
                 raise RuntimeError(f"a trial worker exited with status {code}")
-            shares.append(pickle.loads(data))
+            exc, share = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            results += share
     finally:
         for r in reads:
             os.close(r)
-        for pid in pids:  # left only when the parent fails
+        for pid in pids:  # left when a block fails or the parent does
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    failed = [exc for exc, _ in shares if exc is not None]
-    if failed:
-        raise failed[0]
-    return [r for _, results in shares for r in results]
+    return results
 
 
 def _run_share(trial, ts):

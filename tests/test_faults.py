@@ -8,7 +8,7 @@ import pytest
 
 from minorcert import cli, identity
 from minorcert.matrix import Matrix
-from minorcert.ring import MultiPoly
+from minorcert.ring import MonomialTable, MultiPoly
 
 SILENT_UNTIL_ITEM_7 = (
     "ROADMAP item 7: no check evaluates the minors a symbolic residual "
@@ -59,11 +59,11 @@ def _silent(*commands):
     return _marked(COMMANDS, commands, SILENT_UNTIL_ITEM_7)
 
 
-def _caught(monkeypatch, capsys, engine, fault, argv):
-    """Runs argv with ``identity.<engine>`` returning ``fault`` of its
-    result; True when the command exits 1 (refuted) or 2 (error)."""
-    real = getattr(identity, engine)
-    monkeypatch.setattr(identity, engine, lambda *args: fault(real(*args)))
+def _caught(monkeypatch, capsys, engine, fault, argv, owner=identity):
+    """Runs argv with ``owner.<engine>`` returning ``fault`` of its result;
+    True when the command exits 1 (refuted) or 2 (error)."""
+    real = getattr(owner, engine)
+    monkeypatch.setattr(owner, engine, lambda *args: fault(real(*args)))
     rc = cli.main(argv)
     capsys.readouterr()
     return rc in (1, 2)
@@ -101,6 +101,47 @@ def test_a_dropped_leading_term_is_caught(monkeypatch, capsys, command):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_flipped_sign_is_caught(monkeypatch, capsys, command):
     assert _minors_caught(monkeypatch, capsys, _later_signs_flipped, command)
+
+
+# -- MonomialTable.sum_of_products: every step of the symbolic expansions --
+
+# each call's index form: zero, negated, or without its first term.  A sign
+# flipped at every level multiplies each order-k minor by (-1)^k, and every
+# residual compares minors of one order, so it stays zero
+TABLE_FAULTS = {
+    "zero": lambda d: {},
+    "flipped": lambda d: {i: -v for i, v in d.items()},
+    "term_dropped": lambda d: dict(list(d.items())[1:]),
+}
+TABLE_SILENT = {
+    "zero": ("johnson", "lemmas"),
+    "flipped": ("johnson", "lemmas"),
+    "term_dropped": ("lemmas",),
+}
+
+
+@pytest.mark.parametrize(
+    "fault,command",
+    [
+        pytest.param(
+            fault,
+            command,
+            marks=pytest.mark.xfail(strict=True, reason=SILENT_UNTIL_ITEM_7),
+        )
+        if command in TABLE_SILENT[fault] else (fault, command)
+        for fault in TABLE_FAULTS
+        for command in COMMANDS
+    ],
+)
+def test_a_faulty_table_sum_is_caught(monkeypatch, capsys, fault, command):
+    assert _caught(
+        monkeypatch,
+        capsys,
+        "sum_of_products",
+        TABLE_FAULTS[fault],
+        COMMANDS[command],
+        owner=MonomialTable,
+    )
 
 
 BT = ["verify", "bt", "--scalar", "rat", "--dim", "5", "--trials", "10"]

@@ -354,6 +354,17 @@ def test_skew_facts_refute_an_adjugate_that_breaks_the_transpose_identity(
     rep = verify_skew_facts(generic_skew_toeplitz(m))
     assert not rep.verified
     assert rep.instance["adjugate_transpose_identity"] is False
+    if m % 2 == 0:
+        # the first nonzero defect adj[j, i] + adj[i, j] in row order is at
+        # (0, 2), the doctored 1
+        assert rep.residual == "1"
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_even_generic_skew_adjugates_sum_to_zero(m):
+    # s(Y) = 0, which verify_skew_facts reads off its transpose identity
+    # rather than summing
+    assert s_functional(generic_skew_toeplitz(m)) == 0
 
 
 def test_skew_facts_rejects_non_skew():

@@ -143,6 +143,22 @@ def test_the_lowest_failing_trial_wins(monkeypatch, k, failing):
     _no_children()
 
 
+def test_a_failing_first_block_raises_without_waiting_for_the_workers(monkeypatch):
+    _workers(monkeypatch, 3)
+    parent = os.getpid()
+
+    def trial(t):
+        if os.getpid() != parent:
+            signal.pause()  # a worker block that would never finish on its own
+        if t == 2:
+            raise TrialFault("trial 2")
+        return t
+
+    with pytest.raises(TrialFault, match="^trial 2$"):
+        rng.map_trials(trial, 12)
+    _no_children()
+
+
 def test_an_exception_that_does_not_pickle_keeps_its_text(monkeypatch):
     _workers(monkeypatch, 2)
 

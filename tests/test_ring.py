@@ -11,7 +11,6 @@ from minorcert.ring import (
     MonomialTable,
     MultiPoly,
     exact_div,
-    poly_sum,
     sum_of_products,
     variables,
 )
@@ -174,53 +173,6 @@ def test_sum_of_products_rejects_non_integer_factors_of_polynomials():
     for pairs in ([(1, 2.0, b1)], [(1, 3, 4), (-1, True, b1)], [(1, b1, b1), (1, 1, 0.5)]):
         with pytest.raises(TypeError):
             sum_of_products(pairs)
-
-
-def _repeated_add(items):
-    acc = 0
-    for x in items:
-        acc = acc + x
-    return acc
-
-
-def test_poly_sum_matches_repeated_addition_on_random_polynomials():
-    for t in range(24):
-        stream = substream(414, t)
-        items = [random_poly(stream, 3, max_terms=5, max_exp=2, coeff_bound=4)
-                 for _ in range(t % 9)]
-        if t % 3 == 0:
-            items.append(stream.randint(-3, 3))  # an int constant joins the ring
-        got = poly_sum(items)
-        want = _repeated_add(items)
-        assert got == want and str(got) == str(want)
-        if isinstance(got, MultiPoly):
-            assert all(c for _, c in got.terms())
-
-
-def test_poly_sum_cancelling_to_zero():
-    stream = substream(415, 0)
-    p, q = (random_poly(stream, 2, max_terms=6, coeff_bound=5) for _ in range(2))
-    got = poly_sum([p, q, -p, 0, -q])
-    assert isinstance(got, MultiPoly) and got == 0 and not got
-    assert str(got) == "0" and got.terms() == []
-    b1, b2 = variables(2)
-    assert poly_sum([b1 + 1, -1, -b1, b2, -b2]).terms() == []
-
-
-def test_poly_sum_of_nothing_and_of_numbers():
-    assert poly_sum([]) == 0 and type(poly_sum([])) is int
-    assert poly_sum(iter([])) == 0
-    assert poly_sum([3, -5, 4]) == 2
-    assert poly_sum([Fraction(1, 2), Fraction(1, 3)]) == Fraction(5, 6)
-
-
-def test_poly_sum_rejects_what_addition_rejects():
-    b1, = variables(1)
-    with pytest.raises(ValueError):
-        poly_sum([b1, variables(2)[0]])
-    for items in ([b1, 0.5], [Fraction(1, 2), b1], [True, b1]):
-        with pytest.raises(TypeError):
-            poly_sum(items)
 
 
 def test_sum_of_products_guards_every_product_degree():
