@@ -15,10 +15,12 @@ All randomness flows from ``--seed`` (fixed default, never time-based)
 through SplitMix64 substreams, and reports are emitted in a deterministic
 order, so identical invocations produce byte-identical output.
 
-The seeded suites (``verify accretive``, ``verify bt``, ``verify johnson
---mode numeric`` and the rank-one part of ``verify lemmas``) split their
-trials across the CPUs of the affinity mask (``rng.map_trials``), one
-contiguous block of trials per process, with the same bytes as one CPU; no
+The seeded suites (``verify accretive``, ``verify bt`` and ``verify
+johnson --mode numeric``) and the whole ``verify lemmas`` battery, its
+symbolic claims included, share their jobs out across the CPUs of the
+affinity mask (``rng.map_trials``): each process takes the next job from
+one shared queue, with the same bytes as one CPU.  A run splits once its
+first job's time times the job count reaches ``rng.SPLIT_MIN_SECONDS``; no
 option sets the count.  ``search complex`` stays sequential, since each
 step of its hill climb starts from the best so far, and so does ``bench
 det``, since it times each determinant.

@@ -47,7 +47,6 @@ __all__ = [
     "bt_suite",
     "johnson_numeric_suite",
     "lemmas_suite",
-    "rankone_suite",
     "specialization_certificate",
     "verify_bt",
     "verify_johnson_symbolic",
@@ -163,9 +162,15 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     cancel in pairs and s(Y) = 1^T adj(Y) 1 = 0 follows: the verdict reads
     the transpose identity alone, and the residual is its first nonzero
     defect adj[j, i] + adj[i, j] (i <= j, in row order), the zero
-    polynomial "0" when the identity holds."""
+    polynomial "0" when the identity holds.
+
+    The facts are exact claims: float or complex entries raise TypeError,
+    since a rounded or non-finite adjugate can neither certify nor refute
+    them."""
     if not y.is_square:
         raise ValueError("skew facts need a square matrix")
+    if any(is_floating(x) for x in y.entries()):
+        raise TypeError("skew facts are exact claims; got float or complex entries")
     m = y.rows
     if not is_skew_symmetric(y):
         raise ValueError("input is not skew-symmetric")
@@ -347,10 +352,11 @@ def johnson_numeric_suite(max_n: int, trials: int, seed: int) -> list[Certificat
     drawn from 2..max_n).  A minor or residual that is not finite (the minors
     overflow from about order 230) raises UndecidedError, not a refutation.
 
-    From ``rng.SPLIT_MIN_TRIALS`` trials on, the trials run in one process
-    per CPU of the affinity mask (``rng.map_trials``; no option sets the
-    count), with byte-identical reports and the same first error as one
-    CPU: each trial draws only from its own substream."""
+    The trials are shared out across one process per CPU of the affinity
+    mask (``rng.map_trials``; no option sets the count) once the first
+    trial's time times their count reaches ``rng.SPLIT_MIN_SECONDS``, with
+    byte-identical reports and the same first error as one CPU: each trial
+    draws only from its own substream."""
     if max_n < 2:
         raise ValueError("max order must be at least 2")
     return map_trials(partial(_johnson_numeric_trial, max_n, seed), trials)
@@ -379,12 +385,6 @@ def _johnson_numeric_trial(max_n: int, seed: int, t: int) -> CertificateReport:
     )
 
 
-def rankone_suite(trials: int, seed: int) -> list[CertificateReport]:
-    """Random exact order-5 instances of the all-ones rank-one expansion,
-    run across the CPUs like ``johnson_numeric_suite``."""
-    return map_trials(partial(_rankone_trial, seed), trials)
-
-
 def _rankone_trial(seed: int, t: int) -> CertificateReport:
     stream = substream(seed, 1000 + t)
     x = random_int_matrix(stream, 5)
@@ -396,13 +396,23 @@ def _rankone_trial(seed: int, t: int) -> CertificateReport:
 def lemmas_suite(max_n: int, trials: int, seed: int) -> list[CertificateReport]:
     """The supporting-lemma battery: parity-reduced certificates for orders
     3..max_n, symbolic skew-adjugate facts for generic orders 2..max_n-1, and
-    random exact rank-one expansion instances."""
+    random exact order-5 instances of the all-ones rank-one expansion.
+
+    The whole battery is one job list for ``rng.map_trials``, shared out
+    across the CPUs with byte-identical reports and the same first error as
+    one CPU.  The cheap rank-one trials come first, so that job 0, which
+    decides the split, is one of them; then the symbolic claims, whose cost
+    grows about fourfold per order, from the highest block order m down,
+    the skew facts of order m before the reduced case of order m + 1, so
+    that the costliest claim starts as soon as the trials are taken and the
+    other processes fill in around it."""
     if max_n < 3:
         raise ValueError("max order must be at least 3")
-    reports = [verify_reduced_case(n) for n in range(3, max_n + 1)]
-    for m in range(2, max_n):
-        reports.append(verify_skew_facts(generic_skew_toeplitz(m)))
-    reports.extend(rankone_suite(trials, seed))
+    jobs = [partial(_rankone_trial, seed, t) for t in range(trials)]
+    for m in range(max_n - 1, 1, -1):
+        jobs.append(partial(verify_skew_facts, generic_skew_toeplitz(m)))
+        jobs.append(partial(verify_reduced_case, m + 1))
+    reports = map_trials(lambda k: jobs[k](), len(jobs))
     return sorted(reports, key=lambda r: r.claim)
 
 

@@ -408,10 +408,11 @@ def accretive_suite(dim: int, trials: int, seed: int) -> list[CertificateReport]
     adj[n-1, n-1], d22 = adj[0, 0], d12 = (-1)^(n-1) adj[0, n-1] and d21 =
     (-1)^(n-1) adj[n-1, 0], so no minor is eliminated twice.
 
-    From ``rng.SPLIT_MIN_TRIALS`` trials on, the trials run in one process
-    per CPU of the affinity mask (``rng.map_trials``; no option sets the
-    count), with byte-identical reports and the same first error as one
-    CPU: each trial draws only from its own substream."""
+    The trials are shared out across one process per CPU of the affinity
+    mask (``rng.map_trials``; no option sets the count) once the first
+    trial's time times their count reaches ``rng.SPLIT_MIN_SECONDS``, with
+    byte-identical reports and the same first error as one CPU: each trial
+    draws only from its own substream."""
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     return map_trials(partial(_accretive_trial, dim, seed), trials)

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 import os
 import sys
+from time import perf_counter
 
 from .matrix import Matrix
 from .ring import MultiPoly
 
 __all__ = [
-    "SPLIT_MIN_TRIALS",
+    "SPLIT_MIN_SECONDS",
     "SplitMix64",
     "map_trials",
     "substream",
@@ -75,16 +76,20 @@ def substream(master_seed: int, index: int) -> SplitMix64:
     return SplitMix64(SplitMix64(master_seed + index * _GOLDEN).next_u64())
 
 
-# Fewest trials that map_trials splits across processes.  A split over two
-# CPUs saves about half of a suite's time and pays for a fork: on a 2-core
-# machine under CPython 3.11 a bare fork, pipe write and reap takes 2.6-2.9
-# ms from a 20 MB process, 3-5 ms once the worker's copy-on-write faults and
-# pickled reports count.  The cheapest seeded trial, an order-2..12 numeric
-# Johnson claim, takes 0.08-0.17 ms, so below 2 * 5 / 0.08 = 125 trials a
-# split can lose.  Measured in 9 alternated pairs each: the benchmark's 50-
-# and 100-trial suites (17-25 ms) read 0.79-1.22 of their one-process time
-# when split, the 200-trial accretive suite 0.63.
-SPLIT_MIN_TRIALS = 128
+# Least work, job 0's time times the job count, that map_trials splits
+# across processes.  A split has a fixed cost: on a 2-core machine under
+# CPython 3.11, forking one worker from a 17 MB process, handing it jobs,
+# pickling its results back and reaping it takes about 2 ms (4 trivial
+# jobs: 2.1-2.6 ms split, medians of 200 runs, against 0.002 ms in one
+# process).  On two CPUs a split saves at most half of the work, so it pays
+# from about twice its fixed cost of work on.  5.4 ms, between two and three
+# times it, leaves room for a job 0 that costs more than the average one:
+# job 0 of ``verify bt --scalar rat --dim 8 --trials 100`` times 100 read
+# 17 ms of a 12 ms suite.
+SPLIT_MIN_SECONDS = 0.0054
+
+_RECORD = 4  # bytes of one queue record or notice: a job index
+_POSIX_PIPE_BUF = 512  # the least PIPE_BUF that POSIX allows
 
 
 def _cpu_count() -> int:
@@ -96,101 +101,176 @@ def _cpu_count() -> int:
         return 1
 
 
-def map_trials(trial, count: int) -> list:
-    """``[trial(t) for t in range(count)]``, with the trials split across one
-    process per CPU of the affinity mask.
+def map_trials(job, count: int) -> list:
+    """``[job(t) for t in range(count)]``, with the jobs shared out across
+    one process per CPU of the affinity mask.
 
-    Every seeded trial draws only from its own substream, so a trial's
-    result does not depend on which process runs it or when.  Process w of
-    k runs the contiguous block of trials ``w * count // k`` up to ``(w + 1)
-    * count // k``: the parent runs block 0 and forks one worker per other
-    block, each worker pickles its results back through a pipe, and the
-    parent reads the blocks in order.  Each process stops at its first
-    failing trial, and the parent raises at the first block that failed,
-    with its exception, the one the sequential loop raises (an exception
+    Every job depends only on its index (a seeded trial draws only from its
+    own substream), so its result does not depend on which process runs it
+    or when.  The parent runs job 0 and times it; if that time times
+    ``count`` reaches ``SPLIT_MIN_SECONDS``, it forks one worker per other
+    CPU, and each process, the parent included, takes the next job that has
+    not started from one shared queue until none is left, so a process held
+    up by a costly job takes fewer of the others.  The queue is a pipe of
+    job indices, written before the fork as fixed-size records in one write
+    of at most ``PIPE_BUF`` bytes (past ``PIPE_BUF / 4`` jobs, a record
+    stands for a chunk of consecutive jobs).  Each take reads one record, so
+    the queue needs no lock, and a worker killed as it takes one cannot
+    wedge the others.  A worker announces each record it takes on a pipe of
+    its own, and pickles its results back through that pipe once the queue
+    is empty; the parent returns the results in job order.
+
+    A process stops at its first failing job and empties the queue, so that
+    no process starts another, and the parent raises the exception of the
+    lowest failing job, the one the sequential loop raises (an exception
     that does not survive pickling comes back as a ``RuntimeError`` with the
-    same text); the workers of the later blocks are killed, not read.  A
-    worker that dies raises ``RuntimeError``.  Every worker is reaped
-    before this returns or raises; if the parent fails outside its trials
-    (an interrupt, say), it kills the workers first.
+    same text).  The queue hands out indices in order, so a worker whose
+    last announced job comes after the lowest failure holds no earlier job:
+    the parent kills it unread, and waits only for workers that may still
+    hold an earlier one.  A worker that dies raises ``RuntimeError`` in the
+    place of the job it held.  Every worker is reaped before this returns
+    or raises; if the parent fails outside its jobs (an interrupt, say), it
+    kills the workers first.
 
     The loop stays in this process with one CPU, without ``os.fork``, while
     another thread runs (a fork would copy it half-done) and below
-    ``SPLIT_MIN_TRIALS`` trials."""
-    workers = min(_cpu_count(), count)
+    ``SPLIT_MIN_SECONDS`` of work."""
+    processes = min(_cpu_count(), count - 1)
     threading = sys.modules.get("threading")
-    if (workers < 2 or count < SPLIT_MIN_TRIALS or not hasattr(os, "fork")
+    if (processes < 2 or not hasattr(os, "fork")
             or (threading is not None and threading.active_count() > 1)):
-        return [trial(t) for t in range(count)]
+        return [job(t) for t in range(count)]
+    start = perf_counter()
+    results = {0: job(0)}
+    if (perf_counter() - start) * count < SPLIT_MIN_SECONDS:
+        return [results[0], *(job(t) for t in range(1, count))]
     import pickle  # not at start-up, and before the fork: the workers share it
 
-    pids, reads = [], []  # unreaped workers and the read ends of their pipes
+    queue, feed = os.pipe()
+    shares = []  # the unreaped workers
     try:
-        for w in range(1, workers):
-            r, wr = os.pipe()
-            reads.append(r)
+        try:
+            slots = os.fpathconf(queue, "PC_PIPE_BUF") // _RECORD
+            size = -(-(count - 1) // slots)  # jobs per record
+            os.write(feed, b"".join(_record(lo) for lo in range(1, count, size)))
+        finally:
+            os.close(feed)  # so that the empty queue reads as end of file
+        for _ in range(1, processes):
+            r, w = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    lo, hi = w * count // workers, (w + 1) * count // workers
-                    _worker(trial, range(lo, hi), wr)
+                    _worker(job, count, size, queue, w)
             finally:
-                os.close(wr)
-            pids.append(pid)
-        exc, results = _run_share(trial, range(count // workers))
-        if exc is not None:
-            raise exc
-        while pids:
-            with os.fdopen(reads.pop(0), "rb") as fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            del pids[0]
+                os.close(w)
+            shares.append(_Share(pid, r))
+        failed = _take_jobs(job, count, size, queue, results)
+        while True:
+            # A worker that may hold a job below the lowest failure is read,
+            # the one with the lowest announced job first: any later job it
+            # took is announced already, so it blocks only while it runs a
+            # job that no other worker's notices can make moot.
+            waiting = [s for s in shares if failed is None or s.current < failed[0]]
+            if not waiting:
+                break
+            share = min(waiting, key=lambda s: s.current)
+            data = os.read(share.fd, 1 << 16)
+            if data:
+                share.add(data)
+                continue
+            code = os.waitstatus_to_exitcode(os.waitpid(share.pid, 0)[1])
+            shares.remove(share)
+            os.close(share.fd)
             if code < 0:
-                raise RuntimeError(f"a trial worker was killed by signal {-code}")
-            if code != 0 or not data:
-                raise RuntimeError(f"a trial worker exited with status {code}")
-            exc, share = pickle.loads(data)
-            if exc is not None:
-                raise exc
-            results += share
+                lost = share.current, RuntimeError(
+                    f"a trial worker was killed by signal {-code}")
+            elif code != 0 or not share.payload:
+                lost = share.current, RuntimeError(
+                    f"a trial worker exited with status {code}")
+            else:
+                lost, done = pickle.loads(share.payload)
+                results.update(done)
+            if lost is not None and (failed is None or lost[0] < failed[0]):
+                failed = lost
+        if failed is not None:
+            raise failed[1]
     finally:
-        for r in reads:
-            os.close(r)
-        for pid in pids:  # left when a block fails or the parent does
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-    return results
+        os.close(queue)
+        for share in shares:  # left when a job fails or the parent does
+            os.close(share.fd)
+            os.kill(share.pid, 9)  # SIGKILL
+            os.waitpid(share.pid, 0)
+    return [results[t] for t in range(count)]
 
 
-def _run_share(trial, ts):
-    """(the first exception, results before it); (None, results) when every
-    trial of ``ts`` returns."""
-    results = []
-    for t in ts:
-        try:
-            results.append(trial(t))
-        except Exception as exc:
-            return exc, results
-    return None, results
+def _record(index: int) -> bytes:
+    return index.to_bytes(_RECORD, "little")
 
 
-def _worker(trial, ts, fd):
-    """Runs one share in a forked worker, writes it to ``fd`` and exits
-    without returning: status 0 once the share is written, 1 otherwise."""
+class _Share:
+    """The parent's view of one worker: its pid, the read end of its pipe,
+    the first job of the last record it announced (0 before any) and, after
+    the zero record that ends its notices, its pickled results."""
+
+    __slots__ = ("pid", "fd", "current", "payload", "_notices")
+
+    def __init__(self, pid: int, fd: int):
+        self.pid, self.fd, self.current = pid, fd, 0
+        self.payload = None
+        self._notices = bytearray()
+
+    def add(self, data: bytes) -> None:
+        if self.payload is not None:
+            self.payload += data
+            return
+        self._notices += data
+        while len(self._notices) >= _RECORD:
+            index = int.from_bytes(self._notices[:_RECORD], "little")
+            del self._notices[:_RECORD]
+            if not index:
+                self.payload = self._notices
+                return
+            self.current = index
+
+
+def _take_jobs(job, count, size, queue, results, notices=None):
+    """Runs the jobs of each record taken from the queue into ``results``
+    (index -> result), announcing each record on ``notices``, until the
+    queue is empty.  Returns None, or (index, exception) of the first job
+    that raises, after emptying the queue so that no process starts
+    another."""
+    while record := os.read(queue, _RECORD):
+        if notices is not None:
+            os.write(notices, record)
+        lo = int.from_bytes(record, "little")
+        for t in range(lo, min(lo + size, count)):
+            try:
+                results[t] = job(t)
+            except Exception as exc:
+                while os.read(queue, _POSIX_PIPE_BUF):
+                    pass
+                return t, exc
+    return None
+
+
+def _worker(job, count, size, queue, fd):
+    """Takes jobs from the queue in a forked worker, then writes the zero
+    record and the pickled (failure, results) to ``fd`` and exits without
+    returning: status 0 once they are written, 1 otherwise."""
     code = 1
     try:
         import pickle
 
-        exc, results = _run_share(trial, ts)
-        if exc is not None:
-            results = None
+        results = {}
+        failed = _take_jobs(job, count, size, queue, results, fd)
+        if failed is not None:
             try:
-                pickle.loads(pickle.dumps(exc))
+                pickle.loads(pickle.dumps(failed[1]))
             except Exception:
-                exc = RuntimeError(str(exc))
-        data = pickle.dumps((exc, results), pickle.HIGHEST_PROTOCOL)
+                failed = failed[0], RuntimeError(str(failed[1]))
+        data = pickle.dumps((failed, results), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.write(_record(0) + data)
         code = 0
     finally:
         os._exit(code)

@@ -15,11 +15,10 @@ from minorcert.detkit import det_bareiss, det_cofactor, det_condensation
 from minorcert.identity import (
     DEFAULT_SYMBOLIC_CAP,
     bt_suite,
-    rankone_suite,
+    lemmas_suite,
     specialization_certificate,
-    verify_skew_facts,
 )
-from minorcert.matrix import Matrix, generic_skew_toeplitz, outer, skew_toeplitz
+from minorcert.matrix import Matrix, outer, skew_toeplitz
 from minorcert.numaccretive import accretive_suite, remark45_repro
 from minorcert.rng import random_int_matrix, substream
 
@@ -105,14 +104,21 @@ def test_criterion_4_oracle_equivalence_and_desnanot_jacobi():
 
 
 def test_criterion_5_lemma_suite():
-    reports = rankone_suite(trials=50, seed=SEED)
-    assert len(reports) == 50
+    reports = lemmas_suite(8, trials=50, seed=SEED)
+    rankone = [r for r in reports if r.claim.startswith("rankone_expansion_t")]
+    assert len(rankone) == 50
+    assert [r.claim for r in reports if r.claim.startswith("skew_facts_m")] == [
+        f"skew_facts_m{m}" for m in range(2, 8)
+    ]
+    assert [r.claim for r in reports if r.claim.startswith("reduced_case_n")] == [
+        f"reduced_case_n{n}" for n in range(3, 9)
+    ]
     assert all(r.verified and r.residual == "0" for r in reports)
-    for m in range(2, 8):
-        rep = verify_skew_facts(generic_skew_toeplitz(m))
-        assert rep.verified
-        assert rep.residual == "0"
-    _announce(5, "rank-one expansion exact on 50 instances; skew facts symbolic m=2..7")
+    _announce(
+        5,
+        "rank-one expansion exact on 50 instances; skew facts symbolic m=2..7; "
+        "reduced cases n=3..8",
+    )
 
 
 def test_criterion_6_rank_one_equality():

@@ -3,10 +3,16 @@ wrong result, and the verify command must then exit 1 (refuted) or 2
 (error), never 0 ("verified").
 
 A fault that no check catches yet is a strict xfail naming the ROADMAP item
-that will catch it, so that the change which does has to flip it."""
+that will catch it, so that the change which does has to flip it.
+
+``verify lemmas`` shares its claims out across processes, so each of its
+fault cases runs once more split over two, and must print the same bytes
+and exit the same as in one process."""
+import os
+
 import pytest
 
-from minorcert import cli, identity
+from minorcert import cli, identity, rng
 from minorcert.matrix import Matrix
 from minorcert.ring import MonomialTable, MultiPoly
 
@@ -59,14 +65,18 @@ def _silent(*commands):
     return _marked(COMMANDS, commands, SILENT_UNTIL_ITEM_7)
 
 
-def _caught(monkeypatch, capsys, engine, fault, argv, owner=identity):
+def _run(monkeypatch, capsys, engine, fault, argv, owner=identity):
     """Runs argv with ``owner.<engine>`` returning ``fault`` of its result;
-    True when the command exits 1 (refuted) or 2 (error)."""
+    returns the exit status and the captured output and error text."""
     real = getattr(owner, engine)
     monkeypatch.setattr(owner, engine, lambda *args: fault(real(*args)))
     rc = cli.main(argv)
-    capsys.readouterr()
-    return rc in (1, 2)
+    return (rc, *capsys.readouterr())
+
+
+def _caught(monkeypatch, capsys, engine, fault, argv, owner=identity):
+    """True when argv, run with the fault, exits 1 (refuted) or 2 (error)."""
+    return _run(monkeypatch, capsys, engine, fault, argv, owner)[0] in (1, 2)
 
 
 def _minors_caught(monkeypatch, capsys, fault, command):
@@ -234,3 +244,71 @@ BAREISS_FAULTS = {"zero": lambda d: d * 0, "flipped": lambda d: -d}
 )
 def test_a_faulty_bareiss_determinant_is_caught(monkeypatch, capsys, argv, fault):
     assert _caught(monkeypatch, capsys, "det_bareiss", BAREISS_FAULTS[fault], argv)
+
+
+# -- verify lemmas split over two processes ----------------------------------
+
+# every fault case above that runs verify lemmas: (owner, engine, fault)
+LEMMAS_CASES = {
+    "unpatched": (identity, "adjugate", lambda adj: adj),
+    "zero_minors": (identity, "shared_column_minors", _zero_minors),
+    "minor_twice": (identity, "shared_column_minors", _first_minor_twice),
+    "flipped_sign": (identity, "shared_column_minors", _later_signs_flipped),
+    **{f"table_{k}": (MonomialTable, "sum_of_products", f) for k, f in TABLE_FAULTS.items()},
+    **{f"adjugate_{k}": (identity, "adjugate", f) for k, f in ADJUGATE_FAULTS.items()},
+    **{f"bareiss_{k}": (identity, "det_bareiss", f) for k, f in BAREISS_FAULTS.items()},
+}
+
+
+def _split_lemmas(monkeypatch):
+    """Splits the battery over two processes, as tests/test_map_trials.py
+    does, and holds the parent in its first job after the fork until the
+    worker has run every other job and exited, so that the worker computes
+    all but two claims with the engines as the parent patched them.
+    Returns a pipe that holds one byte per job the worker ran."""
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(rng, "SPLIT_MIN_SECONDS", 0.0)
+    split = rng.map_trials
+    parent = os.getpid()
+    ran_r, ran_w = os.pipe()
+
+    def map_trials(job, count):
+        r, w = os.pipe()  # once the parent closes w, only the worker holds it
+        held = []
+
+        def held_job(k):
+            if os.getpid() != parent:
+                os.write(ran_w, b"x")
+            elif k > 0 and not held:
+                held.append(k)
+                os.close(w)
+                while os.read(r, 1):  # end of file once the worker exits
+                    pass
+            return job(k)
+
+        try:
+            return split(held_job, count)
+        finally:
+            os.close(r)
+            if not held:
+                os.close(w)
+
+    monkeypatch.setattr(identity, "map_trials", map_trials)
+    return ran_r, ran_w
+
+
+@pytest.mark.parametrize("case", LEMMAS_CASES)
+def test_a_split_lemmas_run_gives_the_same_result(monkeypatch, capsys, case):
+    argv = COMMANDS["lemmas"]
+    owner, engine, fault = LEMMAS_CASES[case]
+    one = _run(monkeypatch, capsys, engine, fault, argv, owner)
+    monkeypatch.undo()
+    ran_r, ran_w = _split_lemmas(monkeypatch)
+    try:
+        two = _run(monkeypatch, capsys, engine, fault, argv, owner)
+        os.set_blocking(ran_r, False)
+        assert os.read(ran_r, 64)  # the worker ran jobs
+    finally:
+        os.close(ran_r)
+        os.close(ran_w)
+    assert two == one

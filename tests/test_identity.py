@@ -18,7 +18,6 @@ from minorcert.identity import (
     bt_suite,
     johnson_numeric_suite,
     lemmas_suite,
-    rankone_suite,
     specialization_certificate,
     verify_bt,
     verify_johnson_symbolic,
@@ -320,7 +319,10 @@ def test_rank_one_expansion_trivial_cases():
 
 
 def test_rank_one_expansion_random_exact():
-    reports = rankone_suite(trials=10, seed=42)
+    reports = [
+        r for r in lemmas_suite(3, trials=10, seed=42) if r.claim.startswith("rankone")
+    ]
+    assert len(reports) == 10
     assert all(r.verified for r in reports)
     assert all(r.residual == "0" for r in reports)
 
@@ -370,6 +372,24 @@ def test_even_generic_skew_adjugates_sum_to_zero(m):
 def test_skew_facts_rejects_non_skew():
     with pytest.raises(ValueError):
         verify_skew_facts(identity(3))
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, INF], [-INF, 0.0]],  # read "verified" before
+        [[0, INF, 1], [-INF, 0, 2], [-1, -2, 0]],  # read "refuted", residual nan
+        [[0, 0.5], [-0.5, 0]],
+        [[0, 1j], [-1j, 0]],
+    ],
+    ids=["inf-2", "inf-3", "float", "complex"],
+)
+def test_skew_facts_reject_float_and_complex_entries(rows):
+    with pytest.raises(TypeError, match="exact claims"):
+        verify_skew_facts(Matrix.from_rows(rows))
 
 
 @pytest.mark.parametrize("m,expected", [(3, 4), (5, 9), (7, 16)])

@@ -1,5 +1,6 @@
-"""The seeded suites split across processes by ``rng.map_trials``: the same
-reports byte for byte, the same first error, and no process left behind."""
+"""The seeded suites and the lemma battery shared out across processes by
+``rng.map_trials``: the same reports byte for byte, the same first error,
+and no process left behind."""
 
 import json
 import os
@@ -9,7 +10,7 @@ import threading
 import pytest
 
 from minorcert import cli, identity, numaccretive, rng
-from minorcert.identity import bt_suite, johnson_numeric_suite, rankone_suite
+from minorcert.identity import bt_suite, johnson_numeric_suite, lemmas_suite
 from minorcert.numaccretive import accretive_suite
 from minorcert.report import UndecidedError
 
@@ -28,10 +29,30 @@ def _time_bound():
     signal.signal(signal.SIGALRM, previous)
 
 
-def _workers(monkeypatch, k, min_trials=0):
+def _workers(monkeypatch, k, min_seconds=0.0):
     """Splits every map_trials call of the test over k processes."""
     monkeypatch.setattr(rng, "_cpu_count", lambda: k)
-    monkeypatch.setattr(rng, "SPLIT_MIN_TRIALS", min_trials)
+    monkeypatch.setattr(rng, "SPLIT_MIN_SECONDS", min_seconds)
+
+
+@pytest.fixture
+def pipe():
+    """A pipe on which the jobs of a worker can tell a job of the parent
+    that they ran."""
+    r, w = os.pipe()
+    yield r, w
+    os.close(r)
+    os.close(w)
+
+
+def _read(fd, n):
+    data = b""
+    while len(data) < n:
+        chunk = os.read(fd, n - len(data))
+        if not chunk:
+            raise EOFError(f"{len(data)} of {n} bytes")
+        data += chunk
+    return data
 
 
 def _no_children():
@@ -48,7 +69,7 @@ SUITES = {
     "bt_rat": lambda seed: bt_suite(8, 30, seed, scalar="rat"),
     "bt_real": lambda seed: bt_suite(10, 30, seed, scalar="real"),
     "johnson_numeric": lambda seed: johnson_numeric_suite(12, 30, seed),
-    "rankone": lambda seed: rankone_suite(30, seed),
+    "lemmas": lambda seed: lemmas_suite(7, 30, seed),
 }
 
 
@@ -64,50 +85,137 @@ def test_suites_give_the_same_bytes_on_one_two_and_three_workers(monkeypatch, na
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_the_split_calls_each_trial_once_and_merges_in_order(monkeypatch, k):
+def test_the_split_calls_each_trial_once_and_merges_in_order(monkeypatch, pipe, k):
     _workers(monkeypatch, k)
     parent = os.getpid()
-    got = rng.map_trials(lambda t: (t, os.getpid()), 40)
+    r, w = pipe
+    count = 40
+    held = []
+
+    def job(t):
+        if os.getpid() != parent:
+            os.write(w, b"x")
+        elif t > 0 and not held:
+            # job 0 runs before the fork; the parent holds its next job, if
+            # the workers leave it one, until they have run every other one
+            held.append(t)
+            _read(r, count - 2)
+        return t, os.getpid()
+
+    got = rng.map_trials(job, count)
+    _no_children()
+    assert [t for t, _ in got] == list(range(count))
+    ran = {}
+    for t, pid in got:
+        ran.setdefault(pid, []).append(t)
+    assert ran[parent] == [0, *held]
+    assert 2 <= len(ran) <= k
+    # the workers ran each of the other jobs once: one byte each, no more
+    if not held:
+        _read(r, count - 1)
+    os.set_blocking(r, False)
+    with pytest.raises(BlockingIOError):
+        os.read(r, 1)
+
+
+@pytest.mark.parametrize("failing", [(), (25, 35), (12,)])
+def test_past_pipe_buf_the_queue_hands_out_chunks(monkeypatch, failing):
+    # a 16-byte PIPE_BUF holds 4 records, so 39 queued jobs go out in
+    # chunks of 10 (1-10, 11-20, 21-30, 31-39); each process takes whole
+    # chunks, and the lowest failing job still wins
+    _workers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fpathconf", lambda fd, name: 16)
+
+    def job(t):
+        if t in failing:
+            raise TrialFault(f"trial {t}")
+        return t, os.getpid()
+
+    if failing:
+        with pytest.raises(TrialFault, match=f"^trial {min(failing)}$"):
+            rng.map_trials(job, 40)
+        _no_children()
+        return
+    got = rng.map_trials(job, 40)
     _no_children()
     assert [t for t, _ in got] == list(range(40))
-    blocks = {}
-    for t, pid in got:
-        blocks.setdefault(pid, []).append(t)
-    assert len(blocks) == k
-    # each process runs one contiguous range, and block 0 runs in the parent
-    assert all(ts == list(range(ts[0], ts[-1] + 1)) for ts in blocks.values())
-    assert blocks[parent][0] == 0
-    sizes = [len(ts) for ts in blocks.values()]
-    assert max(sizes) - min(sizes) <= 1
+    owner = {t: pid for t, pid in got}
+    for lo in (1, 11, 21, 31):
+        assert len({owner[t] for t in range(lo, min(lo + 10, 40))}) == 1
+
+
+def test_more_workers_than_cpus_take_each_job_once(monkeypatch, pipe):
+    # six processes race for 599 queued jobs of uneven length; every job
+    # the workers ran is written to the pipe, and none may be lost or
+    # taken twice
+    _workers(monkeypatch, 6)
+    parent = os.getpid()
+    r, w = pipe
+    count = 600
+
+    def job(t):
+        sum(range(50 * (t % 7)))
+        if os.getpid() != parent:
+            os.write(w, t.to_bytes(2, "little"))
+        return t, os.getpid()
+
+    got = rng.map_trials(job, count)
+    _no_children()
+    assert [t for t, _ in got] == list(range(count))
+    mine = [t for t, pid in got if pid == parent]
+    theirs = _read(r, 2 * (count - len(mine)))
+    os.set_blocking(r, False)
+    with pytest.raises(BlockingIOError):
+        os.read(r, 1)
+    ran = mine + [int.from_bytes(theirs[i:i + 2], "little") for i in range(0, len(theirs), 2)]
+    assert sorted(ran) == list(range(count))
 
 
 def test_the_split_stays_in_process_when_it_cannot_pay_or_fork(monkeypatch):
-    parent = os.getpid()
+    forks = []
+    fork = os.fork
 
-    def pids(count):
-        out = {pid for pid in rng.map_trials(lambda t: os.getpid(), count)}
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def splits(count, job_0_seconds=0.0):
+        """The workers that map_trials forks when job 0 takes the time given."""
+        forks.clear()
+        clock = iter([0.0, job_0_seconds])  # read before and after job 0
+        monkeypatch.setattr(rng, "perf_counter", lambda: next(clock))
+        assert rng.map_trials(lambda t: t, count) == list(range(count))
         _no_children()
-        return out
+        return len(forks)
 
-    _workers(monkeypatch, 2, min_trials=rng.SPLIT_MIN_TRIALS)
-    assert pids(rng.SPLIT_MIN_TRIALS - 1) == {parent}
-    assert len(pids(rng.SPLIT_MIN_TRIALS)) == 2
+    # the work a split weighs is job 0's time times the count
+    quarter = rng.SPLIT_MIN_SECONDS / 4
+    _workers(monkeypatch, 2, min_seconds=rng.SPLIT_MIN_SECONDS)
+    assert splits(4, 0.99 * quarter) == 0
+    assert splits(4, quarter) == 1
+    assert splits(40, quarter) == 1
+    _workers(monkeypatch, 3, min_seconds=rng.SPLIT_MIN_SECONDS)
+    assert splits(4, quarter) == 2
+    assert splits(3, 2 * quarter) == 1  # two jobs after job 0: two processes
     _workers(monkeypatch, 1)
-    assert pids(50) == {parent}
+    assert splits(50) == 0
     _workers(monkeypatch, 2)
-    assert pids(1) == {parent}
-    assert rng.map_trials(lambda t: t, 0) == []
+    assert splits(2) == 0  # one job after job 0
+    assert splits(0) == 0
     # another thread would be copied half-done into the worker
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert pids(50) == {parent}
+        assert splits(50) == 0
     finally:
         stop.set()
         other.join()
     monkeypatch.delattr(os, "fork")
-    assert pids(50) == {parent}
+    parent = os.getpid()
+    assert set(rng.map_trials(lambda t: os.getpid(), 50)) == {parent}
 
 
 def test_overflow_is_the_same_undecided_error_on_one_and_two_workers(monkeypatch):
@@ -143,31 +251,166 @@ def test_the_lowest_failing_trial_wins(monkeypatch, k, failing):
     _no_children()
 
 
-def test_a_failing_first_block_raises_without_waiting_for_the_workers(monkeypatch):
-    _workers(monkeypatch, 3)
+def test_a_failure_raises_without_waiting_for_workers_on_later_jobs(monkeypatch):
+    # the parent fails in its first job after the fork, p, once the worker
+    # has started a later job, which never finishes on its own: the parent
+    # kills the worker unread
+    _workers(monkeypatch, 2)
     parent = os.getpid()
+    p_r, p_w = os.pipe()  # p, for the worker
+    go_r, go_w = os.pipe()  # the worker has started a job after p
+    failing, known = [], []
+
+    def trial(t):
+        if os.getpid() == parent:
+            if t > 0:
+                failing.append(t)
+                os.write(p_w, bytes([t]))
+                _read(go_r, 1)
+                raise TrialFault(f"trial {t}")
+            return t
+        if not known:
+            known.append(_read(p_r, 1)[0])
+        if t > known[0]:
+            os.write(go_w, b"x")
+            signal.pause()
+        return t
+
+    try:
+        with pytest.raises(TrialFault) as exc:
+            rng.map_trials(trial, 12)
+        _no_children()
+    finally:
+        for fd in (p_r, p_w, go_r, go_w):
+            os.close(fd)
+    assert str(exc.value) == f"trial {failing[0]}"
+
+
+def test_the_parent_waits_for_a_worker_on_a_lower_job(monkeypatch):
+    # the worker's first job w runs until the parent has failed at w + 1,
+    # the job after it, and then fails too: w is the lowest failure
+    _workers(monkeypatch, 2)
+    parent = os.getpid()
+    w_r, w_w = os.pipe()  # w, for the parent
+    fail_r, fail_w = os.pipe()  # the parent is about to fail
+    first = []
 
     def trial(t):
         if os.getpid() != parent:
-            signal.pause()  # a worker block that would never finish on its own
-        if t == 2:
-            raise TrialFault("trial 2")
+            os.write(w_w, bytes([t]))
+            _read(fail_r, 1)
+            raise TrialFault(f"trial {t}")
+        if t > 0:
+            if not first:
+                first.append(_read(w_r, 1)[0])
+            if t > first[0]:
+                os.write(fail_w, b"x")
+                raise TrialFault(f"trial {t}")
         return t
 
-    with pytest.raises(TrialFault, match="^trial 2$"):
-        rng.map_trials(trial, 12)
-    _no_children()
+    try:
+        with pytest.raises(TrialFault) as exc:
+            rng.map_trials(trial, 12)
+        _no_children()
+    finally:
+        for fd in (w_r, w_w, fail_r, fail_w):
+            os.close(fd)
+    assert str(exc.value) == f"trial {first[0]}"
 
 
-def test_an_exception_that_does_not_pickle_keeps_its_text(monkeypatch):
+def test_the_parent_reads_the_worker_on_the_lowest_job_first(monkeypatch):
+    # Of two workers, the second fails at its first job f once the first,
+    # which learns f in its first job, has taken a job after f that never
+    # finishes on its own.  The parent reads the first worker's notices,
+    # then must read the second worker, whose failure makes the first one's
+    # job moot, and not wait on the first.
+    _workers(monkeypatch, 3)
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    parent = os.getpid()
+    f_r, f_w = os.pipe()  # f, for the first worker
+    later_r, later_w = os.pipe()  # the first worker has a job after f
+    held, seen = [], []
+
+    def trial(t):
+        if os.getpid() == parent:
+            if t > 0 and not held:  # takes no job until then
+                held.append(t)
+                _read(later_r, 1)
+            return t
+        if forked:  # the second worker: its copy holds the first one's pid
+            os.write(f_w, bytes([t]))
+            _read(later_r, 1)
+            raise TrialFault(f"trial {t}")
+        if not seen:
+            seen.append(_read(f_r, 1)[0])
+            return t
+        os.write(later_w, b"xx")  # one byte for the parent, one for f's job
+        signal.pause()
+
+    try:
+        with pytest.raises(TrialFault, match=r"^trial \d+$"):
+            rng.map_trials(trial, 12)
+        _no_children()
+    finally:
+        for fd in (f_r, f_w, later_r, later_w):
+            os.close(fd)
+
+
+def test_no_job_starts_after_a_failure(monkeypatch):
+    # the worker's first job fails; the parent holds its first job after
+    # the fork until the worker has exited, and then finds the queue empty
     _workers(monkeypatch, 2)
+    parent = os.getpid()
+    r, w = os.pipe()  # end of file once the worker exits
+    held = []
+
+    def job(t):
+        if os.getpid() != parent:
+            raise TrialFault(f"worker {t}")
+        if t > 0:
+            held.append(t)
+            if len(held) == 1:
+                os.close(w)
+                while os.read(r, 1):
+                    pass
+        return t
+
+    try:
+        with pytest.raises(TrialFault, match="^worker "):
+            rng.map_trials(job, 12)
+        _no_children()
+    finally:
+        os.close(r)
+        if not held:
+            os.close(w)
+    assert len(held) <= 1
+
+
+def test_an_exception_that_does_not_pickle_keeps_its_text(monkeypatch, pipe):
+    _workers(monkeypatch, 2)
+    parent = os.getpid()
+    r, w = pipe
+    held = []
 
     class Local(Exception):  # not importable by name, so it cannot unpickle
         pass
 
     def trial(t):
-        if t == 7:  # a worker's trial
+        if os.getpid() != parent:  # a worker's job
+            os.write(w, b"x")
             raise Local("no way back")
+        if t > 0 and not held:  # until the worker has started a job
+            held.append(t)
+            _read(r, 1)
         return t
 
     with pytest.raises(RuntimeError, match="^no way back$"):
@@ -176,8 +419,8 @@ def test_an_exception_that_does_not_pickle_keeps_its_text(monkeypatch):
 
 
 def _fail_second_half_with_no_sweeps(monkeypatch):
-    # the second half of 12 trials is the block the worker runs when two
-    # processes split
+    # from trial 6 on, a trial leaves its process no Jacobi sweeps, so the
+    # lowest of them fails first, whichever process runs it
     original = numaccretive._accretive_trial
 
     def trial(dim, seed, t):
@@ -205,14 +448,20 @@ def test_non_convergence_in_a_worker_exits_2_like_one_process(monkeypatch, capsy
     assert one.err == two.err == "error: Jacobi eigensolver did not converge in 0 sweeps\n"
 
 
-def test_a_worker_killed_by_sigkill_exits_2(monkeypatch, capsys):
+def test_a_worker_killed_by_sigkill_exits_2(monkeypatch, capsys, pipe):
     _workers(monkeypatch, 2)
     parent = os.getpid()
+    r, w = pipe
+    held = []
     original = numaccretive._accretive_trial
 
     def trial(dim, seed, t):
         if os.getpid() != parent:
+            os.write(w, b"x")
             os.kill(os.getpid(), signal.SIGKILL)
+        if t > 0 and not held:  # until the worker has taken a job
+            held.append(t)
+            _read(r, 1)
         return original(dim, seed, t)
 
     monkeypatch.setattr(numaccretive, "_accretive_trial", trial)
@@ -229,7 +478,7 @@ def test_a_parent_that_fails_outside_its_trials_kills_its_workers(monkeypatch):
     parent = os.getpid()
 
     def trial(t):
-        if os.getpid() == parent and t == 2:
+        if os.getpid() == parent and t > 0:  # its first job after the fork
             raise KeyboardInterrupt
         if os.getpid() != parent:
             signal.pause()  # a worker that would never finish on its own
@@ -241,7 +490,8 @@ def test_a_parent_that_fails_outside_its_trials_kills_its_workers(monkeypatch):
 
 
 def test_every_suite_maps_its_trials(monkeypatch):
-    # every suite hands its trials to map_trials, count and all
+    # every suite hands its trials to map_trials, count and all, and the
+    # lemma battery its claims as well
     counts = []
     original = rng.map_trials
 
@@ -254,5 +504,5 @@ def test_every_suite_maps_its_trials(monkeypatch):
     accretive_suite(4, 3, 1)
     bt_suite(4, 4, 1)
     johnson_numeric_suite(5, 5, 1)
-    rankone_suite(6, 1)
+    lemmas_suite(4, 2, 1)  # 2 trials, then skew facts and reduced case per m = 3, 2
     assert counts == [3, 4, 5, 6]
