@@ -405,13 +405,19 @@ def lemmas_suite(max_n: int, trials: int, seed: int) -> list[CertificateReport]:
     grows about fourfold per order, from the highest block order m down,
     the skew facts of order m before the reduced case of order m + 1, so
     that the costliest claim starts as soon as the trials are taken and the
-    other processes fill in around it."""
+    other processes fill in around it.  With no trials, the middle claim
+    of that list goes first: the parent runs job 0 alone before it splits,
+    so the costliest claim there would hold up the rest, while the
+    cheapest, times the job count, falls short of ``rng.SPLIT_MIN_SECONDS``
+    and keeps the whole battery in one process."""
     if max_n < 3:
         raise ValueError("max order must be at least 3")
     jobs = [partial(_rankone_trial, seed, t) for t in range(trials)]
     for m in range(max_n - 1, 1, -1):
         jobs.append(partial(verify_skew_facts, generic_skew_toeplitz(m)))
         jobs.append(partial(verify_reduced_case, m + 1))
+    if not trials:
+        jobs.insert(0, jobs.pop(len(jobs) // 2))
     reports = map_trials(lambda k: jobs[k](), len(jobs))
     return sorted(reports, key=lambda r: r.claim)
 
@@ -431,9 +437,13 @@ def _bt_trial(dim: int, seed: int, scalar: str, t: int) -> CertificateReport:
     stream = substream(seed, 2000 + t)
     n = stream.randint(2, dim)
     if scalar == "rat":
-        skew = random_skew(n, lambda: stream.randint(-4, 4))
-        alpha = stream.randint(-5, 5)
-        w = [stream.randint(-4, 4) for _ in range(n)]
+        # one block of the draws of randint(-4, 4) for the skew part,
+        # randint(-5, 5) for alpha and randint(-4, 4) for w
+        k = n * (n - 1) // 2
+        block = stream.draws(k + 1 + n)
+        skew = random_skew(n, iter([-4 + v % 9 for v in block[:k]]).__next__)
+        alpha = -5 + block[k] % 11
+        w = [-4 + v % 9 for v in block[k + 1:]]
     else:
         skew = random_skew(n, lambda: stream.uniform(-2.0, 2.0))
         alpha = stream.uniform(-3.0, 3.0)

@@ -1,12 +1,16 @@
 """Deterministic pseudo-randomness for every seeded run.
 
 The generator is SplitMix64: a 64-bit counter advanced by the golden-gamma
-constant and passed through a two-round mixer, which lives in ``next_u64``
-alone.  It is tiny, fast, and easy to reproduce in any language, which is all
-a verification harness needs.  Independent substreams come from mixing a
-stream index into the master seed with the same finalizer (the first draw of
-a stream seeded there), so claim k always sees the same stream regardless of
-execution order or parallelism.
+constant and passed through a two-round mixer.  It is tiny, fast, and easy
+to reproduce in any language, which is all a verification harness needs.
+The mixer has two forms: ``next_u64`` mixes one state, and ``draws`` mixes
+a block of consecutive states at once, as 128-bit lanes of one Python int,
+so that a sampler that needs many draws pays for the mixer in C rather than
+once per draw in the interpreter.  Tests pin the two forms to each other,
+and every sampler reads the same stream either way.  Independent
+substreams come from mixing a stream index into the master seed with the
+same finalizer (the first draw of a stream seeded there), so claim k
+always sees the same stream regardless of execution order or parallelism.
 
 Also hosts the seeded instance samplers (integer, polynomial and skew
 matrices) shared by the verification suites, the benchmark harness and
@@ -37,6 +41,17 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# The lanes of one block of ``draws``: lane k holds bits 128k .. 128k + 127
+# of one int, and its state k + 1 steps ahead.  The constants take 4 KiB
+# each; longer runs of draws are made in blocks of this size.
+_LANES = 256
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_LOW = _ONES * _MASK64  # the low 64 bits of every lane
+_STEPS = _GOLDEN * int.from_bytes(
+    b"".join(k.to_bytes(16, "little") for k in range(1, _LANES + 1)), "little")
+# native 64-bit words of the lanes' bytes, from the low half of lane 0 on
+_HALVES = 2 if sys.byteorder == "little" else -2
+
 
 class SplitMix64:
     __slots__ = ("_state",)
@@ -51,6 +66,28 @@ class SplitMix64:
         z ^= z >> 27
         z = (z * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def draws(self, count: int) -> list[int]:
+        """The next ``count`` outputs of ``next_u64``, which advance the
+        stream as ``count`` calls of it would.  The mixer runs once over a
+        block of lanes: each xor-shift is masked back to 64 bits per lane,
+        and a product of a lane with a 64-bit constant fits in its 128 bits,
+        so no step carries into the next lane."""
+        out = []
+        while count > 0:
+            lanes = min(count, _LANES)
+            keep = (1 << 128 * lanes) - 1
+            z = (self._state * (_ONES & keep) + (_STEPS & keep)) & _LOW
+            z ^= (z >> 30) & _LOW
+            z = (z * 0xBF58476D1CE4E5B9) & _LOW
+            z ^= (z >> 27) & _LOW
+            z = (z * 0x94D049BB133111EB) & _LOW
+            z ^= (z >> 31) & _LOW
+            words = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")
+            out += words[::_HALVES].tolist()
+            self._state = (self._state + lanes * _GOLDEN) & _MASK64
+            count -= lanes
+        return out
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi].  Plain modulo reduction; the bias is
@@ -277,7 +314,8 @@ def _worker(job, count, size, queue, fd):
 
 
 def random_int_matrix(stream: SplitMix64, n: int) -> Matrix:
-    return Matrix(n, n, [stream.randint(-9, 9) for _ in range(n * n)])
+    """Entries ``stream.randint(-9, 9)`` in row order, drawn as one block."""
+    return Matrix(n, n, [-9 + v % 19 for v in stream.draws(n * n)])
 
 
 def random_skew(n: int, draw) -> Matrix:
@@ -299,12 +337,10 @@ def random_poly(
     max_exp: int = 2,
     coeff_bound: int = 3,
 ) -> MultiPoly:
-    terms = {}
-    for _ in range(stream.randint(0, max_terms)):
-        exps = tuple(stream.randint(0, max_exp) for _ in range(nvars))
-        c = stream.randint(-coeff_bound, coeff_bound)
-        terms[exps] = terms.get(exps, 0) + c
-    return MultiPoly(nvars, terms)
+    """Up to ``max_terms`` terms: the count ``stream.randint(0, max_terms)``,
+    then per term the exponents ``randint(0, max_exp)`` and the coefficient
+    ``randint(-coeff_bound, coeff_bound)`` (like terms add up)."""
+    return _random_polys(stream, 1, nvars, max_terms, max_exp, coeff_bound)[0]
 
 
 def random_poly_matrix(
@@ -315,11 +351,30 @@ def random_poly_matrix(
     max_exp: int = 1,
     coeff_bound: int = 2,
 ) -> Matrix:
+    """Entries ``random_poly`` in row order."""
     return Matrix(
-        n,
-        n,
-        [
-            random_poly(stream, nvars, max_terms, max_exp, coeff_bound)
-            for _ in range(n * n)
-        ],
+        n, n, _random_polys(stream, n * n, nvars, max_terms, max_exp, coeff_bound)
     )
+
+
+def _random_polys(stream, count, nvars, max_terms, max_exp, coeff_bound):
+    """``count`` polynomials drawn as ``random_poly`` draws them one after
+    another, from one block of the most draws they can take.  The stream is
+    then set back to just past the draws they used, where the draws one at
+    a time would have left it."""
+    start = stream._state
+    block = stream.draws(count * (1 + max_terms * (nvars + 1)))
+    polys = []
+    used = 0
+    for _ in range(count):
+        terms = {}
+        size = block[used] % (max_terms + 1)
+        used += 1
+        for _ in range(size):
+            exps = tuple(v % (max_exp + 1) for v in block[used:used + nvars])
+            c = -coeff_bound + block[used + nvars] % (2 * coeff_bound + 1)
+            used += nvars + 1
+            terms[exps] = terms.get(exps, 0) + c
+        polys.append(MultiPoly(nvars, terms))
+    stream._state = (start + used * _GOLDEN) & _MASK64
+    return polys

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from minorcert import cli, identity, rng
+from minorcert import cli, identity, numaccretive, rng
 from minorcert.matrix import Matrix
 from minorcert.ring import MonomialTable, MultiPoly
 
@@ -312,3 +312,47 @@ def test_a_split_lemmas_run_gives_the_same_result(monkeypatch, capsys, case):
         os.close(ran_r)
         os.close(ran_w)
     assert two == one
+
+
+# -- float verdicts: each one is seen to refute ------------------------------
+
+# a matrix whose corner a_11 is one more: of the four contiguous minors it
+# changes only A_m(1,1), by the cofactor of a_11 in it
+def _corner_bumped(a):
+    rows = a.to_rows()
+    rows[0][0] += 1.0
+    return Matrix.from_rows(rows)
+
+
+def test_a_perturbed_float_bt_minor_is_refuted(monkeypatch):
+    skew = Matrix.from_rows(
+        [[0.0, 1.5, -0.5, 2.0], [-1.5, 0.0, 1.0, -1.0],
+         [0.5, -1.0, 0.0, 0.5], [-2.0, 1.0, -0.5, 0.0]]
+    )
+    w = [0.5, -1.0, 1.5, 2.0]
+    assert identity.verify_bt(skew, 1.5, w).verified
+    real = identity.minor_witness
+    monkeypatch.setattr(
+        identity, "minor_witness", lambda a, label: real(_corner_bumped(a), label)
+    )
+    assert identity.verify_bt(skew, 1.5, w).status == "refuted"
+
+
+def test_a_perturbed_numeric_johnson_minor_is_refuted(monkeypatch):
+    # A_m(1,1) is the one block of A = J + B whose corner is exactly 1.0:
+    # the corners of A_m(1,2) and A_m(2,1) are 1 + b1 and 1 - b1
+    real = identity.det_bareiss
+    monkeypatch.setattr(
+        identity, "det_bareiss", lambda x: real(x) + (x[0, 0] == 1.0)
+    )
+    reports = identity.johnson_numeric_suite(8, 10, cli.DEFAULT_SEED)
+    assert {r.status for r in reports} == {"refuted"}
+
+
+def test_an_adjugate_that_is_not_accretive_is_refuted():
+    acc = numaccretive.accretive(
+        Matrix.from_rows([[2.0, 1.0, 0.0], [-1.0, 2.0, 1.0], [0.0, -1.0, 2.0]])
+    )
+    assert numaccretive.verify_adjugate_accretive(acc).verified
+    acc.adjugate = -acc.adjugate  # the cached adjugate, negated
+    assert numaccretive.verify_adjugate_accretive(acc).status == "refuted"

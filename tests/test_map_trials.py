@@ -506,3 +506,30 @@ def test_every_suite_maps_its_trials(monkeypatch):
     johnson_numeric_suite(5, 5, 1)
     lemmas_suite(4, 2, 1)  # 2 trials, then skew facts and reduced case per m = 3, 2
     assert counts == [3, 4, 5, 6]
+
+
+def test_the_lemma_battery_orders_its_jobs_for_the_split(monkeypatch):
+    # job 0, which the parent runs alone and times to decide the split, is
+    # a rank-one trial; with none, the middle symbolic claim, neither the
+    # costliest (it would run alone) nor the cheapest (too cheap to split on)
+    orders = []
+
+    def in_order(job, count):
+        reports = [job(k) for k in range(count)]
+        orders.append([r.claim for r in reports])
+        return reports
+
+    monkeypatch.setattr(identity, "map_trials", in_order)
+    lemmas_suite(5, 2, 1)
+    lemmas_suite(5, 0, 1)
+    assert orders == [
+        [
+            "rankone_expansion_t000", "rankone_expansion_t001",
+            "skew_facts_m4", "reduced_case_n5", "skew_facts_m3",
+            "reduced_case_n4", "skew_facts_m2", "reduced_case_n3",
+        ],
+        [
+            "reduced_case_n4", "skew_facts_m4", "reduced_case_n5",
+            "skew_facts_m3", "skew_facts_m2", "reduced_case_n3",
+        ],
+    ]
