@@ -286,7 +286,10 @@ def verify_bt(skew: Matrix, alpha, w) -> CertificateReport:
         det A_m(1,1) * det A_m(2,2) = ((det A_m(1,2) + det A_m(2,1)) / 2)^2
 
     exactly over the rationals, or for floats to the fixed relative
-    tolerance ``BT_TOL``.  ``skew`` must be exactly skew-symmetric, float
+    tolerance ``BT_TOL``.  A float residual is the larger of |lhs - rhs|
+    and the clamp of a negative d11 d22 (``minor_witness`` takes the square
+    root of zero in its place), so a product that is negative beyond the
+    tolerance refutes.  ``skew`` must be exactly skew-symmetric, float
     input included, else ValueError.  Weight vectors with zero components
     are legal: the identity is polynomial in the entries, so no limiting
     argument is needed.  Entries, ``alpha`` and the weights must be int,
@@ -318,7 +321,7 @@ def verify_bt(skew: Matrix, alpha, w) -> CertificateReport:
     instance = {"n": n, "alpha": alpha, "w": list(w)}
     if floating:
         wit = minor_witness(skew + alpha / 2 * outer(list(w)), f"bt_n{n}")
-        residual = abs(wit.margin)
+        residual = max(abs(wit.margin), wit.clamp)
         scale = max(1.0, wit.lhs + wit.rhs)
         _require_finite(f"bt_n{n}", *wit.minors, residual)
         return CertificateReport(
@@ -353,10 +356,9 @@ def johnson_numeric_suite(max_n: int, trials: int, seed: int) -> list[Certificat
     overflow from about order 230) raises UndecidedError, not a refutation.
 
     The trials are shared out across one process per CPU of the affinity
-    mask (``rng.map_trials``; no option sets the count) once the first
-    trial's time times their count reaches ``rng.SPLIT_MIN_SECONDS``, with
-    byte-identical reports and the same first error as one CPU: each trial
-    draws only from its own substream."""
+    mask (``rng.map_trials``; no option sets the count) whenever there are
+    two of each, with byte-identical reports and the same first error as
+    one CPU: each trial draws only from its own substream."""
     if max_n < 2:
         raise ValueError("max order must be at least 2")
     return map_trials(partial(_johnson_numeric_trial, max_n, seed), trials)
@@ -400,24 +402,18 @@ def lemmas_suite(max_n: int, trials: int, seed: int) -> list[CertificateReport]:
 
     The whole battery is one job list for ``rng.map_trials``, shared out
     across the CPUs with byte-identical reports and the same first error as
-    one CPU.  The cheap rank-one trials come first, so that job 0, which
-    decides the split, is one of them; then the symbolic claims, whose cost
-    grows about fourfold per order, from the highest block order m down,
-    the skew facts of order m before the reduced case of order m + 1, so
-    that the costliest claim starts as soon as the trials are taken and the
-    other processes fill in around it.  With no trials, the middle claim
-    of that list goes first: the parent runs job 0 alone before it splits,
-    so the costliest claim there would hold up the rest, while the
-    cheapest, times the job count, falls short of ``rng.SPLIT_MIN_SECONDS``
-    and keeps the whole battery in one process."""
+    one CPU.  The list runs from the costliest job to the cheapest, so that
+    the costliest claim starts at once and the other processes fill in
+    around it: the symbolic claims, whose cost grows about fourfold per
+    order, from the highest block order m down, the skew facts of order m
+    before the reduced case of order m + 1, then the rank-one trials."""
     if max_n < 3:
         raise ValueError("max order must be at least 3")
-    jobs = [partial(_rankone_trial, seed, t) for t in range(trials)]
+    jobs = []
     for m in range(max_n - 1, 1, -1):
         jobs.append(partial(verify_skew_facts, generic_skew_toeplitz(m)))
         jobs.append(partial(verify_reduced_case, m + 1))
-    if not trials:
-        jobs.insert(0, jobs.pop(len(jobs) // 2))
+    jobs += [partial(_rankone_trial, seed, t) for t in range(trials)]
     reports = map_trials(lambda k: jobs[k](), len(jobs))
     return sorted(reports, key=lambda r: r.claim)
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 import os
 import sys
-from time import perf_counter
+from itertools import chain
 
 from .matrix import Matrix
 from .ring import MultiPoly
 
 __all__ = [
-    "SPLIT_MIN_SECONDS",
     "SplitMix64",
     "map_trials",
     "substream",
@@ -113,18 +112,6 @@ def substream(master_seed: int, index: int) -> SplitMix64:
     return SplitMix64(SplitMix64(master_seed + index * _GOLDEN).next_u64())
 
 
-# Least work, job 0's time times the job count, that map_trials splits
-# across processes.  A split has a fixed cost: on a 2-core machine under
-# CPython 3.11, forking one worker from a 17 MB process, handing it jobs,
-# pickling its results back and reaping it takes about 2 ms (4 trivial
-# jobs: 2.1-2.6 ms split, medians of 200 runs, against 0.002 ms in one
-# process).  On two CPUs a split saves at most half of the work, so it pays
-# from about twice its fixed cost of work on.  5.4 ms, between two and three
-# times it, leaves room for a job 0 that costs more than the average one:
-# job 0 of ``verify bt --scalar rat --dim 8 --trials 100`` times 100 read
-# 17 ms of a 12 ms suite.
-SPLIT_MIN_SECONDS = 0.0054
-
 _RECORD = 4  # bytes of one queue record or notice: a job index
 _POSIX_PIPE_BUF = 512  # the least PIPE_BUF that POSIX allows
 
@@ -144,12 +131,12 @@ def map_trials(job, count: int) -> list:
 
     Every job depends only on its index (a seeded trial draws only from its
     own substream), so its result does not depend on which process runs it
-    or when.  The parent runs job 0 and times it; if that time times
-    ``count`` reaches ``SPLIT_MIN_SECONDS``, it forks one worker per other
-    CPU, and each process, the parent included, takes the next job that has
-    not started from one shared queue until none is left, so a process held
-    up by a costly job takes fewer of the others.  The queue is a pipe of
-    job indices, written before the fork as fixed-size records in one write
+    or when.  The parent forks one worker per other CPU and runs job 0, and
+    then each process, the parent included, takes the next job that has not
+    started from one shared queue until none is left, so a process held up
+    by a costly job takes fewer of the others; a caller with jobs of uneven
+    cost lists the costliest first.  The queue is a pipe of the indices of
+    jobs 1 on, written before the fork as fixed-size records in one write
     of at most ``PIPE_BUF`` bytes (past ``PIPE_BUF / 4`` jobs, a record
     stands for a chunk of consecutive jobs).  Each take reads one record, so
     the queue needs no lock, and a worker killed as it takes one cannot
@@ -169,20 +156,18 @@ def map_trials(job, count: int) -> list:
     or raises; if the parent fails outside its jobs (an interrupt, say), it
     kills the workers first.
 
-    The loop stays in this process with one CPU, without ``os.fork``, while
-    another thread runs (a fork would copy it half-done) and below
-    ``SPLIT_MIN_SECONDS`` of work."""
-    processes = min(_cpu_count(), count - 1)
+    The loop stays in this process with one CPU or one job, without
+    ``os.fork``, and while another thread runs (a fork would copy it
+    half-done).  A split has a fixed cost, about 2 ms on a 2-core machine,
+    which a run of a few cheap jobs pays."""
+    processes = min(_cpu_count(), count)
     threading = sys.modules.get("threading")
     if (processes < 2 or not hasattr(os, "fork")
             or (threading is not None and threading.active_count() > 1)):
         return [job(t) for t in range(count)]
-    start = perf_counter()
-    results = {0: job(0)}
-    if (perf_counter() - start) * count < SPLIT_MIN_SECONDS:
-        return [results[0], *(job(t) for t in range(1, count))]
     import pickle  # not at start-up, and before the fork: the workers share it
 
+    results = {}
     queue, feed = os.pipe()
     shares = []  # the unreaped workers
     try:
@@ -201,7 +186,7 @@ def map_trials(job, count: int) -> list:
             finally:
                 os.close(w)
             shares.append(_Share(pid, r))
-        failed = _take_jobs(job, count, size, queue, results)
+        failed = _take_jobs(job, chain([0], _queued(count, size, queue)), queue, results)
         while True:
             # A worker that may hold a job below the lowest failure is read,
             # the one with the lowest announced job first: any later job it
@@ -270,23 +255,27 @@ class _Share:
             self.current = index
 
 
-def _take_jobs(job, count, size, queue, results, notices=None):
-    """Runs the jobs of each record taken from the queue into ``results``
-    (index -> result), announcing each record on ``notices``, until the
-    queue is empty.  Returns None, or (index, exception) of the first job
-    that raises, after emptying the queue so that no process starts
-    another."""
+def _queued(count, size, queue, notices=None):
+    """The jobs of each record taken from the queue until it is empty, each
+    record announced on ``notices`` before its jobs."""
     while record := os.read(queue, _RECORD):
         if notices is not None:
             os.write(notices, record)
         lo = int.from_bytes(record, "little")
-        for t in range(lo, min(lo + size, count)):
-            try:
-                results[t] = job(t)
-            except Exception as exc:
-                while os.read(queue, _POSIX_PIPE_BUF):
-                    pass
-                return t, exc
+        yield from range(lo, min(lo + size, count))
+
+
+def _take_jobs(job, jobs, queue, results):
+    """Runs ``jobs`` into ``results`` (index -> result).  Returns None, or
+    (index, exception) of the first job that raises, after emptying the
+    queue so that no process starts another."""
+    for t in jobs:
+        try:
+            results[t] = job(t)
+        except Exception as exc:
+            while os.read(queue, _POSIX_PIPE_BUF):
+                pass
+            return t, exc
     return None
 
 
@@ -299,7 +288,7 @@ def _worker(job, count, size, queue, fd):
         import pickle
 
         results = {}
-        failed = _take_jobs(job, count, size, queue, results, fd)
+        failed = _take_jobs(job, _queued(count, size, queue, fd), queue, results)
         if failed is not None:
             try:
                 pickle.loads(pickle.dumps(failed[1]))

@@ -1,6 +1,9 @@
 """Fault injection: an engine that a verdict reads is patched to return a
 wrong result, and the verify command must then exit 1 (refuted) or 2
-(error), never 0 ("verified").
+(error), never 0 ("verified"), or the verifier must report "refuted".
+Where a verdict has several checks, a fault that fails one check alone
+shows that the verdict reads it (``scripts/mutate_verdicts.py`` drops
+each check in turn and expects a test here to fail).
 
 A fault that no check catches yet is a strict xfail naming the ROADMAP item
 that will catch it, so that the change which does has to flip it.
@@ -13,7 +16,7 @@ import os
 import pytest
 
 from minorcert import cli, identity, numaccretive, rng
-from minorcert.matrix import Matrix
+from minorcert.matrix import Matrix, generic_skew_toeplitz, is_skew_symmetric
 from minorcert.ring import MonomialTable, MultiPoly
 
 SILENT_UNTIL_ITEM_7 = (
@@ -240,10 +243,36 @@ BAREISS_FAULTS = {"zero": lambda d: d * 0, "flipped": lambda d: -d}
 
 @pytest.mark.parametrize("fault", BAREISS_FAULTS)
 @pytest.mark.parametrize(
-    "argv", [SPECIALIZATION_EVEN, COMMANDS["lemmas"]], ids=["specialization", "lemmas"]
+    "argv",
+    [SPECIALIZATION_EVEN, COMMANDS["lemmas"], SPECIALIZATION_ODD],
+    ids=["specialization", "lemmas", "odd_specialization"],
 )
 def test_a_faulty_bareiss_determinant_is_caught(monkeypatch, capsys, argv, fault):
     assert _caught(monkeypatch, capsys, "det_bareiss", BAREISS_FAULTS[fault], argv)
+
+
+# K is skew-symmetric and C = I - L^2 is not, so each of the even
+# specialization's two determinants can be made wrong alone
+@pytest.mark.parametrize("block", ["K", "C"])
+def test_one_wrong_even_specialization_determinant_is_refuted(monkeypatch, block):
+    real = identity.det_bareiss
+    monkeypatch.setattr(
+        identity,
+        "det_bareiss",
+        lambda x: real(x) + (is_skew_symmetric(x) == (block == "K")),
+    )
+    assert identity.specialization_certificate(6).status == "refuted"
+
+
+def test_a_nonzero_odd_skew_determinant_is_refuted(monkeypatch):
+    # the adjugate stays right, so only det Y = 0 can refute
+    real = identity.shared_column_minors
+    monkeypatch.setattr(
+        identity, "shared_column_minors", lambda *args: [d + 1 for d in real(*args)]
+    )
+    report = identity.verify_skew_facts(generic_skew_toeplitz(5))
+    assert report.instance["adjugate_transpose_identity"]
+    assert report.status == "refuted"
 
 
 # -- verify lemmas split over two processes ----------------------------------
@@ -262,12 +291,11 @@ LEMMAS_CASES = {
 
 def _split_lemmas(monkeypatch):
     """Splits the battery over two processes, as tests/test_map_trials.py
-    does, and holds the parent in its first job after the fork until the
+    does, and holds the parent in its first job after job 0 until the
     worker has run every other job and exited, so that the worker computes
     all but two claims with the engines as the parent patched them.
     Returns a pipe that holds one byte per job the worker ran."""
     monkeypatch.setattr(rng, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(rng, "SPLIT_MIN_SECONDS", 0.0)
     split = rng.map_trials
     parent = os.getpid()
     ran_r, ran_w = os.pipe()
@@ -338,6 +366,19 @@ def test_a_perturbed_float_bt_minor_is_refuted(monkeypatch):
     assert identity.verify_bt(skew, 1.5, w).status == "refuted"
 
 
+def test_a_negative_float_bt_product_is_refuted(monkeypatch):
+    # trial 0 has n = 2 and w = [0, 1.298]: the bumped d11 d22 is -0.98 and
+    # d12 + d21 = 0, so the margin is 0 and only the clamp can refute
+    real = identity.minor_witness
+    monkeypatch.setattr(
+        identity, "minor_witness", lambda a, label: real(_corner_bumped(a), label)
+    )
+    reports = identity.bt_suite(5, 10, cli.DEFAULT_SEED, scalar="real")
+    assert reports[0].instance["n"] == 2
+    assert {r.status for r in reports} == {"refuted"}
+    assert reports[0].residual > 0.9
+
+
 def test_a_perturbed_numeric_johnson_minor_is_refuted(monkeypatch):
     # A_m(1,1) is the one block of A = J + B whose corner is exactly 1.0:
     # the corners of A_m(1,2) and A_m(2,1) are 1 + b1 and 1 - b1
@@ -356,3 +397,102 @@ def test_an_adjugate_that_is_not_accretive_is_refuted():
     assert numaccretive.verify_adjugate_accretive(acc).verified
     acc.adjugate = -acc.adjugate  # the cached adjugate, negated
     assert numaccretive.verify_adjugate_accretive(acc).status == "refuted"
+
+
+# -- each check of the accretive claims refutes on its own -------------------
+
+def _near_miss_adjugate(a):
+    # a symmetric part whose least eigenvalue is about -1e-10 against a
+    # largest of about 1, so it passes as accretive, while d22 = adj[0, 0] =
+    # 0 and the corners adj[0, n-1] = adj[n-1, 0] = 1e-5 make the margin
+    # -1e-5
+    n = a.rows
+    rows = [[float(i == j) for j in range(n)] for i in range(n)]
+    rows[0][0] = 0.0
+    rows[0][n - 1] = rows[n - 1][0] = 1e-5
+    return Matrix.from_rows(rows)
+
+
+# (engine, faulty engine from the real one): each fails one of the trial's
+# checks, the determinant, the adjugate's accretivity or the margin, and
+# leaves the others passing
+ACCRETIVE_TRIAL_FAULTS = {
+    "det_negated": ("det_bareiss", lambda real: lambda x: -real(x)),
+    "adjugate_negated": ("adjugate", lambda real: lambda x: -real(x)),
+    "margin_negative": ("adjugate", lambda real: _near_miss_adjugate),
+}
+
+
+@pytest.mark.parametrize("fault", ACCRETIVE_TRIAL_FAULTS)
+def test_each_accretive_trial_check_refutes(monkeypatch, fault):
+    engine, faulty = ACCRETIVE_TRIAL_FAULTS[fault]
+    monkeypatch.setattr(numaccretive, engine, faulty(getattr(numaccretive, engine)))
+    reports = numaccretive.accretive_suite(6, 8, cli.DEFAULT_SEED)
+    strict = [r for r in reports if r.instance["kind"] == "strict"]
+    assert strict and {r.status for r in strict} == {"refuted"}
+
+
+# A = I + N with N = [[0, 1/2], [-1/2, 0]]: H = I, so H^{1/2} = H^{-1/2} = I
+# and S = N exactly, and each fault below moves one residual of the
+# factorization past its tolerance and leaves the other two within theirs
+HALF_SKEW = Matrix.from_rows([[1.0, 0.5], [-0.5, 1.0]])
+FACTORIZATION_FAULTS = {
+    # H^{-1/2} + 1e-8 e_0 e_1^T makes S = N - 5e-9 I: skew residual 1e-8,
+    # reconstruction 5e-9, inverse identity about 3e-9
+    "skew_residual": (
+        "_sqrt_pair",
+        lambda real: lambda eig: (
+            real(eig)[0], real(eig)[1] + Matrix.from_rows([[0.0, 1e-8], [0.0, 0.0]])
+        ),
+    ),
+    "reconstruction_residual": (
+        "_sqrt_pair", lambda real: lambda eig: (2.0 * real(eig)[0], real(eig)[1])
+    ),
+    # Re((I + S)^{-1}) read as I against (I - S^2)^{-1} = I / 1.25
+    "inverse_identity_residual": ("inverse", lambda real: lambda x: x),
+}
+
+
+@pytest.mark.parametrize("fault", FACTORIZATION_FAULTS)
+def test_each_factorization_check_refutes(monkeypatch, fault):
+    acc = numaccretive.accretive(HALF_SKEW)
+    assert numaccretive.accretive_factorize(acc)[2].verified
+    engine, faulty = FACTORIZATION_FAULTS[fault]
+    monkeypatch.setattr(numaccretive, engine, faulty(getattr(numaccretive, engine)))
+    report = numaccretive.accretive_factorize(acc)[2]
+    assert report.status == "refuted"
+    tolerances = {
+        "skew_residual": 1e-9,
+        "reconstruction_residual": numaccretive.FACTOR_TOL,
+        "inverse_identity_residual": numaccretive.FACTOR_TOL,
+    }
+    for name, tol in tolerances.items():
+        assert (report.instance[name] > tol) == (name == fault)
+
+
+def test_a_negative_determinant_is_refuted(monkeypatch):
+    # H = [[1, 0], [0, 0]] is singular, so A is accretive but not strictly,
+    # and only the residual -det(A) / scale can refute
+    acc = numaccretive.accretive(Matrix.from_rows([[1.0, 1.0], [-1.0, 0.0]]))
+    assert not acc.strict and numaccretive.verify_det_positive(acc).verified
+    real = numaccretive.det_bareiss
+    monkeypatch.setattr(numaccretive, "det_bareiss", lambda x: -real(x))
+    assert numaccretive.verify_det_positive(acc).status == "refuted"
+
+
+# A = 2I + N: H = 2I and I + S has a unit diagonal, which A has not
+DET_FAULTS = {
+    # det(H) doubled: the product formula misses det(A) by a factor of 2
+    "product_formula": lambda real: lambda x: real(x) * (2 if x == x.T else 1),
+    # det(A) and det(H) negated: det(A) = det(H) det(I + S) still holds
+    "sign": lambda real: lambda x: real(x) * (1 if x[0, 0] == 1.0 else -1),
+}
+
+
+@pytest.mark.parametrize("fault", DET_FAULTS)
+def test_a_strict_determinant_check_refutes(monkeypatch, fault):
+    acc = numaccretive.accretive(Matrix.from_rows([[2.0, 1.0], [-1.0, 2.0]]))
+    assert acc.strict and numaccretive.verify_det_positive(acc).verified
+    real = numaccretive.det_bareiss
+    monkeypatch.setattr(numaccretive, "det_bareiss", DET_FAULTS[fault](real))
+    assert numaccretive.verify_det_positive(acc).status == "refuted"

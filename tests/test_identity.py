@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from minorcert import identity as identity_module
+from minorcert import rng
 from minorcert.detkit import (
     adjugate,
     contiguous_minors,
@@ -552,6 +553,8 @@ def test_exact_bt_takes_its_minors_in_integers(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(identity_module, "contiguous_minors", spy)
+    # the spy sees the calls of this process only, so the suite runs in it
+    monkeypatch.setattr(rng, "_cpu_count", lambda: 1)
     skew, alpha, w = _rational_bt_instance(4, 80)
     assert verify_bt(skew, alpha, w).verified
     stream = substream(81, 0)

@@ -29,10 +29,9 @@ def _time_bound():
     signal.signal(signal.SIGALRM, previous)
 
 
-def _workers(monkeypatch, k, min_seconds=0.0):
+def _workers(monkeypatch, k):
     """Splits every map_trials call of the test over k processes."""
     monkeypatch.setattr(rng, "_cpu_count", lambda: k)
-    monkeypatch.setattr(rng, "SPLIT_MIN_SECONDS", min_seconds)
 
 
 @pytest.fixture
@@ -96,8 +95,9 @@ def test_the_split_calls_each_trial_once_and_merges_in_order(monkeypatch, pipe, 
         if os.getpid() != parent:
             os.write(w, b"x")
         elif t > 0 and not held:
-            # job 0 runs before the fork; the parent holds its next job, if
-            # the workers leave it one, until they have run every other one
+            # the parent runs job 0 right after the fork and holds its next
+            # job, if the workers leave it one, until they have run every
+            # other one
             held.append(t)
             _read(r, count - 2)
         return t, os.getpid()
@@ -181,28 +181,24 @@ def test_the_split_stays_in_process_when_it_cannot_pay_or_fork(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
 
-    def splits(count, job_0_seconds=0.0):
-        """The workers that map_trials forks when job 0 takes the time given."""
+    def splits(count):
+        """The workers that map_trials forks for count jobs."""
         forks.clear()
-        clock = iter([0.0, job_0_seconds])  # read before and after job 0
-        monkeypatch.setattr(rng, "perf_counter", lambda: next(clock))
         assert rng.map_trials(lambda t: t, count) == list(range(count))
         _no_children()
         return len(forks)
 
-    # the work a split weighs is job 0's time times the count
-    quarter = rng.SPLIT_MIN_SECONDS / 4
-    _workers(monkeypatch, 2, min_seconds=rng.SPLIT_MIN_SECONDS)
-    assert splits(4, 0.99 * quarter) == 0
-    assert splits(4, quarter) == 1
-    assert splits(40, quarter) == 1
-    _workers(monkeypatch, 3, min_seconds=rng.SPLIT_MIN_SECONDS)
-    assert splits(4, quarter) == 2
-    assert splits(3, 2 * quarter) == 1  # two jobs after job 0: two processes
+    # one worker per other CPU, and no more processes than jobs
+    _workers(monkeypatch, 2)
+    assert splits(2) == 1
+    assert splits(40) == 1
+    _workers(monkeypatch, 3)
+    assert splits(2) == 1
+    assert splits(3) == 2
     _workers(monkeypatch, 1)
     assert splits(50) == 0
     _workers(monkeypatch, 2)
-    assert splits(2) == 0  # one job after job 0
+    assert splits(1) == 0
     assert splits(0) == 0
     # another thread would be copied half-done into the worker
     stop = threading.Event()
@@ -252,7 +248,7 @@ def test_the_lowest_failing_trial_wins(monkeypatch, k, failing):
 
 
 def test_a_failure_raises_without_waiting_for_workers_on_later_jobs(monkeypatch):
-    # the parent fails in its first job after the fork, p, once the worker
+    # the parent fails in its first job after job 0, p, once the worker
     # has started a later job, which never finishes on its own: the parent
     # kills the worker unread
     _workers(monkeypatch, 2)
@@ -478,7 +474,7 @@ def test_a_parent_that_fails_outside_its_trials_kills_its_workers(monkeypatch):
     parent = os.getpid()
 
     def trial(t):
-        if os.getpid() == parent and t > 0:  # its first job after the fork
+        if os.getpid() == parent and t > 0:  # its first job after job 0
             raise KeyboardInterrupt
         if os.getpid() != parent:
             signal.pause()  # a worker that would never finish on its own
@@ -504,14 +500,14 @@ def test_every_suite_maps_its_trials(monkeypatch):
     accretive_suite(4, 3, 1)
     bt_suite(4, 4, 1)
     johnson_numeric_suite(5, 5, 1)
-    lemmas_suite(4, 2, 1)  # 2 trials, then skew facts and reduced case per m = 3, 2
+    lemmas_suite(4, 2, 1)  # skew facts and reduced case per m = 3, 2, then 2 trials
     assert counts == [3, 4, 5, 6]
 
 
 def test_the_lemma_battery_orders_its_jobs_for_the_split(monkeypatch):
-    # job 0, which the parent runs alone and times to decide the split, is
-    # a rank-one trial; with none, the middle symbolic claim, neither the
-    # costliest (it would run alone) nor the cheapest (too cheap to split on)
+    # costliest first, so that the parent, which runs job 0, starts the
+    # costliest claim at once: the symbolic claims from the top block order
+    # down, then the rank-one trials
     orders = []
 
     def in_order(job, count):
@@ -522,14 +518,11 @@ def test_the_lemma_battery_orders_its_jobs_for_the_split(monkeypatch):
     monkeypatch.setattr(identity, "map_trials", in_order)
     lemmas_suite(5, 2, 1)
     lemmas_suite(5, 0, 1)
+    symbolic = [
+        "skew_facts_m4", "reduced_case_n5", "skew_facts_m3",
+        "reduced_case_n4", "skew_facts_m2", "reduced_case_n3",
+    ]
     assert orders == [
-        [
-            "rankone_expansion_t000", "rankone_expansion_t001",
-            "skew_facts_m4", "reduced_case_n5", "skew_facts_m3",
-            "reduced_case_n4", "skew_facts_m2", "reduced_case_n3",
-        ],
-        [
-            "reduced_case_n4", "skew_facts_m4", "reduced_case_n5",
-            "skew_facts_m3", "skew_facts_m2", "reduced_case_n3",
-        ],
+        [*symbolic, "rankone_expansion_t000", "rankone_expansion_t001"],
+        symbolic,
     ]
