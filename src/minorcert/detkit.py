@@ -31,7 +31,17 @@ One production engine per scalar world:
   index sets itself and drops each sub-minor once its last reader is built
   (the sub-minor plus the largest index it lacks), so the two levels of a
   step are never both whole.  No two polynomials are ever multiplied
-  together: each product is a line entry times a sub-minor.
+  together: each product is a line entry times a sub-minor.  When the
+  entries it reads have total degree at most 1 and their constant terms
+  form a rank-one integer matrix C (``MonomialTable.two_bands``; every
+  symbolic Johnson expansion, C = J), a k x k minor of C + L has terms of
+  degree k and k - 1 only: by multilinearity in the columns it is the sum,
+  over the sets T of columns, of the determinant with C's columns in T
+  and L's elsewhere, and a term with two columns of a rank-one C
+  vanishes.  Each sub-minor is then two bands, and a constant term
+  multiplies the top band alone: its products with the lower band have
+  degree k - 1 at level k + 1, so they cancel and are never formed.  Any
+  other input keeps one band.
 
 ``adjugate`` (cofactor transpose, exact on singular matrices) takes one path
 per scalar world, chosen by the kind of its entries:
@@ -341,6 +351,19 @@ def shared_column_minors(a: Matrix, shared, extra) -> list:
     degree checked, once, and only the results are turned into polynomials
     (plain numbers when no entry is a polynomial).  No ring division is
     made, so nothing swells beyond the minors themselves.
+
+    The table is banded when the entries on the rows R and the columns
+    ``shared + extra`` pass ``MonomialTable.two_bands``, an O(m^2) test:
+    polynomials of total degree at most 1 and ints whose constant terms
+    C have rank one, as in J + B.  Every column set of C then has rank at
+    most one too, so by multilinearity in the columns each D[R] of order
+    k is the minor of the linear parts, of degree k, plus the terms with
+    exactly one column of C, of degree k - 1.  A sub-minor is those two
+    bands; a linear term of a line entry takes each band to its own band
+    one level up and the constant term the top band to the lower one.  The
+    constant term times the lower band would have degree k - 1 at level
+    k + 1, which D lacks, so the sum of those products is zero and the
+    kernel never forms them.  The minors are the same term for term.
     """
     cols, extra = sorted(shared), list(extra)
     m = len(cols) + 1
@@ -351,8 +374,12 @@ def shared_column_minors(a: Matrix, shared, extra) -> list:
         raise ValueError(f"columns {idx} repeat or leave a {a.rows}x{a.cols} matrix")
     picked = a.to_rows()[:m]
     poly = next((x for r in picked for x in r if isinstance(x, MultiPoly)), None)
-    table = MonomialTable(None if poly is None else poly.nvars)
-    prev = {0: {0: 1}}
+    if poly is None:
+        table = MonomialTable(None)
+    else:
+        lines = [[r[c] for c in idx] for r in picked]
+        table = MonomialTable(poly.nvars, MonomialTable.two_bands(lines))
+    prev = {0: ({0: 1},)}
     for k, c in enumerate(cols, 1):
         prev = _expand_level(table, [r[c] for r in picked], k, prev)
     results = []
@@ -375,30 +402,36 @@ def _expand_level(table, line, k, prev) -> dict:
     The minors are in the index form of ``table``, the ``MonomialTable``
     of the whole expansion, so each line entry is a few shift tables and
     each D[S] is one ``table.sum_of_products`` call; zero entries and zero
-    sub-minors are skipped.  Each sub-minor T is deleted from ``prev`` as
-    soon as its last reader is built, T plus the largest index T lacks:
-    right after S, each S - {j} with j above S's largest missing index; so
-    ``prev`` is left empty, and a caller that reads it afterwards passes a
-    copy, and the two levels of a step are never both whole.  The
+    sub-minors are skipped.  A banded table keeps each D[S] as its terms
+    of degree k and k - 1 and never multiplies the lower band of a
+    sub-minor by a constant term: when the constant parts of the lines
+    have rank one, a minor has no terms of degree k - 2, so those products
+    cancel (multilinearity, as ``shared_column_minors`` shows); the
+    polynomial adjugate runs on a table of one band.  Each sub-minor T is
+    deleted from ``prev`` as soon as its last reader is built, T plus the
+    largest index T lacks: right after S, each S - {j} with j above S's
+    largest missing index; so ``prev`` is left empty, and a caller that
+    reads it afterwards passes a copy, and the two levels of a step are
+    never both whole.  The
     polynomial adjugate runs it on rows in any order (``line`` the row
     expanded k-th), and the shared-column expansion on columns."""
     n = len(line)
     full = (1 << n) - 1
+    bits = [1 << j for j in range(n)]
+    signs = [-1 if (k - 1 + p) % 2 else 1 for p in range(k)]
     factors = [table.factor(e) for e in line]
     cur = {}
-    for sub in combinations(range(n), k):
-        mask = sum(1 << j for j in sub)
+    for fs, bs in zip(combinations(factors, k), combinations(bits, k)):
+        mask = sum(bs)
         pairs = []
-        for p, j in enumerate(sub):
-            f = factors[j]
-            if not f:
-                continue
-            d = prev[mask ^ (1 << j)]
-            if d:
-                pairs.append((-1 if (k - 1 + p) % 2 else 1, f, d))
+        for sign, f, bit in zip(signs, fs, bs):
+            if f:
+                d = prev[mask ^ bit]
+                if d:
+                    pairs.append((sign, f, d))
         cur[mask] = table.sum_of_products(pairs)
-        for j in range((full ^ mask).bit_length(), n):
-            del prev[mask ^ (1 << j)]
+        for bit in bits[(full ^ mask).bit_length():]:
+            del prev[mask ^ bit]
     return cur
 
 
@@ -515,7 +548,7 @@ def adjugate(a: Matrix) -> Matrix:
     rows = a.to_rows()
     if poly is not None:
         out = [None] * (n * n)
-        _adjugate_leave_one_out(rows, MonomialTable(poly.nvars), 0, n, {0: {0: 1}}, 0, out)
+        _adjugate_leave_one_out(rows, MonomialTable(poly.nvars), 0, n, {0: ({0: 1},)}, 0, out)
         return Matrix(n, n, out)
     if _scalar_kind(a) != "float":
         return _adjugate_cayley_hamilton(rows)

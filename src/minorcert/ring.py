@@ -14,6 +14,8 @@ matrix and determinant code can use ``0`` and ``1`` directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from operator import not_
 
 __all__ = [
     "ExactDivisionError",
@@ -387,24 +389,62 @@ def _product_sum(nvars: int, triples) -> dict[int, int]:
 class MonomialTable:
     """The monomials of one Laplace expansion, numbered as they first appear.
 
-    The expansion holds polynomials in index form, dicts from monomial
-    number to coefficient, and multiplies them by line entries (in the
-    certificates ``+-b_k`` or ``1 +- b_k``).  Each monomial u of an entry
-    has a shift table, a list whose item i is the number of u times monomial i,
-    filled only where a sub-minor reaches an item not filled yet; a product
-    is then one lookup per term, with no packed key built or hashed, and a
-    new monomial passes the 15-bit degree guard once, when it is numbered.
-    Number 0 is the monomial 1.  ``nvars`` is None when every entry is a
-    number; the index form then holds the value under number 0.
+    The expansion holds polynomials in index form, a tuple of bands, each a
+    dict from monomial number to coefficient, and multiplies them by line
+    entries (in the certificates ``+-b_k`` or ``1 +- b_k``).  Each monomial
+    u of an entry has a shift table, a list whose item i is the number of u
+    times monomial i, filled only where a sub-minor reaches an item not
+    filled yet; a product is then one lookup per term, with no packed key
+    built or hashed, and a new monomial passes the 15-bit degree guard
+    once, when it is numbered.  Number 0 is the monomial 1.  ``nvars`` is
+    None when every entry is a number; the index form then holds the value
+    under number 0.
+
+    A table of one band keeps each polynomial in one dict.  With ``banded``
+    (the expansion's entries pass ``two_bands``: total degree at most 1 on
+    a rank-one constant part) a minor of order k is two bands, its terms
+    of degree k and of degree k - 1: a linear term
+    of an entry maps each band to the band of the same index, and the
+    constant term maps the top band to the lower one and never multiplies
+    the lower band, whose products cancel in every minor.  The empty
+    tuple is zero.
     """
 
-    __slots__ = ("nvars", "_keys", "_index", "_shifts")
+    __slots__ = ("nvars", "_keys", "_index", "_shifts", "_bands")
 
-    def __init__(self, nvars):
+    def __init__(self, nvars, banded=False):
         self.nvars = nvars
         self._keys = [0]           # number -> packed key
         self._index = {0: 0}       # packed key -> number
         self._shifts = {}          # packed key of a line monomial -> shift table
+        self._bands = 2 if banded else 1
+
+    @staticmethod
+    def two_bands(rows) -> bool:
+        """Whether an expansion of the matrix ``rows`` may keep each
+        sub-minor in two bands: every entry an int or a polynomial of total
+        degree at most 1, and the integer matrix C of their constant terms
+        of rank exactly one.  It is when C has an entry c[p][q] != 0 and
+        c[i][j] c[p][q] = c[i][q] c[p][j] for all i, j: O(n^2) integer
+        products."""
+        consts = []
+        for r in rows:
+            row = []
+            for x in r:
+                if type(x) is MultiPoly:
+                    terms = x._terms
+                    if terms and max(terms) >> _layout(x.nvars)[0] > 1:
+                        return False
+                    x = terms.get(0, 0)
+                elif type(x) is not int:
+                    return False
+                row.append(x)
+            consts.append(row)
+        pivot = next(((p, q) for p in consts for q, x in enumerate(p) if x), None)
+        if pivot is None:
+            return False
+        p, q = pivot
+        return all(x * p[q] == r[q] * y for r in consts for x, y in zip(r, p))
 
     def factor(self, x) -> tuple:
         """A line entry as (packed key, shift table, coefficient) per term,
@@ -420,43 +460,70 @@ class MonomialTable:
             raise TypeError("a MultiPoly can only be multiplied by a MultiPoly or int")
         return ((0, None, x),) if x else ()
 
-    def sum_of_products(self, pairs) -> dict:
+    def sum_of_products(self, pairs) -> tuple:
         """The index form of the sum of ``sign * f * d`` over ``pairs`` of
         ``(sign, f, d)``: a sign +1 or -1, a line entry ``f`` from
-        ``factor`` and a polynomial ``d`` in index form.  One accumulator,
-        zeros dropped once at the end; a +-1 coefficient, which the
-        certificates' entries ``+-b_k`` and ``1 +- b_k`` are made of, adds
-        or subtracts without multiplying."""
+        ``factor`` and a polynomial ``d`` in index form.  A term of ``f``
+        with a monomial adds each band of ``d`` into the band of the same
+        index; the constant term adds band i into band i + 1 of a banded
+        table, so the top band only, and into band i otherwise.  One
+        accumulator per band, zeros dropped once at the end; a +-1
+        coefficient, which the certificates' entries ``+-b_k`` and
+        ``1 +- b_k`` are made of, adds or subtracts without multiplying.
+        A shift table item not filled yet reads None, so its term adds
+        into an accumulator item None, which is dropped and made up once
+        ``_fill`` has numbered the new products; no product scans the
+        shift table for unfilled items first.  Zeros are deleted in place,
+        which skips a copy of each accumulator."""
         keys = self._keys
-        out: dict = {}
-        get = out.get
+        outs = ({}, {})[:self._bands]
+        sinks = [(out, out.get) for out in outs]
+        lowered = sinks[self._bands - 1:]
         for sign, f, d in pairs:
             for ka, shift, c in f:
-                if ka:
-                    if len(shift) < len(keys):
-                        shift += [None] * (len(keys) - len(shift))
-                    if None in map(shift.__getitem__, d):
-                        self._fill(ka, shift, d)
-                    items = zip(map(shift.__getitem__, d), d.values())
-                else:
-                    items = d.items()
                 if sign < 0:
                     c = -c
-                if c == 1:
-                    for i, v in items:
-                        out[i] = get(i, 0) + v
-                elif c == -1:
-                    for i, v in items:
-                        out[i] = get(i, 0) - v
-                else:
-                    for i, v in items:
-                        out[i] = get(i, 0) + c * v
-        return {i: v for i, v in out.items() if v}
+                if not ka:
+                    for band, (out, get) in zip(d, lowered):
+                        if c == 1:
+                            for i, v in band.items():
+                                out[i] = get(i, 0) + v
+                        elif c == -1:
+                            for i, v in band.items():
+                                out[i] = get(i, 0) - v
+                        else:
+                            for i, v in band.items():
+                                out[i] = get(i, 0) + c * v
+                    continue
+                if len(shift) < len(keys):
+                    shift += [None] * (len(keys) - len(shift))
+                for band, (out, get) in zip(d, sinks):
+                    if c == 1:
+                        for i, v in zip(map(shift.__getitem__, band), band.values()):
+                            out[i] = get(i, 0) + v
+                    elif c == -1:
+                        for i, v in zip(map(shift.__getitem__, band), band.values()):
+                            out[i] = get(i, 0) - v
+                    else:
+                        for i, v in zip(map(shift.__getitem__, band), band.values()):
+                            out[i] = get(i, 0) + c * v
+                    if None in out:
+                        del out[None]
+                        for i in self._fill(ka, shift, band):
+                            j = shift[i]
+                            out[j] = get(j, 0) + c * band[i]
+        for out in outs:
+            if 0 in out.values():
+                for i in list(compress(out, map(not_, out.values()))):
+                    del out[i]
+        return outs if any(outs) else ()
 
-    def _fill(self, ka, shift, d):
-        # number each new product ka + key once, after the degree guard
+    def _fill(self, ka, shift, d) -> list:
+        # number each new product ka + key once, after the degree guard;
+        # returns the items of d whose shift it filled
         keys, index = self._keys, self._index
         cap = (_EXP_CAP + 1) << _layout(self.nvars)[0]
+        filled = []
         for i in d:
             if shift[i] is None:
                 k = keys[i] + ka
@@ -467,15 +534,17 @@ class MonomialTable:
                     j = index[k] = len(keys)
                     keys.append(k)
                 shift[i] = j
+                filled.append(i)
+        return filled
 
     def element(self, d, sign=1):
         """The ring element of ``sign`` (+1 or -1) times the index form
         ``d``: a MultiPoly whose keys are the table's own objects, or a
         number if ``nvars`` is None."""
         if self.nvars is None:
-            v = d.get(0, 0)
+            v = d[0].get(0, 0) if d else 0
             return -v if sign < 0 else v
         keys = self._keys
         if sign < 0:
-            return MultiPoly._raw(self.nvars, {keys[i]: -c for i, c in d.items()})
-        return MultiPoly._raw(self.nvars, {keys[i]: c for i, c in d.items()})
+            return MultiPoly._raw(self.nvars, {keys[i]: -c for b in d for i, c in b.items()})
+        return MultiPoly._raw(self.nvars, {keys[i]: c for b in d for i, c in b.items()})

@@ -968,7 +968,7 @@ def test_level_step_drops_spent_sub_minors_and_shares_keys():
                 for i, row in enumerate(a.to_rows())
             ]
             table = MonomialTable(getattr(zero, "nvars", None))
-            prev = {0: {0: 1}}
+            prev = {0: ({0: 1},)}
             first = {}
             for k in range(1, width + 1):
                 subsets = list(combinations(range(width), k))
@@ -1026,6 +1026,113 @@ def test_shared_column_minors_of_many_term_entries_match_bareiss():
         for shared in combinations(range(a.rows), a.rows - 1):
             extra = [c for c in range(a.rows) if c not in shared]
             assert shared_column_minors(a, shared, extra) == [det_bareiss(a)]
+
+
+def _bands_seen(monkeypatch):
+    """The band counts of the nonzero sub-minors that the table kernel
+    builds from here on."""
+    seen = set()
+    real = MonomialTable.sum_of_products
+
+    def recorded(table, pairs):
+        d = real(table, pairs)
+        if d:
+            seen.add(len(d))
+        return d
+
+    monkeypatch.setattr(MonomialTable, "sum_of_products", recorded)
+    return seen
+
+
+def _cofactor_minor(a, rows, cols):
+    table = a.to_rows()
+    return det_cofactor(Matrix.from_rows([[table[i][j] for j in cols] for i in rows]))
+
+
+def _bordered_skew(n):
+    # the odd reduced case's M = [[0, 1^T], [1, B]], whose constant part
+    # [[0, 1^T], [1, 0]] has rank 2
+    b = generic_skew_toeplitz(n)
+    return Matrix.from_rows([[0] + [1] * n] + [[1] + r for r in b.to_rows()])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_banded_johnson_minors_match_bareiss(monkeypatch, n):
+    # J + B: entries of degree at most 1 on the rank-one J, so every
+    # sub-minor is built in two bands
+    a = johnson_family(n)
+    m = n - 1
+    seen = _bands_seen(monkeypatch)
+    d11, d12 = shared_column_minors(a, range(1, m), (0, m))
+    assert seen == {2}
+    assert d11 == det_bareiss(a.block(m, 1, 1))
+    assert d12 == det_bareiss(a.block(m, 1, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_banded_minors_of_rank_one_plus_linear_match_the_cofactor_oracle(monkeypatch, n):
+    # u v^T with nonzero integer u, v plus a random integer linear form in
+    # b1..b3 per entry; every split of the columns into shared and extra
+    # ones, and two extra columns on the leading n - 1 rows
+    stream = substream(318, n)
+    bs = variables(3)
+
+    def nonzero():
+        return stream.randint(1, 3) * (-1) ** stream.randint(0, 1)
+
+    u, v = [nonzero() for _ in range(n)], [nonzero() for _ in range(n)]
+    a = Matrix.from_rows([
+        [x * y + sum(stream.randint(-2, 2) * b for b in bs) for y in v] for x in u
+    ])
+    assert MonomialTable.two_bands(a.to_rows())
+    seen = _bands_seen(monkeypatch)
+    for shared in combinations(range(n), n - 1):
+        extra = [c for c in range(n) if c not in shared]
+        assert shared_column_minors(a, shared, extra) == [det_cofactor(a)]
+    shared = range(1, n - 1)
+    want = [_cofactor_minor(a, range(n - 1), sorted((*shared, c))) for c in (0, n - 1)]
+    assert shared_column_minors(a, shared, (0, n - 1)) == want
+    assert seen == {2}
+
+
+def test_inputs_outside_the_band_rule_take_one_band_and_match_bareiss(monkeypatch):
+    # a constant part of rank 2, one entry with a degree-2 term on the
+    # rank-one J, and a rank-one matrix of plain ints
+    n = 6
+    quadratic = johnson_family(n)
+    b1 = variables(n - 1)[0]
+    quadratic = Matrix.from_rows([
+        [x + b1 * b1 if (i, j) == (2, 3) else x for j, x in enumerate(r)]
+        for i, r in enumerate(quadratic.to_rows())
+    ])
+    ints = Matrix.from_rows([[x * y for y in (2, -1, 3, 1, -2, 1)] for x in (1, 3, -2, 1, 2, -1)])
+    cases = [
+        (_bordered_skew(n), (0, *range(2, n)), (1, n)),
+        (quadratic, range(1, n - 1), (0, n - 1)),
+        (ints, range(1, n - 1), (0, n - 1)),
+    ]
+    assert not MonomialTable.two_bands(cases[0][0].to_rows())
+    assert not MonomialTable.two_bands(quadratic.to_rows())
+    seen = _bands_seen(monkeypatch)
+    for a, shared, extra in cases:
+        want = [_bareiss_minor(a, range(len(shared) + 1), sorted((*shared, c))) for c in extra]
+        assert shared_column_minors(a, shared, extra) == want
+    assert seen == {1}
+
+
+def test_banding_a_rank_two_constant_part_breaks_the_minors(monkeypatch):
+    # the band rule is load-bearing: forced on the bordered matrix, the
+    # constant terms' products with the lower band that it never forms no
+    # longer cancel
+    n = 6
+    a, shared, extra = _bordered_skew(n), (0, *range(2, n)), (1, n)
+    want = [_bareiss_minor(a, range(n), sorted((*shared, c))) for c in extra]
+    assert shared_column_minors(a, shared, extra) == want
+    monkeypatch.setattr(MonomialTable, "two_bands", staticmethod(lambda rows: True))
+    seen = _bands_seen(monkeypatch)
+    got = shared_column_minors(a, shared, extra)
+    assert seen == {2}
+    assert got[0] != want[0] and got[1] != want[1]
 
 
 @pytest.mark.parametrize("order", [3, 4])

@@ -118,13 +118,15 @@ def test_a_flipped_sign_is_caught(monkeypatch, capsys, command):
 
 # -- MonomialTable.sum_of_products: every step of the symbolic expansions --
 
-# each call's index form: zero, negated, or without its first term.  A sign
-# flipped at every level multiplies each order-k minor by (-1)^k, and every
-# residual compares minors of one order, so it stays zero
+# each call's index form, a tuple of bands: zero, negated, or without the
+# first term of its top band.  A sign flipped at every level multiplies each
+# order-k minor by (-1)^k, and every residual compares minors of one order,
+# so it stays zero
 TABLE_FAULTS = {
-    "zero": lambda d: {},
-    "flipped": lambda d: {i: -v for i, v in d.items()},
-    "term_dropped": lambda d: dict(list(d.items())[1:]),
+    "zero": lambda bands: (),
+    "flipped": lambda bands: tuple({i: -v for i, v in d.items()} for d in bands),
+    "term_dropped": lambda bands: (dict(list(bands[0].items())[1:]), *bands[1:])
+    if bands else bands,
 }
 TABLE_SILENT = {
     "zero": ("johnson", "lemmas"),

@@ -187,10 +187,22 @@ def test_sum_of_products_guards_every_product_degree():
 def test_monomial_table_guards_a_product_when_it_is_first_made():
     table = MonomialTable(1)
     big = table.factor(MultiPoly(1, {(16384,): 1}))
-    once = table.sum_of_products([(1, big, {0: 1})])
+    once = table.sum_of_products([(1, big, ({0: 1},))])
     assert table.element(once) == MultiPoly(1, {(16384,): 1})
     with pytest.raises(OverflowError):
         table.sum_of_products([(1, big, once)])
+
+
+def test_two_bands_needs_degree_one_entries_on_a_rank_one_constant_part():
+    b1, b2 = variables(2)
+    # constant parts [[1, 2], [-2, -4]] and [[0, 0], [3, 6]], of rank one
+    assert MonomialTable.two_bands([[1 + b1, 2 - b2], [-2, -4 + b1 + b2]])
+    assert MonomialTable.two_bands([[0, b1], [3 + b2, 6]])
+    # rank 2, rank 0, a degree-2 term, a rational entry
+    assert not MonomialTable.two_bands([[1 + b1, 2], [-2, -3 + b1]])
+    assert not MonomialTable.two_bands([[b1, b2], [-b2, 0]])
+    assert not MonomialTable.two_bands([[1 + b1 * b2, 1], [1, 1]])
+    assert not MonomialTable.two_bands([[Fraction(1, 2), 1], [1, 2]])
 
 
 def test_monomial_table_factors_follow_the_ring_rules():
@@ -201,13 +213,13 @@ def test_monomial_table_factors_follow_the_ring_rules():
         table.factor(variables(3)[0])
     with pytest.raises(TypeError):
         table.factor(Fraction(1, 2))
-    x = table.sum_of_products([(1, table.factor(3), {0: 1})])
+    x = table.sum_of_products([(1, table.factor(3), ({0: 1},))])
     y = table.sum_of_products([(-1, table.factor(b1 - 2 * b2), x), (1, table.factor(b2), x)])
     assert table.element(y) == -3 * b1 + 9 * b2
-    assert table.element(y, -1) == 3 * b1 - 9 * b2 and table.element({}, -1) == 0
+    assert table.element(y, -1) == 3 * b1 - 9 * b2 and table.element((), -1) == 0
     numbers = MonomialTable(None)
-    half = numbers.sum_of_products([(1, numbers.factor(Fraction(1, 2)), {0: 3})])
-    assert numbers.element(half) == Fraction(3, 2) and numbers.element({}) == 0
+    half = numbers.sum_of_products([(1, numbers.factor(Fraction(1, 2)), ({0: 3},))])
+    assert numbers.element(half) == Fraction(3, 2) and numbers.element(()) == 0
     assert numbers.element(half, -1) == Fraction(-3, 2)
 
 
