@@ -35,7 +35,6 @@ import time
 from functools import cache
 
 from . import identity as idmod
-from . import numaccretive as accmod
 from .detkit import DET_ALGOS
 from .rng import random_int_matrix, random_poly_matrix, substream
 
@@ -76,17 +75,28 @@ def _verify_specialization(args):
     return _seeded([idmod.specialization_certificate(args.m)], args.seed)
 
 
+# The float layer is imported by the three handlers that use it, so the
+# parser, every exact command and `bench det` start without compiling it.
+
 def _verify_accretive(args):
-    reports = accmod.accretive_suite(args.dim, args.trials, args.seed)
+    from . import numaccretive
+
+    reports = numaccretive.accretive_suite(args.dim, args.trials, args.seed)
     return _seeded(reports, args.seed)
 
 
 def _repro_remark45(args):
-    return [accmod.remark45_repro()], True
+    from . import numaccretive
+
+    return [numaccretive.remark45_repro()], True
 
 
 def _search_complex(args):
-    witnesses = accmod.search_complex_violation(args.dim, args.iters, args.seed, init=args.init)
+    from . import numaccretive
+
+    witnesses = numaccretive.search_complex_violation(
+        args.dim, args.iters, args.seed, init=args.init
+    )
     return witnesses, True
 
 
@@ -234,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--iters", type=int, default=10000,
                    help="upper bound on iterations; the search stops at "
-                        f"{accmod.MAX_WITNESSES} witnesses")
+                        "numaccretive.MAX_WITNESSES witnesses")
     p.add_argument("--init", choices=["random", "remark45"], default="random")
 
     bench = top.add_parser("bench", help="benchmark harness")

@@ -27,10 +27,6 @@ SKEW_FACTS_UNTIL_ITEM_7 = (
     "ROADMAP item 7: the skew facts hold for a zero, negated, transposed "
     "or termwise-truncated adjugate, and no check evaluates its entries"
 )
-BT_MINORS_UNTIL_ITEM_13 = (
-    "ROADMAP item 13: no check catches minors that make the margin "
-    "4 d11 d22 - (d12 + d21)^2 zero on their own"
-)
 
 
 def _zero_minors(results):
@@ -182,14 +178,21 @@ CONTIGUOUS_FAULTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "fault",
-    _marked(CONTIGUOUS_FAULTS, ("zero", "d11_four_times"), BT_MINORS_UNTIL_ITEM_13),
-)
+@pytest.mark.parametrize("fault", CONTIGUOUS_FAULTS)
 def test_a_faulty_contiguous_minor_is_caught(monkeypatch, capsys, fault):
     assert _caught(
         monkeypatch, capsys, "contiguous_minors", CONTIGUOUS_FAULTS[fault], BT
     )
+
+
+def test_a_minor_that_disagrees_with_the_cofactor_oracle_exits_2(monkeypatch, capsys):
+    # a flipped d12 alone would refute; the oracle, which recomputes every
+    # minor up to BT_ORACLE_ORDER, makes it an engine fault, never a verdict
+    rc, out, err = _run(
+        monkeypatch, capsys, "contiguous_minors", CONTIGUOUS_FAULTS["d12_flipped"], BT
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: bt_n") and "cofactor oracle" in err
 
 
 # -- adjugate: the skew facts of verify lemmas and the odd specialization --
@@ -264,6 +267,28 @@ def test_one_wrong_even_specialization_determinant_is_refuted(monkeypatch, block
         lambda x: real(x) + (is_skew_symmetric(x) == (block == "K")),
     )
     assert identity.specialization_certificate(6).status == "refuted"
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_a_refuted_odd_specialization_has_a_nonzero_residual(monkeypatch, m):
+    # a transposed adjugate leaves s(C) and s(K) right, but not C^{-1} 1
+    real = identity.adjugate
+    monkeypatch.setattr(identity, "adjugate", lambda x: real(x).T)
+    report = identity.specialization_certificate(m)
+    assert report.status == "refuted"
+    assert report.residual != "0"
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_a_refuted_even_specialization_has_a_nonzero_residual(monkeypatch, m):
+    # det K one too many and det C one too few: their defects sum to zero
+    real = identity.det_bareiss
+    monkeypatch.setattr(
+        identity, "det_bareiss", lambda x: real(x) + (1 if is_skew_symmetric(x) else -1)
+    )
+    report = identity.specialization_certificate(m)
+    assert report.status == "refuted"
+    assert report.residual == "1"
 
 
 def test_a_nonzero_odd_skew_determinant_is_refuted(monkeypatch):
@@ -361,9 +386,9 @@ def test_a_perturbed_float_bt_minor_is_refuted(monkeypatch):
     )
     w = [0.5, -1.0, 1.5, 2.0]
     assert identity.verify_bt(skew, 1.5, w).verified
-    real = identity.minor_witness
+    real = numaccretive.minor_witness
     monkeypatch.setattr(
-        identity, "minor_witness", lambda a, label: real(_corner_bumped(a), label)
+        numaccretive, "minor_witness", lambda a, label: real(_corner_bumped(a), label)
     )
     assert identity.verify_bt(skew, 1.5, w).status == "refuted"
 
@@ -371,9 +396,9 @@ def test_a_perturbed_float_bt_minor_is_refuted(monkeypatch):
 def test_a_negative_float_bt_product_is_refuted(monkeypatch):
     # trial 0 has n = 2 and w = [0, 1.298]: the bumped d11 d22 is -0.98 and
     # d12 + d21 = 0, so the margin is 0 and only the clamp can refute
-    real = identity.minor_witness
+    real = numaccretive.minor_witness
     monkeypatch.setattr(
-        identity, "minor_witness", lambda a, label: real(_corner_bumped(a), label)
+        numaccretive, "minor_witness", lambda a, label: real(_corner_bumped(a), label)
     )
     reports = identity.bt_suite(5, 10, cli.DEFAULT_SEED, scalar="real")
     assert reports[0].instance["n"] == 2

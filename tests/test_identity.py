@@ -523,7 +523,9 @@ def test_exact_bt_with_a_zero_weight_at_each_position(k):
 
 
 def test_exact_bt_refutes_an_off_by_one_minor_with_the_exact_residual(monkeypatch):
-    n = 5
+    # above the cofactor oracle's order, where a wrong minor is refuted, not
+    # an error, so the residual's scaling can be read
+    n = identity_module.BT_ORACLE_ORDER + 2
     skew, alpha, w = _rational_bt_instance(n, 70)
     real = identity_module.contiguous_minors
 
