@@ -19,8 +19,9 @@ The seeded suites (``verify accretive``, ``verify bt`` and ``verify
 johnson --mode numeric``) and the whole ``verify lemmas`` battery, its
 symbolic claims included, share their jobs out across the CPUs of the
 affinity mask (``rng.map_trials``): each process takes the next job from
-one shared queue, with the same bytes as one CPU.  A run splits whenever
-it has at least two jobs and two CPUs; no option sets the count.
+one shared queue, with the same bytes and the same first error as one
+CPU.  A run splits whenever it has at least two jobs and two CPUs; no
+option sets the count.
 ``search complex`` stays sequential, since each step of its hill climb
 starts from the best so far, and so does ``bench det``, since it times
 each determinant.

@@ -112,7 +112,7 @@ def substream(master_seed: int, index: int) -> SplitMix64:
     return SplitMix64(SplitMix64(master_seed + index * _GOLDEN).next_u64())
 
 
-_RECORD = 4  # bytes of one queue record or notice: a job index
+_RECORD = 4  # bytes of one queue record: a job index
 _POSIX_PIPE_BUF = 512  # the least PIPE_BUF that POSIX allows
 
 
@@ -140,26 +140,27 @@ def map_trials(job, count: int) -> list:
     of at most ``PIPE_BUF`` bytes (past ``PIPE_BUF / 4`` jobs, a record
     stands for a chunk of consecutive jobs).  Each take reads one record, so
     the queue needs no lock, and a worker killed as it takes one cannot
-    wedge the others.  A worker announces each record it takes on a pipe of
-    its own, and pickles its results back through that pipe once the queue
-    is empty; the parent returns the results in job order.
+    wedge the others.  Each worker pickles its results back through a pipe
+    of its own once it stops; the parent returns them in job order.  A fork
+    that fails (at a process limit, say) leaves the jobs to the processes
+    already running.
 
     A process stops at its first failing job and empties the queue, so that
-    no process starts another, and the parent raises the exception of the
-    lowest failing job, the one the sequential loop raises (an exception
-    that does not survive pickling comes back as a ``RuntimeError`` with the
-    same text).  The queue hands out indices in order, so a worker whose
-    last announced job comes after the lowest failure holds no earlier job:
-    the parent kills it unread, and waits only for workers that may still
-    hold an earlier one.  A worker that dies raises ``RuntimeError`` in the
-    place of the job it held.  Every worker is reaped before this returns
-    or raises; if the parent fails outside its jobs (an interrupt, say), it
-    kills the workers first.
+    no process starts another.  The parent reads every worker to the end
+    and raises the error of the lowest job without a result: its exception
+    if a process failed on it, the one the sequential loop raises (an
+    exception that does not survive pickling comes back as a
+    ``RuntimeError`` with the same text), and otherwise a ``RuntimeError``
+    for a worker that died, since its results died with it.  The queue
+    hands out indices in order, so every job below the lowest failure was
+    taken, and each worker finishes at most the job it holds.  Every worker
+    is reaped before this returns or raises; if the parent fails outside
+    its jobs (an interrupt, say), it kills the workers first.
 
     The loop stays in this process with one CPU or one job, without
     ``os.fork``, and while another thread runs (a fork would copy it
-    half-done).  A split has a fixed cost, about 2 ms on a 2-core machine,
-    which a run of a few cheap jobs pays."""
+    half-done).  A split has a fixed cost, about 2.5 ms on a 2-core
+    machine, which a run of a few cheap jobs pays."""
     processes = min(_cpu_count(), count)
     threading = sys.modules.get("threading")
     if (processes < 2 or not hasattr(os, "fork")
@@ -167,14 +168,14 @@ def map_trials(job, count: int) -> list:
         return [job(t) for t in range(count)]
     import pickle  # not at start-up, and before the fork: the workers share it
 
-    results = {}
     queue, feed = os.pipe()
-    shares = []  # the unreaped workers
+    workers = []  # (pid, read end of its pipe) of the unreaped workers
     try:
         try:
             slots = os.fpathconf(queue, "PC_PIPE_BUF") // _RECORD
             size = -(-(count - 1) // slots)  # jobs per record
-            os.write(feed, b"".join(_record(lo) for lo in range(1, count, size)))
+            os.write(feed, b"".join(
+                lo.to_bytes(_RECORD, "little") for lo in range(1, count, size)))
         finally:
             os.close(feed)  # so that the empty queue reads as end of file
         for _ in range(1, processes):
@@ -183,120 +184,79 @@ def map_trials(job, count: int) -> list:
                 pid = os.fork()
                 if pid == 0:
                     _worker(job, count, size, queue, w)
+            except OSError:  # EAGAIN at a process limit: go on with fewer
+                os.close(r)
+                break
             finally:
                 os.close(w)
-            shares.append(_Share(pid, r))
-        failed = _take_jobs(job, chain([0], _queued(count, size, queue)), queue, results)
-        while True:
-            # A worker that may hold a job below the lowest failure is read,
-            # the one with the lowest announced job first: any later job it
-            # took is announced already, so it blocks only while it runs a
-            # job that no other worker's notices can make moot.
-            waiting = [s for s in shares if failed is None or s.current < failed[0]]
-            if not waiting:
-                break
-            share = min(waiting, key=lambda s: s.current)
-            data = os.read(share.fd, 1 << 16)
-            if data:
-                share.add(data)
-                continue
-            code = os.waitstatus_to_exitcode(os.waitpid(share.pid, 0)[1])
-            shares.remove(share)
-            os.close(share.fd)
-            if code < 0:
-                lost = share.current, RuntimeError(
-                    f"a trial worker was killed by signal {-code}")
-            elif code != 0 or not share.payload:
-                lost = share.current, RuntimeError(
-                    f"a trial worker exited with status {code}")
-            else:
-                lost, done = pickle.loads(share.payload)
+            workers.append((pid, r))
+        results, failures = _take_jobs(job, chain([0], _queued(count, size, queue)), queue)
+        died = None  # the error of the first worker found dead
+        while workers:  # with the queue empty, each finishes at most its record
+            pid, fd = workers[-1]
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[-1]
+            os.close(fd)
+            if code == 0 and data:
+                done, failed = pickle.loads(data)
                 results.update(done)
-            if lost is not None and (failed is None or lost[0] < failed[0]):
-                failed = lost
-        if failed is not None:
-            raise failed[1]
+                failures.update(failed)
+            elif died is None:
+                died = RuntimeError(f"a trial worker was killed by signal {-code}"
+                                    if code < 0 else f"a trial worker exited with status {code}")
+        # a job below the lowest failure has a result unless its worker died
+        lost = next((t for t in range(count) if t not in results), None)
+        if lost is not None:
+            raise failures.get(lost, died)
     finally:
         os.close(queue)
-        for share in shares:  # left when a job fails or the parent does
-            os.close(share.fd)
-            os.kill(share.pid, 9)  # SIGKILL
-            os.waitpid(share.pid, 0)
+        for pid, fd in workers:  # left when the parent fails outside its jobs
+            os.close(fd)
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
     return [results[t] for t in range(count)]
 
 
-def _record(index: int) -> bytes:
-    return index.to_bytes(_RECORD, "little")
-
-
-class _Share:
-    """The parent's view of one worker: its pid, the read end of its pipe,
-    the first job of the last record it announced (0 before any) and, after
-    the zero record that ends its notices, its pickled results."""
-
-    __slots__ = ("pid", "fd", "current", "payload", "_notices")
-
-    def __init__(self, pid: int, fd: int):
-        self.pid, self.fd, self.current = pid, fd, 0
-        self.payload = None
-        self._notices = bytearray()
-
-    def add(self, data: bytes) -> None:
-        if self.payload is not None:
-            self.payload += data
-            return
-        self._notices += data
-        while len(self._notices) >= _RECORD:
-            index = int.from_bytes(self._notices[:_RECORD], "little")
-            del self._notices[:_RECORD]
-            if not index:
-                self.payload = self._notices
-                return
-            self.current = index
-
-
-def _queued(count, size, queue, notices=None):
-    """The jobs of each record taken from the queue until it is empty, each
-    record announced on ``notices`` before its jobs."""
+def _queued(count, size, queue):
+    """The jobs of each record taken from the queue until it is empty."""
     while record := os.read(queue, _RECORD):
-        if notices is not None:
-            os.write(notices, record)
         lo = int.from_bytes(record, "little")
         yield from range(lo, min(lo + size, count))
 
 
-def _take_jobs(job, jobs, queue, results):
-    """Runs ``jobs`` into ``results`` (index -> result).  Returns None, or
-    (index, exception) of the first job that raises, after emptying the
-    queue so that no process starts another."""
+def _take_jobs(job, jobs, queue):
+    """Runs ``jobs`` up to the first that raises, and then empties the
+    queue so that no process starts another.  Returns the results (index
+    -> result) and the failure (index -> exception, none or one)."""
+    results = {}
     for t in jobs:
         try:
             results[t] = job(t)
         except Exception as exc:
             while os.read(queue, _POSIX_PIPE_BUF):
                 pass
-            return t, exc
-    return None
+            return results, {t: exc}
+    return results, {}
 
 
 def _worker(job, count, size, queue, fd):
-    """Takes jobs from the queue in a forked worker, then writes the zero
-    record and the pickled (failure, results) to ``fd`` and exits without
-    returning: status 0 once they are written, 1 otherwise."""
+    """Takes jobs from the queue in a forked worker, then writes the pickled
+    (results, failures) to ``fd`` and exits without returning: status 0
+    once they are written, 1 otherwise."""
     code = 1
     try:
         import pickle
 
-        results = {}
-        failed = _take_jobs(job, _queued(count, size, queue, fd), queue, results)
-        if failed is not None:
+        results, failures = _take_jobs(job, _queued(count, size, queue), queue)
+        for t, exc in failures.items():
             try:
-                pickle.loads(pickle.dumps(failed[1]))
+                pickle.loads(pickle.dumps(exc))
             except Exception:
-                failed = failed[0], RuntimeError(str(failed[1]))
-        data = pickle.dumps((failed, results), pickle.HIGHEST_PROTOCOL)
+                failures[t] = RuntimeError(str(exc))
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_record(0) + data)
+            pickle.dump((results, failures), fh, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)

@@ -2,6 +2,7 @@
 ``rng.map_trials``: the same reports byte for byte, the same first error,
 and no process left behind."""
 
+import errno
 import json
 import os
 import signal
@@ -247,41 +248,6 @@ def test_the_lowest_failing_trial_wins(monkeypatch, k, failing):
     _no_children()
 
 
-def test_a_failure_raises_without_waiting_for_workers_on_later_jobs(monkeypatch):
-    # the parent fails in its first job after job 0, p, once the worker
-    # has started a later job, which never finishes on its own: the parent
-    # kills the worker unread
-    _workers(monkeypatch, 2)
-    parent = os.getpid()
-    p_r, p_w = os.pipe()  # p, for the worker
-    go_r, go_w = os.pipe()  # the worker has started a job after p
-    failing, known = [], []
-
-    def trial(t):
-        if os.getpid() == parent:
-            if t > 0:
-                failing.append(t)
-                os.write(p_w, bytes([t]))
-                _read(go_r, 1)
-                raise TrialFault(f"trial {t}")
-            return t
-        if not known:
-            known.append(_read(p_r, 1)[0])
-        if t > known[0]:
-            os.write(go_w, b"x")
-            signal.pause()
-        return t
-
-    try:
-        with pytest.raises(TrialFault) as exc:
-            rng.map_trials(trial, 12)
-        _no_children()
-    finally:
-        for fd in (p_r, p_w, go_r, go_w):
-            os.close(fd)
-    assert str(exc.value) == f"trial {failing[0]}"
-
-
 def test_the_parent_waits_for_a_worker_on_a_lower_job(monkeypatch):
     # the worker's first job w runs until the parent has failed at w + 1,
     # the job after it, and then fails too: w is the lowest failure
@@ -314,51 +280,93 @@ def test_the_parent_waits_for_a_worker_on_a_lower_job(monkeypatch):
     assert str(exc.value) == f"trial {first[0]}"
 
 
-def test_the_parent_reads_the_worker_on_the_lowest_job_first(monkeypatch):
-    # Of two workers, the second fails at its first job f once the first,
-    # which learns f in its first job, has taken a job after f that never
-    # finishes on its own.  The parent reads the first worker's notices,
-    # then must read the second worker, whose failure makes the first one's
-    # job moot, and not wait on the first.
-    _workers(monkeypatch, 3)
-    forked = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
+def test_a_worker_killed_below_a_failure_in_the_parent_raises_its_death(monkeypatch):
+    # the worker's first job w kills it; the parent, held in job 0 until w
+    # has started, fails at its next job, which comes after w: w is the
+    # lowest job without a result, lost with the worker
+    _workers(monkeypatch, 2)
     parent = os.getpid()
-    f_r, f_w = os.pipe()  # f, for the first worker
-    later_r, later_w = os.pipe()  # the first worker has a job after f
-    held, seen = [], []
+    r, w = os.pipe()  # the worker has started its first job
 
     def trial(t):
-        if os.getpid() == parent:
-            if t > 0 and not held:  # takes no job until then
-                held.append(t)
-                _read(later_r, 1)
+        if os.getpid() != parent:
+            os.write(w, b"x")
+            os.kill(os.getpid(), signal.SIGKILL)
+        if t == 0:
+            _read(r, 1)
             return t
-        if forked:  # the second worker: its copy holds the first one's pid
-            os.write(f_w, bytes([t]))
-            _read(later_r, 1)
-            raise TrialFault(f"trial {t}")
-        if not seen:
-            seen.append(_read(f_r, 1)[0])
-            return t
-        os.write(later_w, b"xx")  # one byte for the parent, one for f's job
-        signal.pause()
+        raise TrialFault(f"trial {t}")
 
     try:
-        with pytest.raises(TrialFault, match=r"^trial \d+$"):
+        with pytest.raises(RuntimeError, match=f"^a trial worker was killed by signal {int(signal.SIGKILL)}$"):
             rng.map_trials(trial, 12)
         _no_children()
     finally:
-        for fd in (f_r, f_w, later_r, later_w):
+        os.close(r)
+        os.close(w)
+
+
+def test_a_failure_in_the_parent_below_a_killed_worker_raises_its_exception(monkeypatch):
+    # the worker starts once the parent holds job 1, and is killed in its
+    # first job, 2, once the parent is about to fail at 1
+    _workers(monkeypatch, 2)
+    parent = os.getpid()
+    start_r, start_w = os.pipe()  # the parent holds job 1
+    held_r, held_w = os.pipe()  # the worker holds its first job
+    fail_r, fail_w = os.pipe()  # the parent is about to fail
+    fork = os.fork
+
+    def held_fork():
+        pid = fork()
+        if pid == 0:
+            _read(start_r, 1)
+        return pid
+
+    monkeypatch.setattr(os, "fork", held_fork)
+
+    def trial(t):
+        if os.getpid() != parent:
+            os.write(held_w, bytes([t]))
+            _read(fail_r, 1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        if t == 1:
+            os.write(start_w, b"x")
+            held = _read(held_r, 1)[0]
+            os.write(fail_w, b"x")
+            raise TrialFault(f"trial {t} below {held}")
+        return t
+
+    try:
+        with pytest.raises(TrialFault, match="^trial 1 below 2$"):
+            rng.map_trials(trial, 12)
+        _no_children()
+    finally:
+        for fd in (start_r, start_w, held_r, held_w, fail_r, fail_w):
             os.close(fd)
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_fork_that_fails_leaves_the_jobs_to_the_processes_running(monkeypatch, failing):
+    # at a process limit os.fork raises EAGAIN; the split goes on with the
+    # workers already forked, or in this process alone
+    _workers(monkeypatch, 3)
+    forks = []
+    fork = os.fork
+
+    def limited_fork():
+        forks.append(None)
+        if len(forks) == failing:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited_fork)
+    parent = os.getpid()
+    got = rng.map_trials(lambda t: (t * t, os.getpid()), 10)
+    _no_children()
+    assert len(forks) == failing
+    assert [v for v, _ in got] == [t * t for t in range(10)]
+    if failing == 1:
+        assert {pid for _, pid in got} == {parent}
 
 
 def test_no_job_starts_after_a_failure(monkeypatch):
