@@ -37,6 +37,7 @@ from functools import cache
 
 from . import identity as idmod
 from .detkit import DET_ALGOS
+from .report import json_default
 from .rng import random_int_matrix, random_poly_matrix, substream
 
 __all__ = ["DEFAULT_SEED", "main", "run"]
@@ -153,7 +154,7 @@ def _payload_dict(item):
 def _render(payload, fmt: str) -> str:
     dicts = [_payload_dict(x) for x in payload]
     if fmt == "json":
-        return json.dumps(dicts, indent=2, sort_keys=True) + "\n"
+        return json.dumps(dicts, indent=2, sort_keys=True, default=json_default) + "\n"
     lines = []
     if dicts and "claim" in dicts[0]:
         header = f"{'claim':<36} {'status':<9} {'residual':<26} seed"

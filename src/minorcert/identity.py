@@ -58,7 +58,7 @@ __all__ = [
 
 DEFAULT_SYMBOLIC_CAP = 11
 # Largest block order of ``verify specialization``.  An odd order takes two
-# O(m^4) adjugates; order 63 takes about 0.25 s on a 2-core machine under
+# O(m^4) adjugates; order 63 takes 0.14-0.19 s on a 2-core machine under
 # CPython 3.11, so every order up to the cap stays well under a second.
 SPECIALIZATION_CAP = 64
 
@@ -462,13 +462,9 @@ def _bt_trial(dim: int, seed: int, scalar: str, t: int) -> CertificateReport:
     stream = substream(seed, 2000 + t)
     n = stream.randint(2, dim)
     if scalar == "rat":
-        # one block of the draws of randint(-4, 4) for the skew part,
-        # randint(-5, 5) for alpha and randint(-4, 4) for w
-        k = n * (n - 1) // 2
-        block = stream.draws(k + 1 + n)
-        skew = random_skew(n, iter([-4 + v % 9 for v in block[:k]]).__next__)
-        alpha = -5 + block[k] % 11
-        w = [-4 + v % 9 for v in block[k + 1:]]
+        skew = random_skew(n, iter(stream.randints(n * (n - 1) // 2, -4, 4)).__next__)
+        alpha = stream.randint(-5, 5)
+        w = stream.randints(n, -4, 4)
     else:
         skew = random_skew(n, lambda: stream.uniform(-2.0, 2.0))
         alpha = stream.uniform(-3.0, 3.0)

@@ -1,5 +1,5 @@
 """Dense matrices over any scalar kind, with the structured constructors used
-throughout the toolkit: the all-ones/identity/shift matrices, the
+throughout the toolkit: the all-ones and identity matrices, the
 skew-symmetric Toeplitz matrices (generic over Z[b1..b_{n-1}] or numeric)
 and the Johnson family built on them, contiguous-block extraction, and the
 JSON form of the floating witness matrices.
@@ -19,13 +19,11 @@ __all__ = [
     "identity",
     "is_skew_symmetric",
     "johnson_family",
-    "lower_shift",
     "matrix_to_json",
     "max_abs",
     "ones",
     "outer",
     "skew_toeplitz",
-    "zeros",
 ]
 
 
@@ -168,21 +166,12 @@ class Matrix:
             )
 
 
-def zeros(n: int) -> Matrix:
-    return Matrix(n, n, [0] * (n * n))
-
-
 def identity(n: int) -> Matrix:
     return Matrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
 
 def ones(n: int) -> Matrix:
     return Matrix(n, n, [1] * (n * n))
-
-
-def lower_shift(n: int) -> Matrix:
-    """Nilpotent L with ones on the subdiagonal: L e_i = e_{i+1}, L^n = 0."""
-    return Matrix(n, n, [1 if i == j + 1 else 0 for i in range(n) for j in range(n)])
 
 
 def skew_toeplitz(bs) -> Matrix:

@@ -26,7 +26,7 @@ from functools import cached_property, partial
 
 from .detkit import adjugate, contiguous_minors, det_bareiss
 from .matrix import Matrix, identity as identity_matrix, matrix_to_json, max_abs
-from .report import CertificateReport, UndecidedError, jsonable, verdict
+from .report import CertificateReport, UndecidedError, verdict
 from .rng import SplitMix64, map_trials, random_skew, substream
 
 __all__ = [
@@ -75,11 +75,11 @@ class AccretiveWitness(namedtuple(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return jsonable({
+        return {
             **self._asdict(),
             "matrix": matrix_to_json(self.matrix),
             "minors": dict(zip(("d11", "d22", "d12", "d21"), self.minors, strict=True)),
-        })
+        }
 
 
 # -- symmetric eigensolver ------------------------------------------------

@@ -1,5 +1,6 @@
-"""The certificate report: the outcome of one verification claim, and its
-JSON form, which is the byte-level contract of the ``verify`` commands.
+"""The certificate report: the outcome of one verification claim, and the
+``default`` hook through which ``json.dumps`` writes the values it holds.
+That JSON is the byte-level contract of the ``verify`` commands.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ __all__ = [
     "VERIFIED",
     "CertificateReport",
     "UndecidedError",
-    "jsonable",
+    "json_default",
     "verdict",
 ]
 
@@ -40,7 +41,8 @@ class CertificateReport(namedtuple(
     input or its construction parameters; ``seed`` is the CLI's ``--seed``,
     stamped in one place on every verify report, and None on reports the
     library returns.  Read-only: ``_replace`` makes a changed copy.  Its JSON
-    form is ``to_json`` alone: ``jsonable`` would write the tuple as a list.
+    form is ``to_json``, its fields as a dict, written with ``json_default``:
+    ``json.dumps`` would write the tuple itself as a list.
     """
 
     __slots__ = ()
@@ -50,29 +52,19 @@ class CertificateReport(namedtuple(
         return self.status == VERIFIED
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "status": self.status,
-            "residual": jsonable(self.residual),
-            "instance": jsonable(self.instance),
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
+        return self._asdict()
 
 
 def verdict(ok: bool) -> str:
     return VERIFIED if ok else REFUTED
 
 
-def jsonable(x):
-    """JSON form of a report value: exact scalars as canonical text,
-    complex numbers as [re, im] pairs."""
+def json_default(x):
+    """The ``default`` hook of ``json.dumps`` for report values: exact
+    scalars as canonical text, complex numbers as [re, im] pairs; any other
+    kind raises TypeError."""
     if isinstance(x, (MultiPoly, Fraction)):
         return str(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, dict):
-        return {k: jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not a JSON report value")

@@ -14,6 +14,7 @@ matrix and determinant code can use ``0`` and ``1`` directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from operator import not_
 
@@ -30,8 +31,6 @@ __all__ = [
 _FIELD = 16                # bits per packed exponent field
 _EXP_CAP = (1 << 15) - 1   # exponents and total degree must stay below this
 
-_LAYOUTS: dict[int, tuple[int, tuple[int, ...], int]] = {}
-
 
 class ExactDivisionError(ArithmeticError):
     """An elimination step expected an exact division and found a remainder.
@@ -40,21 +39,18 @@ class ExactDivisionError(ArithmeticError):
     """
 
 
+@cache
 def _layout(nvars: int) -> tuple[int, tuple[int, ...], int]:
     # Packed key layout, most significant field first: total degree, then
     # e1..ek.  Comparing keys as plain ints is then graded-lex order, and
     # multiplying monomials is key addition (fields are 16 bits wide but
     # values are capped at 15 bits, so a single addition cannot carry).
-    try:
-        return _LAYOUTS[nvars]
-    except KeyError:
-        shifts = tuple(_FIELD * (nvars - i) for i in range(1, nvars + 1))
-        deg_shift = _FIELD * nvars
-        himask = 0x8000 << deg_shift
-        for s in shifts:
-            himask |= 0x8000 << s
-        _LAYOUTS[nvars] = (deg_shift, shifts, himask)
-        return _LAYOUTS[nvars]
+    shifts = tuple(_FIELD * (nvars - i) for i in range(1, nvars + 1))
+    deg_shift = _FIELD * nvars
+    himask = 0x8000 << deg_shift
+    for s in shifts:
+        himask |= 0x8000 << s
+    return deg_shift, shifts, himask
 
 
 class MultiPoly:

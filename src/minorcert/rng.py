@@ -6,11 +6,12 @@ to reproduce in any language, which is all a verification harness needs.
 The mixer has two forms: ``next_u64`` mixes one state, and ``draws`` mixes
 a block of consecutive states at once, as 128-bit lanes of one Python int,
 so that a sampler that needs many draws pays for the mixer in C rather than
-once per draw in the interpreter.  Tests pin the two forms to each other,
-and every sampler reads the same stream either way.  Independent
-substreams come from mixing a stream index into the master seed with the
-same finalizer (the first draw of a stream seeded there), so claim k
-always sees the same stream regardless of execution order or parallelism.
+once per draw in the interpreter; ``randints`` reads such a block as values
+of ``randint``.  Tests pin the two forms to each other, and every sampler
+reads the same stream either way.  Independent substreams come from mixing
+a stream index into the master seed with the same finalizer (the first
+draw of a stream seeded there), so claim k always sees the same stream
+regardless of execution order or parallelism.
 
 Also hosts the seeded instance samplers (integer, polynomial and skew
 matrices) shared by the verification suites, the benchmark harness and
@@ -32,7 +33,6 @@ __all__ = [
     "map_trials",
     "substream",
     "random_int_matrix",
-    "random_poly",
     "random_poly_matrix",
     "random_skew",
 ]
@@ -94,6 +94,14 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
+
+    def randints(self, count: int, lo: int, hi: int) -> list[int]:
+        """The next ``count`` values of ``randint(lo, hi)``, from one block
+        of ``draws``."""
+        if hi < lo:
+            raise ValueError("empty range")
+        span = hi - lo + 1
+        return [lo + v % span for v in self.draws(count)]
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * 2.0 ** -53
@@ -264,7 +272,7 @@ def _worker(job, count, size, queue, fd):
 
 def random_int_matrix(stream: SplitMix64, n: int) -> Matrix:
     """Entries ``stream.randint(-9, 9)`` in row order, drawn as one block."""
-    return Matrix(n, n, [-9 + v % 19 for v in stream.draws(n * n)])
+    return Matrix(n, n, stream.randints(n * n, -9, 9))
 
 
 def random_skew(n: int, draw) -> Matrix:
@@ -279,19 +287,6 @@ def random_skew(n: int, draw) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def random_poly(
-    stream: SplitMix64,
-    nvars: int,
-    max_terms: int = 3,
-    max_exp: int = 2,
-    coeff_bound: int = 3,
-) -> MultiPoly:
-    """Up to ``max_terms`` terms: the count ``stream.randint(0, max_terms)``,
-    then per term the exponents ``randint(0, max_exp)`` and the coefficient
-    ``randint(-coeff_bound, coeff_bound)`` (like terms add up)."""
-    return _random_polys(stream, 1, nvars, max_terms, max_exp, coeff_bound)[0]
-
-
 def random_poly_matrix(
     stream: SplitMix64,
     n: int,
@@ -300,17 +295,19 @@ def random_poly_matrix(
     max_exp: int = 1,
     coeff_bound: int = 2,
 ) -> Matrix:
-    """Entries ``random_poly`` in row order."""
+    """Polynomials in ``nvars`` variables, in row order.  Each has up to
+    ``max_terms`` terms: the count ``stream.randint(0, max_terms)``, then
+    per term the exponents ``randint(0, max_exp)`` and the coefficient
+    ``randint(-coeff_bound, coeff_bound)`` (like terms add up)."""
     return Matrix(
         n, n, _random_polys(stream, n * n, nvars, max_terms, max_exp, coeff_bound)
     )
 
 
 def _random_polys(stream, count, nvars, max_terms, max_exp, coeff_bound):
-    """``count`` polynomials drawn as ``random_poly`` draws them one after
-    another, from one block of the most draws they can take.  The stream is
-    then set back to just past the draws they used, where the draws one at
-    a time would have left it."""
+    """``count`` entries of ``random_poly_matrix``, drawn from one block of
+    the most draws they can take.  The stream is then set back to just past
+    the draws they used, where the draws one at a time would have left it."""
     start = stream._state
     block = stream.draws(count * (1 + max_terms * (nvars + 1)))
     polys = []

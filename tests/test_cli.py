@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ from minorcert import cli, identity, numaccretive
 from minorcert.detkit import COFACTOR_CAP
 from minorcert.identity import DEFAULT_SYMBOLIC_CAP, SPECIALIZATION_CAP
 from minorcert.matrix import Matrix, identity as identity_matrix, johnson_family
-from minorcert.report import CertificateReport
-from minorcert.ring import ExactDivisionError
+from minorcert.report import CertificateReport, json_default
+from minorcert.ring import ExactDivisionError, variables
 
 
 def run_to_file(tmp_path, name, argv):
@@ -403,3 +404,46 @@ def test_records_are_read_only_and_seeding_changes_only_the_seed():
     for r in seeded:
         assert isinstance(r, CertificateReport) and r.seed == 7
         assert r._replace(seed=None) == by_claim[r.claim]
+
+
+def test_report_values_are_written_by_the_json_default_hook():
+    # exact scalars as their text, complex numbers as [re, im], tuples as
+    # lists, at any depth of the instance
+    b1, b2 = variables(2)
+    rep = CertificateReport(
+        claim="mixed", status="verified", residual=Fraction(-3, 4),
+        instance={"alpha": Fraction(1, 2), "p": b1 - 2 * b2, "z": complex(1.5, -2.0),
+                  "pair": (b1 * b2, 1j), "n": 3},
+        seed=7, tolerance=1e-9,
+    )
+    assert cli._render([rep], "json") == """\
+[
+  {
+    "claim": "mixed",
+    "instance": {
+      "alpha": "1/2",
+      "n": 3,
+      "p": "1 * b1 + -2 * b2",
+      "pair": [
+        "1 * b1 b2",
+        [
+          0.0,
+          1.0
+        ]
+      ],
+      "z": [
+        1.5,
+        -2.0
+      ]
+    },
+    "residual": "-3/4",
+    "seed": 7,
+    "status": "verified",
+    "tolerance": 1e-09
+  }
+]
+"""
+    with pytest.raises(TypeError, match="Matrix"):
+        json_default(identity_matrix(2))
+    with pytest.raises(TypeError):
+        cli._render([rep._replace(instance={"a": identity_matrix(2)})], "json")

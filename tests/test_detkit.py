@@ -4,7 +4,9 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from minorcert import cli
 from minorcert import detkit as detkit_module
@@ -24,10 +26,8 @@ from minorcert.matrix import (
     generic_skew_toeplitz,
     identity,
     johnson_family,
-    lower_shift,
     ones,
     skew_toeplitz,
-    zeros,
 )
 from minorcert.ring import (
     ExactDivisionError,
@@ -451,10 +451,10 @@ def test_polynomial_adjugate_of_rank_deficient_matrices():
     adj = _check_polynomial_adjugate(rank_4)
     assert det_bareiss(rank_4) == 0
     assert _is_rank_one(adj)
-    assert rank_4 @ adj == zeros(5) and adj @ rank_4 == zeros(5)
+    assert rank_4 @ adj == zeros_like(5) and adj @ rank_4 == zeros_like(5)
     rank_3 = Matrix.from_rows(rows[:3] + [combo, [b2 * x for x in rows[2]]])
     adj = _check_polynomial_adjugate(rank_3)
-    assert adj == zeros(5) and {str(x) for x in adj.entries()} == {"0"}
+    assert adj == zeros_like(5) and {str(x) for x in adj.entries()} == {"0"}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -563,15 +563,15 @@ def test_exact_adjugate_of_rank_n_minus_1_has_rank_one(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exact_adjugate_of_rank_at_most_n_minus_2_is_zero(n):
     stream = substream(323, n)
-    candidates = [zeros(n)]
+    candidates = [zeros_like(n)]
     if n >= 3:
         rows = random_int_matrix(stream, n).to_rows()
         rows[1] = list(rows[0])
         rows[2] = list(rows[0])  # the same row three times
         candidates += [_product_of_rank(stream, n, n - 2), Matrix.from_rows(rows)]
     for a in candidates:
-        assert _check_exact_adjugate(a) == zeros(n)
-        assert adjugate(a.map(Fraction)) == zeros(n)
+        assert _check_exact_adjugate(a) == zeros_like(n)
+        assert adjugate(a.map(Fraction)) == zeros_like(n)
 
 
 @pytest.mark.parametrize("m", [*range(2, 10), 16, 17, 25])
@@ -770,8 +770,7 @@ def test_float_pivot_keeps_a_leading_nan_in_place():
 def test_s_functional_values():
     assert s_functional(identity(2)) == 2
     assert s_functional(Matrix.from_rows([[0, 1], [-1, 0]])) == 0
-    shift = lower_shift(3)
-    c = identity(3) - shift @ shift
+    c = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])  # I - L^2, L the lower shift
     assert s_functional(c) == 4
 
 
@@ -1133,6 +1132,67 @@ def test_banding_a_rank_two_constant_part_breaks_the_minors(monkeypatch):
     got = shared_column_minors(a, shared, extra)
     assert seen == {2}
     assert got[0] != want[0] and got[1] != want[1]
+
+
+@st.composite
+def _band_edge_matrices(draw):
+    """Order 2..7 over Z[b1..b3]: an integer constant part C made of zero,
+    one or two outer products of small integer vectors, a linear form per
+    entry, and sometimes one term of degree 2 in one entry."""
+    n = draw(st.integers(2, 7))
+    small = st.integers(-2, 2)
+    c = [[0] * n for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = (draw(st.lists(small, min_size=n, max_size=n)) for _ in range(2))
+        c = [[c[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
+    bs = variables(3)
+    rows = [[c[i][j] + sum(draw(small) * b for b in bs) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i, j, x, y = (draw(st.integers(0, k)) for k in (n - 1, n - 1, 2, 2))
+        rows[i][j] += draw(st.sampled_from([-1, 1])) * bs[x] * bs[y]
+    return Matrix.from_rows(rows)
+
+
+def _banded_by_definition(rows):
+    """Whether the constant part of ``rows`` has rank exactly one (nonzero,
+    every 2 x 2 minor zero) and every entry total degree at most 1."""
+    c = [[x.evaluate([0] * x.nvars) for x in r] for r in rows]
+    lines, cols = combinations(range(len(c)), 2), list(combinations(range(len(c[0])), 2))
+    rank_one = any(map(any, c)) and all(
+        c[i][j] * c[p][q] == c[i][q] * c[p][j] for i, p in lines for j, q in cols
+    )
+    return rank_one and all(sum(e) <= 1 for r in rows for x in r for e, _ in x.terms())
+
+
+_J4 = johnson_family(4)  # nvars 3: a rank-one C and linear entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(_band_edge_matrices())
+@example(_J4)
+@example(_J4 + Matrix(4, 4, [variables(3)[0] * variables(3)[0]] + [0] * 15))
+@example(_J4 + identity(4))
+def test_minors_at_the_band_edge_match_bareiss_and_the_cofactor_oracle(a):
+    # every choice of one extra column gives the whole determinant, and the
+    # leading n - 1 rows with the outer columns extra give two minors; each
+    # table is banded exactly when the constant part of the entries it
+    # reads has rank one and each of them degree at most 1
+    n = a.rows
+    rows = a.to_rows()
+    det = det_cofactor(a)
+    assert det_bareiss(a) == det
+    shared = range(1, n - 1)
+    want = [_bareiss_minor(a, range(n - 1), sorted((*shared, c))) for c in (0, n - 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _bands_seen(mp)
+        for c in range(n):
+            assert shared_column_minors(a, [k for k in range(n) if k != c], (c,)) == [det]
+        whole = set(seen)
+        seen.clear()
+        assert shared_column_minors(a, shared, (0, n - 1)) == want
+    # a nonzero result is itself a sub-minor the table builds
+    assert whole <= {2 if _banded_by_definition(rows) else 1} and (whole or det == 0)
+    assert seen <= {2 if _banded_by_definition(rows[:-1]) else 1} and (seen or want == [0, 0])
 
 
 @pytest.mark.parametrize("order", [3, 4])

@@ -1,6 +1,8 @@
 """Fault injection: an engine that a verdict reads is patched to return a
 wrong result, and the verify command must then exit 1 (refuted) or 2
 (error), never 0 ("verified"), or the verifier must report "refuted".
+``bench det`` gives no verdict, so a fault in the kernels that only it
+reaches must change its det_hash column against the cofactor oracle's.
 Where a verdict has several checks, a fault that fails one check alone
 shows that the verdict reads it (``scripts/mutate_verdicts.py`` drops
 each check in turn and expects a test here to fail).
@@ -11,11 +13,12 @@ that will catch it, so that the change which does has to flip it.
 ``verify lemmas`` shares its claims out across processes, so each of its
 fault cases runs once more split over two, and must print the same bytes
 and exit the same as in one process."""
+import json
 import os
 
 import pytest
 
-from minorcert import cli, identity, numaccretive, rng
+from minorcert import cli, detkit, identity, numaccretive, rng
 from minorcert.matrix import Matrix, generic_skew_toeplitz, is_skew_symmetric
 from minorcert.ring import MonomialTable, MultiPoly
 
@@ -153,6 +156,44 @@ def test_a_faulty_table_sum_is_caught(monkeypatch, capsys, fault, command):
         COMMANDS[command],
         owner=MonomialTable,
     )
+
+
+# -- detkit.exact_div and detkit.sum_of_products: only bench det -----------
+
+# The ring arms of Bareiss and condensation divide by exact_div each
+# numerator that sum_of_products builds; no verify command reaches them.
+# bench det gives no verdict, so a fault must change its det_hash column
+# against the cofactor oracle's, which calls neither: the check of CI's
+# "Engine agreement at seed 1" step.  A quotient one too large makes the
+# next division inexact, so that run exits 2 and prints no column.
+BENCH_POLY = ["bench", "det", "--scalar", "poly", "--order", "5", "--trials", "3", "--seed", "1"]
+KERNEL_FAULTS = {
+    "exact_div_plus_one": ("exact_div", lambda real: lambda a, b: real(a, b) + 1),
+    "sum_of_products_last_pair_dropped": (
+        "sum_of_products", lambda real: lambda pairs: real(list(pairs)[:-1])
+    ),
+}
+
+
+def _det_hash_column(capsys, algo):
+    """The det_hash column of BENCH_POLY by algo; None if it does not exit 0."""
+    rc = cli.main([*BENCH_POLY, "--algo", algo])
+    out = capsys.readouterr().out
+    return [row["det_hash"] for row in json.loads(out)] if rc == 0 else None
+
+
+def test_the_unpatched_bench_engines_agree(capsys):
+    columns = [_det_hash_column(capsys, a) for a in ("bareiss", "condensation", "cofactor")]
+    assert columns[0] is not None and columns[0] == columns[1] == columns[2]
+
+
+@pytest.mark.parametrize("algo", ["bareiss", "condensation"])
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_a_faulty_ring_kernel_changes_the_det_hashes(monkeypatch, capsys, fault, algo):
+    oracle = _det_hash_column(capsys, "cofactor")
+    name, make = KERNEL_FAULTS[fault]
+    monkeypatch.setattr(detkit, name, make(getattr(detkit, name)))
+    assert _det_hash_column(capsys, algo) != oracle
 
 
 BT = ["verify", "bt", "--scalar", "rat", "--dim", "5", "--trials", "10"]

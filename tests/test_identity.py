@@ -31,11 +31,9 @@ from minorcert.matrix import (
     generic_skew_toeplitz,
     identity,
     johnson_family,
-    lower_shift,
     ones,
     outer,
     skew_toeplitz,
-    zeros,
 )
 from minorcert.report import UndecidedError
 from minorcert.ring import MonomialTable, MultiPoly, variables
@@ -315,7 +313,7 @@ def test_rank_one_expansion_trivial_cases():
     rep = verify_rank_one_expansion(identity(2), 1)
     assert rep.verified
     assert det_bareiss(identity(2) + ones(2)) == 3
-    rep = verify_rank_one_expansion(zeros(2), 1)
+    rep = verify_rank_one_expansion(Matrix(2, 2, [0] * 4), 1)
     assert rep.verified
 
 
@@ -430,7 +428,7 @@ def test_specialization_matches_generic_blocks():
     b = generic_skew_toeplitz(m + 1)
     point = [1] + [0] * (m - 1)
     spec = skew_toeplitz(point)
-    shift = lower_shift(m)
+    shift = Matrix(m, m, [int(i == j + 1) for i in range(m) for j in range(m)])  # L
     for j, expected in ((1, shift.T - shift), (2, identity(m) - shift @ shift)):
         assert b.block(m, 1, j).map(lambda p: p.evaluate(point)) == spec.block(m, 1, j)
         assert spec.block(m, 1, j) == expected
@@ -447,7 +445,7 @@ def test_specialization_rejects_orders_above_the_cap():
 
 
 def test_bt_trivial_all_ones():
-    rep = verify_bt(zeros(2), 2, [1, 1])
+    rep = verify_bt(Matrix(2, 2, [0] * 4), 2, [1, 1])
     assert rep.verified
 
 
@@ -473,7 +471,7 @@ def test_bt_rejects_non_skew():
     with pytest.raises(ValueError):
         verify_bt(identity(3), 1, [1, 1, 1])
     with pytest.raises(ValueError):
-        verify_bt(zeros(3), 1, [0, 0, 0])
+        verify_bt(Matrix(3, 3, [0] * 9), 1, [0, 0, 0])
 
 
 def _rational_bt_instance(n, seed):

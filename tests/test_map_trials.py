@@ -3,7 +3,6 @@
 and no process left behind."""
 
 import errno
-import json
 import os
 import signal
 import threading
@@ -61,7 +60,7 @@ def _no_children():
 
 
 def _report_bytes(reports):
-    return json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True).encode()
+    return cli._render(reports, "json").encode()
 
 
 SUITES = {

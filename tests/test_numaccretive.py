@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -459,9 +460,10 @@ def test_witness_json():
     assert doc["matrix"]["scalar"] == "complex"
     assert math.isclose(doc["lhs"] - doc["rhs"], doc["margin"])
     assert list(doc) == ["label", "matrix", "minors", "lhs", "rhs", "margin", "clamp"]
-    assert doc["minors"] == {
-        name: [d.real, d.imag] for name, d in zip(("d11", "d22", "d12", "d21"), w.minors)
-    }
+    assert doc["minors"] == dict(zip(("d11", "d22", "d12", "d21"), w.minors))
+    assert all(isinstance(d, complex) for d in doc["minors"].values())
+    rendered = json.loads(cli._render([w], "json"))[0]["minors"]
+    assert rendered == {name: [d.real, d.imag] for name, d in doc["minors"].items()}
     assert (doc["lhs"], doc["rhs"], doc["clamp"]) == (w.lhs, w.rhs, w.clamp)
     with pytest.raises(ValueError):
         w._replace(minors=w.minors[:3]).to_json()

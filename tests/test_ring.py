@@ -14,7 +14,12 @@ from minorcert.ring import (
     sum_of_products,
     variables,
 )
-from minorcert.rng import SplitMix64, random_poly, random_poly_matrix, substream
+from minorcert.rng import SplitMix64, random_poly_matrix, substream
+
+
+def _random_poly(stream, **shape):
+    """One polynomial in b1..b3, drawn as the entry of a 1x1 matrix."""
+    return random_poly_matrix(stream, 1, nvars=3, **shape)[0, 0]
 
 
 @st.composite
@@ -110,7 +115,7 @@ def test_sum_of_products_matches_a_naive_product_on_random_polynomials():
         entries = random_poly_matrix(stream, 4, nvars=3, max_terms=4, max_exp=2).entries()
         signs = [1 - 2 * stream.randint(0, 1) for _ in range(9)]
         pairs = [(signs[i], entries[2 * i], entries[2 * i + 1]) for i in range(1 + t % 8)]
-        many = random_poly(stream, 3, max_terms=12, max_exp=3, coeff_bound=7)
+        many = _random_poly(stream, max_terms=12, max_exp=3, coeff_bound=7)
         f, g = special[t % 7], special[(t + 3) % 7]
         pairs += [(signs[8], f, many), (-1, many, g)]
         got = sum_of_products(pairs)
@@ -255,8 +260,8 @@ def test_mul_matches_eval_oracle_on_random_assignments():
     # random integer points, for random degree-<=2 polynomials in 3 vars
     stream = substream(2024, 0)
     for _ in range(10):
-        p = random_poly(stream, 3, max_terms=4, max_exp=2, coeff_bound=5)
-        q = random_poly(stream, 3, max_terms=4, max_exp=2, coeff_bound=5)
+        p = _random_poly(stream, max_terms=4, max_exp=2, coeff_bound=5)
+        q = _random_poly(stream, max_terms=4, max_exp=2, coeff_bound=5)
         prod = p * q
         for _ in range(20):
             a = [stream.randint(-6, 6) for _ in range(3)]
@@ -267,8 +272,8 @@ def test_integral_domain_no_zero_divisors():
     stream = substream(99, 1)
     count = 0
     while count < 100:
-        p = random_poly(stream, 3, max_terms=3, max_exp=2, coeff_bound=4)
-        q = random_poly(stream, 3, max_terms=3, max_exp=2, coeff_bound=4)
+        p = _random_poly(stream, max_terms=3, max_exp=2, coeff_bound=4)
+        q = _random_poly(stream, max_terms=3, max_exp=2, coeff_bound=4)
         if not p or not q:
             continue
         count += 1
@@ -278,8 +283,8 @@ def test_integral_domain_no_zero_divisors():
 def test_exact_division_inverts_multiplication():
     stream = substream(5, 2)
     for _ in range(50):
-        p = random_poly(stream, 3, max_terms=4, max_exp=2, coeff_bound=4)
-        q = random_poly(stream, 3, max_terms=3, max_exp=2, coeff_bound=4)
+        p = _random_poly(stream, max_terms=4, max_exp=2, coeff_bound=4)
+        q = _random_poly(stream, max_terms=3, max_exp=2, coeff_bound=4)
         if not q:
             continue
         assert (p * q).exact_div(q) == p

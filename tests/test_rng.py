@@ -9,7 +9,6 @@ from minorcert.ring import MultiPoly
 from minorcert.rng import (
     SplitMix64,
     random_int_matrix,
-    random_poly,
     random_poly_matrix,
     random_skew,
     substream,
@@ -62,6 +61,19 @@ def test_a_block_of_draws_is_the_scalar_stream(seed, count):
     assert block.next_u64() == scalar.next_u64()
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 63, 64, 65, 1000])
+@pytest.mark.parametrize("lo,hi", [(-9, 9), (-4, 4), (0, 0), (-(1 << 70), 1 << 70)])
+def test_randints_are_calls_of_randint(count, lo, hi):
+    block, scalar = substream(cli.DEFAULT_SEED, count), substream(cli.DEFAULT_SEED, count)
+    assert block.randints(count, lo, hi) == [scalar.randint(lo, hi) for _ in range(count)]
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_randints_reject_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        SplitMix64(0).randints(3, 1, 0)
+
+
 def _randint_matrix_by_draws(stream, n):
     return Matrix(n, n, [stream.randint(-9, 9) for _ in range(n * n)])
 
@@ -87,14 +99,6 @@ SAMPLERS = {
     "int_matrix_17": (  # 289 draws: more than one block
         lambda s: random_int_matrix(s, 17),
         lambda s: _randint_matrix_by_draws(s, 17),
-    ),
-    "poly": (
-        lambda s: random_poly(s, 3),
-        lambda s: _poly_by_draws(s, 3, 3, 2, 3),
-    ),
-    "poly_many_terms": (
-        lambda s: random_poly(s, 3, max_terms=12, max_exp=3, coeff_bound=7),
-        lambda s: _poly_by_draws(s, 3, 12, 3, 7),
     ),
     "poly_matrix_6": (
         lambda s: random_poly_matrix(s, 6),
