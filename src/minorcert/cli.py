@@ -2,7 +2,7 @@
 randomized search, and the determinant benchmark.
 
 Commands
-    verify johnson        symbolic or numeric minor-identity certificates
+    verify johnson        symbolic, numeric or integer minor-identity certificates
     verify lemmas         reduced cases, skew-adjugate facts, rank-one expansion
     verify bt             rank-one symmetric-part equality (exact or float)
     verify specialization exact values at b1 = 1, bk = 0
@@ -16,11 +16,11 @@ through SplitMix64 substreams, and reports are emitted in a deterministic
 order, so identical invocations produce byte-identical output.
 
 The seeded suites (``verify accretive``, ``verify bt`` and ``verify
-johnson --mode numeric``) and the whole ``verify lemmas`` battery, its
-symbolic claims included, share their jobs out across the CPUs of the
-affinity mask (``rng.map_trials``): each process takes the next job from
-one shared queue, with the same bytes and the same first error as one
-CPU.  A run splits whenever it has at least two jobs and two CPUs; no
+johnson --mode numeric`` or ``integer``) and the whole ``verify lemmas``
+battery, its symbolic claims included, share their jobs out across the
+CPUs of the affinity mask (``rng.map_trials``): each process takes the
+next job from one shared queue, with the same bytes and the same first
+error as one CPU.  A run splits whenever it has at least two jobs and two CPUs; no
 option sets the count.
 ``search complex`` stays sequential, since each step of its hill climb
 starts from the best so far, and so does ``bench det``, since it times
@@ -59,6 +59,8 @@ def _seeded(reports, seed):
 def _verify_johnson(args):
     if args.mode == "symbolic":
         reports = [idmod.verify_johnson_symbolic(args.n, max_n=args.max_n)]
+    elif args.mode == "integer":
+        reports = idmod.johnson_integer_suite(args.n, args.trials, args.seed)
     else:
         reports = idmod.johnson_numeric_suite(args.n, args.trials, args.seed)
     return _seeded(reports, args.seed)
@@ -209,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("johnson", parents=[common],
                         help="minor identity for the A + A^T = 2J family")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--mode", choices=["symbolic", "numeric"], default="symbolic")
+    p.add_argument("--mode", choices=["symbolic", "numeric", "integer"], default="symbolic")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-n", type=int, default=idmod.DEFAULT_SYMBOLIC_CAP,
                    help="cap for the symbolic certificate")

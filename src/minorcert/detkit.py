@@ -43,6 +43,25 @@ One production engine per scalar world:
   degree k - 1 at level k + 1, so they cancel and are never formed.  Any
   other input keeps one band.
 
+The paper's family A = J + B is Toeplitz with A^T = A(-b), so J A J =
+sigma(A), with J the exchange matrix and sigma the ring map b -> -b
+(``MultiPoly.negate_variables``; in index form
+``MonomialTable.negate_variables``).  Two mirror identities then give
+half of the polynomial minors from the other half, each taken only when
+an exact check of the input shows that it holds, with no size threshold:
+
+- adjugate: if J A J = sigma(A), then adj(A)[n-1-i][n-1-j] =
+  sigma(adj(A)[i][j]).  Proof: sigma is a ring map, so adj(sigma A) =
+  sigma adj(A); and adj(X Y) = adj(Y) adj(X) with adj(J) = det(J) J, so
+  adj(J A J) = det(J)^2 J adj(A) J = J adj(A) J.
+- Toeplitz sub-minors: if a[i][j] = t_{j-i} with t_{-d} = sigma(t_d), I
+  is an interval of columns with c = min I + max I, and S and c - S are
+  row sets, then det a[c - S, I] = sigma(det a[S, I]), both with the
+  columns of I in the same order.  Proof: with j = c - j',
+  a[c - s][c - j'] = t_{s - j'} = sigma(a[s][j']), so a[c - S, I] is
+  sigma(a[S, I]) with its rows and its columns reversed, and two reversals
+  of one length leave a determinant alone.
+
 ``adjugate`` (cofactor transpose, exact on singular matrices) takes one path
 per scalar world, chosen by the kind of its entries:
 
@@ -51,7 +70,10 @@ per scalar world, chosen by the kind of its entries:
   expansion that skips row j; a recursion halves the range of dropped rows,
   and each half expands the other half's rows on its own copy of the
   level, so levels 1..n/2 are built twice and level n - 1 once per column,
-  and the minors become polynomials only as they are written out;
+  and the minors become polynomials only as they are written out.  When
+  J A J = sigma(A) (the skew Toeplitz B of every skew adjugate), only
+  the columns 0..ceil(n/2)-1 are expanded, and the others are their
+  mirror images by the adjugate mirror identity above;
 - exact numbers (ints, rationals): Cayley-Hamilton on the division-free
   Berkowitz characteristic polynomial, O(n^4) ring operations in place of
   the O(n^5) of n^2 Bareiss minors, and valid on singular matrices, where
@@ -352,6 +374,21 @@ def shared_column_minors(a: Matrix, shared, extra) -> list:
     (plain numbers when no entry is a polynomial).  No ring division is
     made, so nothing swells beyond the minors themselves.
 
+    When the entries are polynomials, the shared columns one run, and the
+    picked rows Toeplitz with t_{-d} = sigma(t_d) (sigma: b -> -b; every
+    Johnson expansion, the even reduced cases and the odd skew
+    determinant), the columns are expanded center-out (``_center_out``),
+    so that the first k of them form an interval I whose center c = min I
+    + max I is as close to m - 1 as the run allows.  The level step then
+    builds det a[S, I] for only one of each pair of row sets S and c - S
+    and takes the other as its sigma-image, the Toeplitz mirror identity
+    of the module docstring: a[c - s][c - j] = t_{s-j} = sigma(a[s][j]),
+    so a[c - S, I] is sigma(a[S, I]) with rows and columns reversed, which
+    keeps the determinant in any one column order.  The closing sign then
+    also counts the inversions of the center-out order.  Every other input
+    (numbers, a gap in the run, any other matrix) keeps the sorted order
+    and builds every sub-minor; the minors are the same term for term.
+
     The table is banded when the entries on the rows R and the columns
     ``shared + extra`` pass ``MonomialTable.two_bands``, an O(m^2) test:
     polynomials of total degree at most 1 and ints whose constant terms
@@ -374,23 +411,70 @@ def shared_column_minors(a: Matrix, shared, extra) -> list:
         raise ValueError(f"columns {idx} repeat or leave a {a.rows}x{a.cols} matrix")
     picked = a.to_rows()[:m]
     poly = next((x for r in picked for x in r if isinstance(x, MultiPoly)), None)
+    order = [(c, None) for c in cols]
     if poly is None:
         table = MonomialTable(None)
     else:
         lines = [[r[c] for c in idx] for r in picked]
         table = MonomialTable(poly.nvars, MonomialTable.two_bands(lines))
+        if cols and cols[-1] - cols[0] == len(cols) - 1 and _mirrored_toeplitz(picked):
+            order = _center_out(cols, m - 1)
     prev = {0: ({0: 1},)}
-    for k, c in enumerate(cols, 1):
-        prev = _expand_level(table, [r[c] for r in picked], k, prev)
+    for k, (c, center) in enumerate(order, 1):
+        prev = _expand_level(table, [r[c] for r in picked], k, prev, center)
+    parity = sum(p > q for (p, _), (q, _) in combinations(order, 2))
     results = []
     for c in extra:
-        sign = (-1) ** sum(s > c for s in cols)
+        sign = (-1) ** (parity + sum(s > c for s in cols))
         (d,) = _expand_level(table, [sign * r[c] for r in picked], m, dict(prev)).values()
         results.append(table.element(d))
     return results
 
 
-def _expand_level(table, line, k, prev) -> dict:
+def _sigma(x):
+    """The ring map b -> -b on one entry; the identity on numbers."""
+    return x.negate_variables() if isinstance(x, MultiPoly) else x
+
+
+def _mirrored(rows) -> bool:
+    """Whether the square ``rows`` satisfy J A J = sigma(A):
+    rows[n-1-i][n-1-j] = sigma(rows[i][j]) for all i, j."""
+    n = len(rows)
+    return all(rows[n - 1 - i][n - 1 - j] == _sigma(x)
+               for i, r in enumerate(rows) for j, x in enumerate(r))
+
+
+def _mirrored_toeplitz(rows) -> bool:
+    """Whether ``rows`` is Toeplitz, rows[i][j] = t_{j-i}, with
+    t_{-d} = sigma(t_d) for every d with both t_d and t_{-d} in it, d = 0
+    included."""
+    top, left = rows[0], [r[0] for r in rows]
+    return all(
+        x == (top[j - i] if j >= i else left[i - j])
+        for i, r in enumerate(rows) for j, x in enumerate(r)
+    ) and all(left[d] == _sigma(top[d]) for d in range(min(len(top), len(left))))
+
+
+def _center_out(cols, target) -> list:
+    """The sorted consecutive columns ``cols`` as (column, center) pairs in
+    an order whose first k columns form, for each k, an interval whose
+    center lo + hi is as close to ``target`` as the run allows: from the
+    column nearest target / 2 (the lower on a tie), each step adds the
+    neighbour that brings the center nearer, the left one on a tie."""
+    lo = hi = min(cols, key=lambda j: abs(2 * j - target))
+    order = [(lo, 2 * lo)]
+    while len(order) < len(cols):
+        if lo > cols[0] and (hi == cols[-1] or lo + hi >= target):
+            lo -= 1
+            col = lo
+        else:
+            hi += 1
+            col = hi
+        order.append((col, lo + hi))
+    return order
+
+
+def _expand_level(table, line, k, prev, center=None) -> dict:
     """One level of the Laplace expansion, along rows or, with each column
     for its row, along columns (a determinant is its transpose's): for each
     k-subset S of the indices of ``line``, in ``combinations`` order and
@@ -414,22 +498,46 @@ def _expand_level(table, line, k, prev) -> dict:
     reads it afterwards passes a copy, and the two levels of a step are
     never both whole.  The
     polynomial adjugate runs it on rows in any order (``line`` the row
-    expanded k-th), and the shared-column expansion on columns."""
+    expanded k-th), and the shared-column expansion on columns.
+
+    The shared-column expansion of a Toeplitz block with t_{-d} =
+    sigma(t_d) (sigma: b -> -b) passes ``center`` c, the center min + max
+    of the interval of columns expanded so far.  Each S whose reflection
+    c - S lies in the indices of ``line`` and is already built is then
+    ``table.negate_variables`` of D[c - S], with no products.  That is the
+    Toeplitz mirror identity: a[c - s][c - j] = t_{s-j} = sigma(a[s][j]),
+    so the block on c - S is sigma of the block on S with its rows and
+    columns reversed, and two reversals of one length keep a determinant.
+    The reflection c - S is the bit reversal of S's mask shifted by
+    c - (n - 1); spent sub-minors are deleted by the same rule either
+    way."""
     n = len(line)
     full = (1 << n) - 1
     bits = [1 << j for j in range(n)]
     signs = [-1 if (k - 1 + p) % 2 else 1 for p in range(k)]
     factors = [table.factor(e) for e in line]
+    if center is not None:
+        # the reflection j -> center - j is the bit reversal j -> n - 1 - j
+        # moved by shift; a set it takes out of range gains a bit above
+        # ``full`` or loses one, so it is never a set of ``cur``
+        shift = center - (n - 1)
     cur = {}
     for fs, bs in zip(combinations(factors, k), combinations(bits, k)):
         mask = sum(bs)
-        pairs = []
-        for sign, f, bit in zip(signs, fs, bs):
-            if f:
-                d = prev[mask ^ bit]
-                if d:
-                    pairs.append((sign, f, d))
-        cur[mask] = table.sum_of_products(pairs)
+        twin = None
+        if center is not None:
+            twin = int(f"{mask:0{n}b}"[::-1], 2)
+            twin = twin << shift if shift >= 0 else twin >> -shift
+        if twin in cur:
+            cur[mask] = table.negate_variables(cur[twin])
+        else:
+            pairs = []
+            for sign, f, bit in zip(signs, fs, bs):
+                if f:
+                    d = prev[mask ^ bit]
+                    if d:
+                        pairs.append((sign, f, d))
+            cur[mask] = table.sum_of_products(pairs)
         for bit in bits[(full ^ mask).bit_length():]:
             del prev[mask ^ bit]
     return cur
@@ -482,7 +590,7 @@ def _adjugate_cayley_hamilton(rows) -> Matrix:
     return Matrix(n, n, [sign * x for r in b for x in r])
 
 
-def _adjugate_leave_one_out(rows, table, lo, hi, state, parity, out):
+def _adjugate_leave_one_out(rows, table, lo, hi, state, parity, out, mirrored):
     """Columns lo..hi-1 of the adjugate of the square ``rows`` into the flat
     ``out``, from ``state``, the level of minors on the n - (hi - lo) rows
     outside [lo, hi), in the order they were expanded, keyed by the bit mask
@@ -490,7 +598,10 @@ def _adjugate_leave_one_out(rows, table, lo, hi, state, parity, out):
     inversions of that order.
 
     Column j of adj(A) holds the n minors of A without row j, the last level
-    of a row expansion that skips row j.  The range splits at mid: the left
+    of a row expansion that skips row j.  When ``mirrored`` (J A J =
+    sigma(A)), a leaf also writes adj[n-1-i][n-1-j] = sigma(adj[i][j])
+    from the same index form by ``table.negate_variables``, unless that
+    is its own column.  The range splits at mid: the left
     half expands rows mid..hi-1 on a copy of ``state`` (the level step
     empties the level it reads), the right half rows lo..mid-1 on ``state``
     itself.  The left half's own rows, all but the dropped one, come after
@@ -507,18 +618,21 @@ def _adjugate_leave_one_out(rows, table, lo, hi, state, parity, out):
         full = (1 << n) - 1
         for i in range(n):
             sign = -1 if (parity + i + lo) % 2 else 1
-            out[i * n + lo] = table.element(state.pop(full ^ (1 << i)), sign)
+            d = state.pop(full ^ (1 << i))
+            out[i * n + lo] = table.element(d, sign)
+            if mirrored and 2 * lo != n - 1:
+                out[(n - 1 - i) * n + n - 1 - lo] = table.element(table.negate_variables(d), sign)
         return
     mid = (lo + hi) // 2
     left = dict(state)
     for r in range(mid, hi):
         left = _expand_level(table, rows[r], k + 1 + r - mid, left)
     _adjugate_leave_one_out(rows, table, lo, mid, left,
-                            parity + (hi - mid) * (mid - lo - 1), out)
+                            parity + (hi - mid) * (mid - lo - 1), out, mirrored)
     del left
     for r in range(lo, mid):
         state = _expand_level(table, rows[r], k + 1 + r - lo, state)
-    _adjugate_leave_one_out(rows, table, mid, hi, state, parity, out)
+    _adjugate_leave_one_out(rows, table, mid, hi, state, parity, out, mirrored)
 
 
 def adjugate(a: Matrix) -> Matrix:
@@ -539,7 +653,19 @@ def adjugate(a: Matrix) -> Matrix:
     ``det_bareiss``, and the corners adj[n-1, n-1], adj[0, 0] and
     (-1)^(n-1) adj[0, n-1], adj[n-1, 0] are ``contiguous_minors`` exactly.
     At order 1 each path gives 1: the int 1 for numbers, the ring's 1 for
-    polynomials."""
+    polynomials.
+
+    Polynomial entries with J A J = sigma(A) (J the exchange matrix,
+    sigma: b -> -b), checked exactly entry by entry (``_mirrored``; sigma is
+    the identity on ints), take half the work: adj(sigma A) = sigma adj(A),
+    since sigma is a ring map, and adj(J A J) = J adj(A) J, since adj(X Y)
+    = adj(Y) adj(X) and adj(J) = det(J) J with det(J)^2 = 1; so
+    adj[n-1-i][n-1-j] = sigma(adj[i][j]).  Rows h..n-1, h = ceil(n/2), are
+    expanded first, the leave-one-out recursion builds columns 0..h-1 only,
+    and each leaf writes the mirror of its column.  The minors of column j
+    < h then take their rows in an order with (n - h)(h - 1) inversions:
+    the n - h rows expanded first lie below the h - 1 rows expanded after
+    them.  Any other input expands every column."""
     _require_square(a)
     n = a.rows
     if n == 0:
@@ -548,7 +674,14 @@ def adjugate(a: Matrix) -> Matrix:
     rows = a.to_rows()
     if poly is not None:
         out = [None] * (n * n)
-        _adjugate_leave_one_out(rows, MonomialTable(poly.nvars), 0, n, {0: ({0: 1},)}, 0, out)
+        table, state = MonomialTable(poly.nvars), {0: ({0: 1},)}
+        if _mirrored(rows):
+            h = (n + 1) // 2
+            for r in range(h, n):
+                state = _expand_level(table, rows[r], 1 + r - h, state)
+            _adjugate_leave_one_out(rows, table, 0, h, state, (n - h) * (h - 1), out, True)
+        else:
+            _adjugate_leave_one_out(rows, table, 0, n, state, 0, out, False)
         return Matrix(n, n, out)
     if _scalar_kind(a) != "float":
         return _adjugate_cayley_hamilton(rows)

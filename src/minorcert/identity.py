@@ -46,6 +46,7 @@ __all__ = [
     "JOHNSON_NUMERIC_TOL",
     "SPECIALIZATION_CAP",
     "bt_suite",
+    "johnson_integer_suite",
     "johnson_numeric_suite",
     "lemmas_suite",
     "specialization_certificate",
@@ -164,6 +165,15 @@ def verify_skew_facts(y: Matrix) -> CertificateReport:
     the transpose identity alone, and the residual is its first nonzero
     defect adj[j, i] + adj[i, j] (i <= j, in row order), the zero
     polynomial "0" when the identity holds.
+
+    On a sigma-input (J Y J = sigma(Y), sigma: b -> -b; every skew
+    Toeplitz Y of the battery), ``adjugate`` builds half of adj(Y) and
+    takes the rest by the mirror theorem adj[m-1-i][m-1-j] =
+    sigma(adj[i][j]).  The entries have degree m - 1, so sigma multiplies
+    them by (-1)^(m-1), and the mirror theorem alone decides the
+    anti-diagonal pairs (i, m-1-i) of the transpose check: those test
+    the engine no further.  Every other pair compares two different
+    minors that the expansion builds.
 
     The facts are exact claims: float or complex entries raise TypeError,
     since a rounded or non-finite adjugate can neither certify nor refute
@@ -413,6 +423,37 @@ def _johnson_numeric_trial(max_n: int, seed: int, t: int) -> CertificateReport:
         residual=residual,
         instance={"n": n, "b": b},
         tolerance=JOHNSON_NUMERIC_TOL,
+    )
+
+
+def johnson_integer_suite(max_n: int, trials: int, seed: int) -> list[CertificateReport]:
+    """The exact twin of ``johnson_numeric_suite``: the same minor identity
+    on random integer members of the family, with no tolerance.  Trial t
+    draws its order from 2..max_n as the numeric suite does and each b_k
+    in [-2, 2], both from ``substream(seed, t)``, and takes the three
+    minors by integer ``det_bareiss``, whose every division is exact; the
+    claim is verified only when d12 + d21 - 2 d11 is exactly 0.  Shared
+    out across the CPUs like the numeric suite."""
+    if max_n < 2:
+        raise ValueError("max order must be at least 2")
+    return map_trials(partial(_johnson_integer_trial, max_n, seed), trials)
+
+
+def _johnson_integer_trial(max_n: int, seed: int, t: int) -> CertificateReport:
+    stream = substream(seed, t)
+    n = stream.randint(2, max_n)
+    b = stream.randints(n - 1, -2, 2)
+    a = ones(n) + skew_toeplitz(b)
+    m = n - 1
+    d12 = det_bareiss(a.block(m, 1, 2))
+    d21 = det_bareiss(a.block(m, 2, 1))
+    d11 = det_bareiss(a.block(m, 1, 1))
+    residual = d12 + d21 - 2 * d11
+    return CertificateReport(
+        claim=f"johnson_integer_t{t:03d}",
+        status=verdict(residual == 0),
+        residual=str(residual),
+        instance={"n": n, "b": b},
     )
 
 

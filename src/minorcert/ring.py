@@ -533,6 +533,17 @@ class MonomialTable:
                 filled.append(i)
         return filled
 
+    def negate_variables(self, d) -> tuple:
+        """The index form of p(-b1, .., -bk) for the index form ``d`` of a
+        polynomial p: the terms of odd total degree negated, the degree read
+        from the top field of each monomial's packed key, as
+        ``MultiPoly.negate_variables`` reads it.  The monomials, and so the
+        numbers, are those of ``d``."""
+        keys, deg_shift = self._keys, _layout(self.nvars)[0]
+        return tuple(
+            {i: -v if keys[i] >> deg_shift & 1 else v for i, v in band.items()} for band in d
+        )
+
     def element(self, d, sign=1):
         """The ring element of ``sign`` (+1 or -1) times the index form
         ``d``: a MultiPoly whose keys are the table's own objects, or a

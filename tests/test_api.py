@@ -75,6 +75,7 @@ EXACT_COMMANDS = [
     "verify bt --scalar rat --dim 4 --trials 3",
     "verify specialization --m 5",
     "verify johnson --mode numeric --n 6 --trials 3",
+    "verify johnson --mode integer --n 6 --trials 3",
     "bench det --algo bareiss --order 3 --trials 1",
 ]
 FLOAT_LAYER_COMMANDS = [

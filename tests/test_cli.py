@@ -48,6 +48,20 @@ def test_verify_johnson_numeric(tmp_path):
     assert all(d["seed"] == 5 and d["tolerance"] == 1e-9 for d in docs)
 
 
+def test_verify_johnson_integer(tmp_path):
+    rc, raw = run_to_file(
+        tmp_path,
+        "ji.json",
+        ["verify", "johnson", "--mode", "integer", "--n", "30", "--trials", "12",
+         "--seed", "5"],
+    )
+    assert rc == 0
+    docs = json.loads(raw)
+    assert [d["claim"] for d in docs] == [f"johnson_integer_t{t:03d}" for t in range(12)]
+    assert all(d["status"] == "verified" and d["residual"] == "0" for d in docs)
+    assert all(d["seed"] == 5 and d["tolerance"] is None for d in docs)
+
+
 def test_verify_lemmas(tmp_path):
     rc, raw = run_to_file(
         tmp_path, "l.json",
@@ -72,6 +86,8 @@ def test_verify_lemmas_order_out_of_range_is_a_usage_error(n):
     pytest.param(["verify", "johnson", "--n", "1"], id="johnson-symbolic-n1"),
     pytest.param(["verify", "johnson", "--mode", "numeric", "--n", "1"],
                  id="johnson-numeric-n1"),
+    pytest.param(["verify", "johnson", "--mode", "integer", "--n", "1"],
+                 id="johnson-integer-n1"),
     pytest.param(["verify", "johnson", "--n", str(DEFAULT_SYMBOLIC_CAP + 1)],
                  id="johnson-symbolic-over-max-n"),
     pytest.param(["verify", "lemmas", "--n", "2"], id="lemmas-n2"),
@@ -240,6 +256,7 @@ def test_text_summary_format(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "johnson", "--n", "4"],
     ["verify", "johnson", "--mode", "numeric", "--n", "5", "--trials", "3"],
+    ["verify", "johnson", "--mode", "integer", "--n", "5", "--trials", "3"],
     ["verify", "lemmas", "--n", "4", "--trials", "2"],
     ["verify", "bt", "--dim", "3", "--trials", "3", "--scalar", "rat"],
     ["verify", "bt", "--dim", "3", "--trials", "3", "--scalar", "real"],

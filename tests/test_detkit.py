@@ -468,18 +468,18 @@ def test_polynomial_adjugate_gives_det_times_identity(n):
 
 
 @pytest.mark.parametrize("m", range(2, 9))
-def test_generic_skew_toeplitz_adjugate_matches_bareiss_minors(m):
-    y = generic_skew_toeplitz(m)
-    assert adjugate(y) == _adjugate_by_minors(y, det_bareiss)
+def test_generic_skew_toeplitz_adjugate_matches_bareiss_minors(monkeypatch, m):
+    # J B J = sigma(B), sigma: b -> -b: columns 0..ceil(m/2)-1 are expanded
+    # and the others are their sigma-images
+    _check_mirrored_adjugate(monkeypatch, generic_skew_toeplitz(m))
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_johnson_family_adjugate_matches_bareiss_minors(n):
+@pytest.mark.parametrize("n", range(2, 9))
+def test_johnson_family_adjugate_matches_bareiss_minors(monkeypatch, n):
     # entries 1 +- b_k with a constant term; the odd orders split their
     # rows unevenly, and each leaf's sign counts the inversions of its
-    # expansion order
-    a = johnson_family(n)
-    assert adjugate(a) == _adjugate_by_minors(a, det_bareiss)
+    # expansion order, the rows ceil(n/2)..n-1 expanded first
+    _check_mirrored_adjugate(monkeypatch, johnson_family(n))
 
 
 def _ring_matmul(x, y):
@@ -1267,6 +1267,189 @@ def test_d21_from_the_sign_symmetry_matches_the_transpose_expansion(n):
     assert [d21] == shared_column_minors(a.T, range(1, m), (m,))
     if n <= 8:
         assert d21 == det_bareiss(a.block(m, 2, 1))
+
+
+# -- the mirror: J A J = sigma(A), sigma the ring map b -> -b ----------------
+
+def _sigma(x):
+    return x.negate_variables() if isinstance(x, MultiPoly) else x
+
+
+def _exchanged(a):
+    """J A J: the rows and the columns of ``a`` reversed."""
+    return Matrix.from_rows([r[::-1] for r in a.to_rows()[::-1]])
+
+
+def _mirrors_taken(monkeypatch):
+    """A one-item list counting the sigma-images in index form that the
+    engines take from here on."""
+    count = [0]
+    real = MonomialTable.negate_variables
+
+    def counted(table, d):
+        count[0] += 1
+        return real(table, d)
+
+    monkeypatch.setattr(MonomialTable, "negate_variables", counted)
+    return count
+
+
+def _toeplitz(ts, n):
+    """The n x n Toeplitz matrix with a[i][j] = ts[j - i], ts a dict."""
+    return Matrix.from_rows([[ts[j - i] for j in range(n)] for i in range(n)])
+
+
+def _symmetric_toeplitz(n):
+    # J + S with S[i][j] = b_|i-j| and a zero diagonal: Toeplitz with
+    # t_{-d} = t_d, which is not sigma(t_d)
+    bs = (0, *variables(n - 1))
+    return ones(n) + _toeplitz({d: bs[abs(d)] for d in range(1 - n, n)}, n)
+
+
+def _check_shared_minors(a, shared, extra):
+    """``shared_column_minors`` on the leading rows against Bareiss and,
+    up to the cofactor cap, the cofactor oracle on each block."""
+    rows = range(len(shared) + 1)
+    got = shared_column_minors(a, shared, extra)
+    want = [_bareiss_minor(a, rows, sorted((*shared, c))) for c in extra]
+    assert got == want
+    assert [str(x) for x in got] == [str(x) for x in want]
+    if len(rows) <= COFACTOR_CAP:
+        assert got == [_cofactor_minor(a, rows, sorted((*shared, c))) for c in extra]
+
+
+def _check_mirrored_adjugate(monkeypatch, a):
+    """The adjugate of ``a`` of order n <= 8, with J A J = sigma(A), takes
+    n floor(n/2) sigma-images and matches the cofactor oracle on every
+    minor, and Bareiss on every minor up to order 7 and on the four
+    corners at order 8, where Bareiss on the 64 minors of J + B takes
+    about 12 s."""
+    n = a.rows
+    assert _exchanged(a) == a.map(_sigma)
+    taken = _mirrors_taken(monkeypatch)
+    if n <= COFACTOR_CAP:
+        _check_polynomial_adjugate(a)
+    else:
+        adj = adjugate(a)
+        assert adj == _adjugate_by_minors(a, det_cofactor)
+        for i, j in ((0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)):
+            rows, cols = ([k for k in range(n) if k != x] for x in (j, i))
+            minor = _bareiss_minor(a, rows, cols)
+            assert adj[i, j] == (-minor if (i + j) % 2 else minor)
+    assert taken[0] == n * (n // 2)
+
+
+@pytest.mark.parametrize("family", [generic_skew_toeplitz, johnson_family])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mirrored_shared_column_minors_match_the_minor_oracles(monkeypatch, family, n):
+    # the Johnson minors (J + B) and the even reduced case (B) on the
+    # leading n - 1 rows, and the whole determinant (the odd skew facts),
+    # all expanded center-out; from three rows on, a level has a pair S,
+    # c - S
+    a = family(n)
+    taken = _mirrors_taken(monkeypatch)
+    _check_shared_minors(a, range(1, n - 1), (0, n - 1))
+    _check_shared_minors(a, range(1, n), (0,))
+    assert (taken[0] > 0) == (n >= 3)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_mirrored_matrix_that_is_not_toeplitz_takes_the_mirrored_adjugate(monkeypatch, n):
+    # J A J = sigma(A) with every entry drawn: p on one of each pair of
+    # positions (i, j), (n-1-i, n-1-j), sigma(p) on the other, and p +
+    # sigma(p) on the centre of an odd order
+    p = random_poly_matrix(substream(319, n), n, nvars=3).to_rows()
+    rows = [[p[i][j] if (i, j) < (n - 1 - i, n - 1 - j)
+             else _sigma(p[n - 1 - i][n - 1 - j]) if (i, j) > (n - 1 - i, n - 1 - j)
+             else p[i][j] + _sigma(p[i][j])
+             for j in range(n)] for i in range(n)]
+    assert any(rows[i][j] != rows[i + 1][j + 1] for i in range(n - 1) for j in range(n - 1))
+    _check_mirrored_adjugate(monkeypatch, Matrix.from_rows(rows))
+
+
+def test_near_misses_of_the_mirror_take_the_full_expansion_and_agree(monkeypatch):
+    # one entry off the mirror, J plus a symmetric Toeplitz S, a skew
+    # Toeplitz B plus b1 I (t_0 of odd degree, t_{-d} = sigma(t_d) for
+    # d > 0), shared columns with a gap, and the bordered skew matrix of
+    # the odd reduced case: no sigma-image is taken and every minor matches
+    # the oracles
+    n = 7
+    rows = johnson_family(n).to_rows()
+    rows[0][1] += 1
+    off = Matrix.from_rows(rows)
+    symmetric = _symmetric_toeplitz(n)
+    assert _exchanged(symmetric) == symmetric != symmetric.map(_sigma)
+    odd_diagonal = generic_skew_toeplitz(n) + identity(n) * variables(n - 1)[0]
+    taken = _mirrors_taken(monkeypatch)
+    for a in (off, symmetric, odd_diagonal):
+        _check_polynomial_adjugate(a)
+        _check_shared_minors(a, range(1, n - 1), (0, n - 1))
+        _check_shared_minors(a, range(1, n), (0,))
+    _check_shared_minors(johnson_family(n), (1, 2, 4, 5), (0, 3, 6))
+    _check_shared_minors(_bordered_skew(n), (0, *range(2, n)), (1, n))
+    _check_polynomial_adjugate(_bordered_skew(n - 1))
+    assert taken[0] == 0
+
+
+def test_forcing_the_mirror_on_a_symmetric_toeplitz_matrix_breaks_the_minors(monkeypatch):
+    # the mirror checks are load-bearing: on J + S, whose mirror is the
+    # identity and not sigma, the forced mirror writes the sigma-images
+    # where the minors themselves belong
+    n = 6
+    a = _symmetric_toeplitz(n)
+    want_adj = _adjugate_by_minors(a, det_bareiss)
+    shared, extra = range(1, n - 1), (0, n - 1)
+    want = [_bareiss_minor(a, range(n - 1), sorted((*shared, c))) for c in extra]
+    assert adjugate(a) == want_adj and shared_column_minors(a, shared, extra) == want
+    monkeypatch.setattr(detkit_module, "_mirrored", lambda rows: True)
+    monkeypatch.setattr(detkit_module, "_mirrored_toeplitz", lambda rows: True)
+    taken = _mirrors_taken(monkeypatch)
+    assert adjugate(a) != want_adj
+    got = shared_column_minors(a, shared, extra)
+    assert taken[0] > 0
+    assert got[0] != want[0] and got[1] != want[1]
+
+
+@st.composite
+def _mirrored_toeplitz_matrices(draw):
+    """Order 2..7 Toeplitz over Z[b1..b3] with t_{-d} = sigma(t_d): t_0 of
+    even degree (a constant and sometimes one degree-2 term), each t_d,
+    d > 0, a constant, a linear form and sometimes one degree-2 term, so
+    that most tables have one band of mixed degrees; all constants 1 and
+    no degree-2 term give J + B-like entries and two bands."""
+    n = draw(st.integers(2, 7))
+    bs = variables(3)
+    small = st.integers(-2, 2)
+    flat = draw(st.booleans())
+
+    def quadratic():
+        if flat or not draw(st.booleans()):
+            return 0
+        x, y = (draw(st.integers(0, 2)) for _ in range(2))
+        return draw(st.sampled_from([-1, 1])) * bs[x] * bs[y]
+
+    ts = {0: (1 if flat else draw(small)) + quadratic() + 0 * bs[0]}
+    for d in range(1, n):
+        ts[d] = (1 if flat else draw(small)) + sum(draw(small) * b for b in bs) + quadratic()
+        ts[-d] = ts[d].negate_variables()
+    return _toeplitz(ts, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mirrored_toeplitz_matrices())
+@example(johnson_family(4))
+@example(_toeplitz({d: variables(2)[0] * (variables(2)[1] + d) for d in range(-3, 4)}, 4))
+def test_random_mirrored_toeplitz_minors_match_the_minor_oracles(a):
+    # the adjugate, every choice of one extra column (center-out when the
+    # others are one run, c = 0 or n - 1) and the two outer minors of the
+    # leading n - 1 rows
+    n = a.rows
+    with pytest.MonkeyPatch.context() as mp:
+        _check_mirrored_adjugate(mp, a)
+    det = det_cofactor(a)
+    for c in range(n):
+        assert shared_column_minors(a, [k for k in range(n) if k != c], (c,)) == [det]
+    _check_shared_minors(a, range(1, n - 1), (0, n - 1))
 
 
 def test_nonsquare_rejected():

@@ -393,21 +393,68 @@ def _split_lemmas(monkeypatch):
     return ran_r, ran_w
 
 
-@pytest.mark.parametrize("case", LEMMAS_CASES)
-def test_a_split_lemmas_run_gives_the_same_result(monkeypatch, capsys, case):
-    argv = COMMANDS["lemmas"]
-    owner, engine, fault = LEMMAS_CASES[case]
-    one = _run(monkeypatch, capsys, engine, fault, argv, owner)
+def _one_and_split(monkeypatch, run):
+    """``run()``, which patches and runs verify lemmas, in one process and
+    then split over two; returns both of its results."""
+    one = run()
     monkeypatch.undo()
     ran_r, ran_w = _split_lemmas(monkeypatch)
     try:
-        two = _run(monkeypatch, capsys, engine, fault, argv, owner)
+        two = run()
         os.set_blocking(ran_r, False)
         assert os.read(ran_r, 64)  # the worker ran jobs
     finally:
         os.close(ran_r)
         os.close(ran_w)
+    return one, two
+
+
+@pytest.mark.parametrize("case", LEMMAS_CASES)
+def test_a_split_lemmas_run_gives_the_same_result(monkeypatch, capsys, case):
+    owner, engine, fault = LEMMAS_CASES[case]
+    one, two = _one_and_split(
+        monkeypatch,
+        lambda: _run(monkeypatch, capsys, engine, fault, COMMANDS["lemmas"], owner),
+    )
     assert two == one
+
+
+# -- the mirror's sign map ----------------------------------------------------
+
+# Half of every skew adjugate and of the Toeplitz sub-minors of the Johnson
+# and reduced-case expansions is the sigma-image (b -> -b) of the other
+# half, which MonomialTable.negate_variables takes; made the identity, it
+# leaves the odd-degree terms of those halves with the wrong sign.  The
+# entries of the m = 6 skew adjugate of `verify lemmas --n 7` have odd
+# degree 5, and each banded Johnson sub-minor has terms of both parities.
+MIRROR_COMMANDS = {
+    "johnson": ["verify", "johnson", "--n", "9"],
+    "lemmas": COMMANDS["lemmas"],
+}
+
+
+def _run_without_the_sign_map(monkeypatch, capsys, argv):
+    monkeypatch.setattr(MonomialTable, "negate_variables", lambda table, d: d)
+    rc = cli.main(argv)
+    return (rc, *capsys.readouterr())
+
+
+def test_the_unpatched_order_9_certificate_verifies(capsys):
+    assert cli.main(MIRROR_COMMANDS["johnson"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", MIRROR_COMMANDS)
+def test_a_mirror_without_its_sign_map_is_caught(monkeypatch, capsys, command):
+    rc, _, _ = _run_without_the_sign_map(monkeypatch, capsys, MIRROR_COMMANDS[command])
+    assert rc in (1, 2)
+
+
+def test_a_split_lemmas_run_catches_a_mirror_without_its_sign_map(monkeypatch, capsys):
+    one, two = _one_and_split(
+        monkeypatch, lambda: _run_without_the_sign_map(monkeypatch, capsys, COMMANDS["lemmas"])
+    )
+    assert two == one and one[0] in (1, 2)
 
 
 # -- float verdicts: each one is seen to refute ------------------------------

@@ -17,6 +17,7 @@ from minorcert.identity import (
     DEFAULT_SYMBOLIC_CAP,
     SPECIALIZATION_CAP,
     bt_suite,
+    johnson_integer_suite,
     johnson_numeric_suite,
     lemmas_suite,
     specialization_certificate,
@@ -635,6 +636,48 @@ def test_johnson_numeric_overflow_is_undecided():
     # the identity holds there, so it must not be reported as refuted
     with pytest.raises(UndecidedError, match="johnson_numeric_t000 \\(order 233\\)"):
         johnson_numeric_suite(250, 3, seed=5)
+
+
+def test_johnson_integer_suite_draws_the_numeric_orders_and_small_integers():
+    reports = johnson_integer_suite(40, 30, seed=3)
+    assert [r.claim for r in reports] == [f"johnson_integer_t{t:03d}" for t in range(30)]
+    assert [r.instance["n"] for r in reports] == [
+        r.instance["n"] for r in johnson_numeric_suite(40, 30, seed=3)
+    ]
+    for t, r in enumerate(reports):
+        b = r.instance["b"]
+        stream = substream(3, t)
+        assert stream.randint(2, 40) == len(b) + 1 and b == stream.randints(len(b), -2, 2)
+    assert all(r.verified and r.residual == "0" and r.tolerance is None for r in reports)
+
+
+def test_johnson_integer_suite_verifies_an_order_past_60():
+    # trial 0 at seed 6 draws order 68, where the float minors of the
+    # numeric suite already carry a relative error; the integer residual is
+    # exactly 0
+    (report,) = johnson_integer_suite(80, 1, seed=6)
+    assert report.instance["n"] == 68
+    assert report.verified and report.residual == "0"
+
+
+def test_a_doctored_integer_johnson_minor_is_refuted(monkeypatch):
+    # one more on each block whose symmetric part is 2J: A_m(1,1) whatever
+    # the b_k, and all three blocks when every b_k is 0, where the three
+    # bumps cancel; every other trial's residual is then -2
+    real = identity_module.det_bareiss
+    monkeypatch.setattr(
+        identity_module, "det_bareiss", lambda x: real(x) + (x + x.T == 2 * ones(x.rows))
+    )
+    reports = johnson_integer_suite(12, 20, seed=3)
+    refuted = [r for r in reports if any(r.instance["b"])]
+    assert len(refuted) >= 15
+    assert {(r.status, r.residual) for r in refuted} == {("refuted", "-2")}
+    assert all(r.verified for r in reports if r not in refuted)
+
+
+def test_johnson_integer_suite_needs_order_two():
+    with pytest.raises(ValueError):
+        johnson_integer_suite(1, 3, seed=3)
 
 
 def test_float_bt_overflow_is_undecided():
